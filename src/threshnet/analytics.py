@@ -129,12 +129,13 @@ def calibrate_theta(n: int, pareto: ParetoParams, target_edges: float) -> float:
     theta = optimize.brentq(
         lambda t: p_edge(pareto, t) - p, w0 ** 2, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200
     )
-    achieved = expected_edges(n, pareto, theta)
-    if abs(achieved - target_edges) / target_edges > _CALIBRATION_REL_TOL:
-        raise NumericError(
-            f"calibration missed target: achieved {achieved}, wanted {target_edges}"
-        )
+    _check_calibrated(expected_edges(n, pareto, theta), target_edges)
     return theta
+
+
+def _check_calibrated(achieved: float, target: float) -> None:
+    if abs(achieved - target) / target > _CALIBRATION_REL_TOL:
+        raise NumericError(f"calibration missed target: achieved {achieved}, wanted {target}")
 
 
 def theta_powerlaw_schedule(n: int, D: float, a: float) -> float:
@@ -261,7 +262,7 @@ def calibrate_theta_directed(
     hi = pareto.w0 ** (alpha + beta)
     while p_edge_directed(pareto, hi, alpha, beta) > p:
         hi *= 2.0
-    return optimize.brentq(
+    theta = optimize.brentq(
         lambda t: p_edge_directed(pareto, t, alpha, beta) - p,
         0.0,
         hi,
@@ -269,6 +270,8 @@ def calibrate_theta_directed(
         rtol=8.9e-16,
         maxiter=200,
     )
+    _check_calibrated(expected_arcs_directed(n, pareto, theta, alpha, beta), target_arcs)
+    return theta
 
 
 def p_edge_given_weight_linkfn(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, growth as growthmod, io as tio, statfit
-from .errors import ThreshnetError, UnsupportedAnalyticsError
+from .errors import SeriesFormatError, ThreshnetError, UnsupportedAnalyticsError
 from .generator import degree_sequence, generate
 from .model import EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
 
@@ -212,14 +212,21 @@ def cmd_analyze(args) -> int:
     edges = tio.read_edges_tsv(args.edges)
     n = args.n if args.n else int(edges.max()) + 1
     if args.directed:
-        out_deg = np.bincount(edges[:, 0], minlength=n)
-        in_deg = np.bincount(edges[:, 1], minlength=n)
+        out_deg = _degree_counts(edges[:, 0], n, args.edges)
+        in_deg = _degree_counts(edges[:, 1], n, args.edges)
         _analyze_one(out_deg, "out", args, out)
         _analyze_one(in_deg, "in", args, out)
     else:
-        deg = np.bincount(edges.ravel(), minlength=n)
-        _analyze_one(deg, "", args, out)
+        _analyze_one(_degree_counts(edges.ravel(), n, args.edges), "", args, out)
     return 0
+
+
+def _degree_counts(ids: np.ndarray, n: int, path) -> np.ndarray:
+    """Occurrences of each node id 0..n-1 in `ids`, which were read from `path`."""
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise SeriesFormatError(f"{path}: node id {bad[0]} outside [0, {n})")
+    return np.bincount(ids, minlength=n)
 
 
 def cmd_growth_sweep(args) -> int:

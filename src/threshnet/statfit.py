@@ -20,6 +20,7 @@ from .model import LinkFn, ParetoParams
 
 _ALPHA_MAX = 25.0
 _MIN_TAIL = 50
+_TABLE_SPAN = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,30 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
     )
 
 
+def _zeta_cdf(alpha: float, x_min: int, table_span: int) -> np.ndarray:
+    """CDF of the zeta-normalized discrete power law on x_min .. x_min + table_span - 1."""
+    ks = np.arange(x_min, x_min + table_span, dtype=np.float64)
+    pmf = ks ** -alpha / hzeta(alpha, x_min)
+    return np.cumsum(pmf)
+
+
+def _draw_discrete_powerlaw(
+    rng: np.random.Generator, cdf: np.ndarray, alpha: float, x_min: int, size: int
+) -> np.ndarray:
+    """Invert `cdf` (from `_zeta_cdf`) at `size` uniforms; Pareto fallback past its end."""
+    u = rng.random(size)
+    idx = np.searchsorted(cdf, u, side="right")
+    out = x_min + idx
+    over = idx >= len(cdf)
+    if over.any():
+        k_max = x_min + len(cdf) - 1
+        ccdf_max = max(1.0 - cdf[-1], 1e-300)
+        out[over] = np.floor(k_max * (ccdf_max / (1.0 - u[over])) ** (1.0 / (alpha - 1.0))).astype(np.int64)
+    return out.astype(np.int64)
+
+
 def sample_discrete_powerlaw(
-    rng: np.random.Generator, alpha: float, x_min: int, size: int, table_span: int = 10 ** 6
+    rng: np.random.Generator, alpha: float, x_min: int, size: int, table_span: int = _TABLE_SPAN
 ) -> np.ndarray:
     """Inverse-CDF draws from the zeta-normalized discrete power law.
 
@@ -172,18 +195,7 @@ def sample_discrete_powerlaw(
     """
     if not (alpha > 1):
         raise DomainError(f"exponent must exceed 1, got {alpha}")
-    ks = np.arange(x_min, x_min + table_span, dtype=np.float64)
-    pmf = ks ** -alpha / hzeta(alpha, x_min)
-    cdf = np.cumsum(pmf)
-    u = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="right")
-    out = x_min + idx
-    over = idx >= table_span
-    if over.any():
-        k_max = x_min + table_span - 1
-        ccdf_max = max(1.0 - cdf[-1], 1e-300)
-        out[over] = np.floor(k_max * (ccdf_max / (1.0 - u[over])) ** (1.0 / (alpha - 1.0))).astype(np.int64)
-    return out.astype(np.int64)
+    return _draw_discrete_powerlaw(rng, _zeta_cdf(alpha, x_min, table_span), alpha, x_min, size)
 
 
 def gof_pvalue(
@@ -197,7 +209,9 @@ def gof_pvalue(
     Each replicate draws its RNG from (seed, replicate index), resamples the
     empirical body below x_min, draws the tail from the fitted law, refits
     the exponent at the same x_min, and records the KS statistic.  p is the
-    fraction of replicate statistics at or above the observed one.
+    fraction of replicate statistics at or above the observed one.  The
+    inverse-CDF table of the fitted law is built once per call and shared by
+    every replicate, so the result is bit-exact in (seed, samples, fit).
     """
     if n_bootstrap < 100:
         raise DomainError(f"need at least 100 bootstrap replicates, got {n_bootstrap}")
@@ -206,17 +220,18 @@ def gof_pvalue(
     body = x[x < fit.x_min]
     n = len(x)
     tail_frac = fit.n_tail / n
+    cdf = _zeta_cdf(fit.alpha_hat, fit.x_min, _TABLE_SPAN)
     exceed = 0
     for rep in range(n_bootstrap):
         rng = np.random.default_rng([seed, rep])
         take_tail = rng.random(n) < tail_frac
         n_tail_syn = int(take_tail.sum())
         syn = np.empty(n, dtype=np.int64)
-        syn[take_tail] = sample_discrete_powerlaw(rng, fit.alpha_hat, fit.x_min, n_tail_syn)
+        syn[take_tail] = _draw_discrete_powerlaw(rng, cdf, fit.alpha_hat, fit.x_min, n_tail_syn)
         n_body_syn = n - n_tail_syn
         if n_body_syn:
             if len(body) == 0:
-                syn[~take_tail] = sample_discrete_powerlaw(rng, fit.alpha_hat, fit.x_min, n_body_syn)
+                syn[~take_tail] = _draw_discrete_powerlaw(rng, cdf, fit.alpha_hat, fit.x_min, n_body_syn)
             else:
                 syn[~take_tail] = rng.choice(body, size=n_body_syn, replace=True)
         tail_syn = syn[syn >= fit.x_min]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from threshnet import (
     FeasibilityError,
     LinkFn,
     ModelConfig,
+    NumericError,
     ParetoParams,
     PowerLawSchedule,
     UnsupportedAnalyticsError,
@@ -29,6 +31,7 @@ from threshnet import (
     theta_powerlaw_schedule,
     variance_edges,
 )
+from threshnet import analytics
 from threshnet.analytics import directed_branch_boundary, hurwitz_zeta
 from threshnet.statfit import mc_estimate
 
@@ -232,6 +235,22 @@ def test_directed_calibration_round_trip(pareto3):
     assert theta == pytest.approx(15.0, rel=1e-9)
     with pytest.raises(FeasibilityError):
         calibrate_theta_directed(10, pareto3, 100.0, alpha, beta)
+
+
+def test_directed_calibration_hits_target_arcs(pareto3):
+    n = 10 ** 4
+    top = n * (n - 1) / 2.0
+    for alpha, beta in [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)]:
+        for target in [1.0, 1e3, 1e6, 0.3 * top, top * (1 - 1e-9)]:
+            theta = calibrate_theta_directed(n, pareto3, target, alpha, beta)
+            assert expected_arcs_directed(n, pareto3, theta, alpha, beta) == pytest.approx(target, rel=1e-10)
+
+
+def test_directed_calibration_rejects_missed_root(pareto3, monkeypatch):
+    # a root finder that stops at its upper bracket must not pass silently
+    monkeypatch.setattr(analytics, "optimize", SimpleNamespace(brentq=lambda f, lo, hi, **kw: hi))
+    with pytest.raises(NumericError):
+        calibrate_theta_directed(10 ** 4, pareto3, 1e5, 1.0, 2.0)
 
 
 def test_linkfn_identity_matches_directed(pareto3):

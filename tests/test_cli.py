@@ -173,6 +173,27 @@ def test_analyze_empty_edges_exits_one(tmp_path, capsys):
     assert "empty" in err
 
 
+def test_analyze_negative_id_exits_one(tmp_path, capsys):
+    bad = tmp_path / "edges.tsv"
+    bad.write_text("0\t1\n-3\t2\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--edges", str(bad), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert str(bad) in err and "id -3 " in err
+
+
+def test_analyze_id_beyond_n_exits_one(tmp_path, capsys):
+    bad = tmp_path / "edges.tsv"
+    bad.write_text("0\t1\n2\t7\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "analyze", "--edges", str(bad), "--n", "5", "--directed", "--out-dir", str(tmp_path)
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert str(bad) in err and "id 7 " in err
+    assert not (tmp_path / "fit_out.json").exists()
+
+
 def test_growth_sweep_and_fit(tmp_path, capsys):
     code, out, _ = run(
         capsys,

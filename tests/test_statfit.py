@@ -101,11 +101,22 @@ def test_gof_accepts_true_powerlaw(rng):
     fit = fit_powerlaw_discrete(samples, x_min=1)
     gof = gof_pvalue(samples, fit, n_bootstrap=200, seed=1)
     assert gof.p_value > 0.05
+    # the p-value is a pure function of (seed, samples, fit), so it is pinned exactly
+    assert gof.p_value == 0.99
     assert gof.stderr == pytest.approx(
         np.sqrt(gof.p_value * (1 - gof.p_value) / 200), rel=1e-12
     )
     tagged = with_p_value(fit, gof)
     assert tagged.p_value == gof.p_value
+
+
+def test_gof_pvalue_exact_with_resampled_body():
+    # the body below x_min is resampled and the tail drawn from the fit, so
+    # this pins the order of every draw in a replicate, not only the tail's
+    rng = np.random.default_rng(7)
+    samples = np.concatenate([rng.geometric(0.3, 3000), sample_discrete_powerlaw(rng, 2.2, 6, 2000)])
+    fit = fit_powerlaw_discrete(samples, x_min=12)
+    assert gof_pvalue(samples, fit, n_bootstrap=100, seed=5).p_value == 0.44
 
 
 def test_gof_rejects_geometric(rng):
