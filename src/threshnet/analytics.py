@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+# scipy.optimize and scipy.integrate are imported inside the functions that
+# use them: `threshnet generate --theta` needs neither, and loading them
+# takes longer than the rest of its start-up.
 from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
@@ -123,6 +125,8 @@ def calibrate_theta(n: int, pareto: ParetoParams, target_edges: float) -> float:
     theta = 2.0 * (0.5 - p) * w0 ** 2 * ((a + 1.0) / a) ** 2
     if theta <= w0 ** 2:
         return theta
+    from scipy import optimize
+
     hi = 2.0 * w0 ** 2
     while p_edge(pareto, hi) > p:
         hi *= 2.0
@@ -258,6 +262,8 @@ def calibrate_theta_directed(
         raise FeasibilityError(
             f"target {target_arcs} infeasible for n={n}: must lie in (0, {ordered_pairs / 2.0})"
         )
+    from scipy import optimize
+
     p = target_arcs / ordered_pairs
     hi = pareto.w0 ** (alpha + beta)
     while p_edge_directed(pareto, hi, alpha, beta) > p:
@@ -290,6 +296,8 @@ def p_edge_given_weight_linkfn(
     kinks (where theta/(w^a (w')^b) crosses h(1) and h(-1)) as panel
     boundaries.  Only strictly increasing links are supported.
     """
+    from scipy import integrate
+
     _check_theta(theta)
     _check_weight(w, pareto)
     if not (alpha > 0 and beta > 0):

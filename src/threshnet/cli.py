@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, growth as growthmod, io as tio, statfit
-from .errors import SeriesFormatError, ThreshnetError, UnsupportedAnalyticsError
+from .errors import (
+    DomainError,
+    ResourceLimitError,
+    SeriesFormatError,
+    ThreshnetError,
+    UnsupportedAnalyticsError,
+)
 from .generator import degree_sequence, generate
 from .model import EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
 
@@ -111,6 +117,11 @@ def cmd_generate(args) -> int:
     print(f"n={graph.n} edges={graph.n_edges} theta={theta:.17g} out={out}")
     return 0
 
+
+# Largest node count `analyze --edges` counts degrees for, checked before the
+# count is allocated: one int64 per node is 800 MB at the cap, before the
+# fit's own copies.
+MAX_ANALYZE_NODES = 10 ** 8
 
 _ORACLE_KINDS = ("pe", "pew", "pwedge", "var", "em", "em-linlog", "pew-directed", "pew-linkfn")
 
@@ -209,8 +220,12 @@ def cmd_analyze(args) -> int:
         degrees = tio.read_degree_file(args.degrees)
         _analyze_one(degrees, "", args, out)
         return 0
+    if args.n is not None and args.n < 1:
+        raise DomainError(f"--n must be at least 1, got {args.n}")
     edges = tio.read_edges_tsv(args.edges)
-    n = args.n if args.n else int(edges.max()) + 1
+    n = args.n if args.n is not None else int(edges.max()) + 1
+    if n > MAX_ANALYZE_NODES:
+        raise ResourceLimitError(f"node count {n} exceeds the analyze limit of {MAX_ANALYZE_NODES}")
     if args.directed:
         out_deg = _degree_counts(edges[:, 0], n, args.edges)
         in_deg = _degree_counts(edges[:, 1], n, args.edges)
@@ -324,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     src = a.add_mutually_exclusive_group(required=True)
     src.add_argument("--edges", default=None)
     src.add_argument("--degrees", default=None)
-    a.add_argument("--n", type=int, default=None, help="node count (pads isolated nodes)")
+    a.add_argument(
+        "--n", type=int, default=None,
+        help=f"node count, at most {MAX_ANALYZE_NODES} (pads isolated nodes; default: largest id + 1)",
+    )
     a.add_argument("--directed", action="store_true")
     a.add_argument("--x-min", type=int, default=None, dest="x_min")
     a.add_argument("--bootstrap", type=int, default=0, help="bootstrap replicates (0 = skip)")

@@ -4,25 +4,54 @@ Node table TSV: id, weight, then the direction coordinates, all floats at 17
 significant digits so a round trip is bit-exact for 64-bit values.  Edge
 list TSV: two node ids per line; undirected pairs are written once with the
 smaller id first, directed arcs as (source, target).
+
+The table writers format `_CHUNK_ROWS` rows at a time with a single
+`%`-format over Python values (`'%.17g' % x` is the same string as
+`format(x, '.17g')`), so their bytes equal a row-by-row write while the
+transient strings stay bounded.  `read_edges_tsv` first parses the whole
+file with `np.loadtxt` when it holds only ASCII digits, signs, spaces, tabs
+and newlines; over those characters loadtxt accepts only lines the
+line-by-line parser also accepts, and yields the same ids.  On any other
+file (an empty one, a third column, `1_0`, non-ASCII digits, an id beyond
+int64, ...) the line-by-line parser reads it again and reports the
+`path:line` error or returns the ids.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+import warnings
+from io import StringIO
 
 import numpy as np
 
 from .errors import SeriesFormatError
 
 _FLOAT_FMT = ".17g"
+# Rows formatted per write: bounds the transient value tuple and string.
+_CHUNK_ROWS = 1 << 16
+_INT64 = np.iinfo(np.int64)
+# Text `read_edges_tsv` hands to np.loadtxt may hold only these characters
+# (newlines are already "\n"): over them loadtxt's integer fields and int()
+# agree, while loadtxt also strips whitespace such as "\x1c" that int() rejects.
+_OUTSIDE_FAST_PATH = re.compile(r"[^0-9\t\n +-]")
 
 
 def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
+    n, d = len(weights), directions.shape[1]
+    cols = d + 2
+    row = "%d\t%.17g" + "\t%.17g" * d + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for i in range(len(weights)):
-            coords = "\t".join(format(c, _FLOAT_FMT) for c in directions[i])
-            fh.write(f"{i}\t{format(weights[i], _FLOAT_FMT)}\t{coords}\n")
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            values = [None] * ((stop - start) * cols)
+            values[0::cols] = range(start, stop)
+            values[1::cols] = weights[start:stop].tolist()
+            for c in range(d):
+                values[2 + c :: cols] = directions[start:stop, c].tolist()
+            fh.write(row * (stop - start) % tuple(values))
 
 
 def read_nodes_tsv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -48,11 +77,28 @@ def read_nodes_tsv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_edges_tsv(path, edges: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for i, j in edges:
-            fh.write(f"{i}\t{j}\n")
+        for start in range(0, len(edges), _CHUNK_ROWS):
+            chunk = edges[start : start + _CHUNK_ROWS]
+            fh.write("%d\t%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_edges_tsv(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if _OUTSIDE_FAST_PATH.search(text) is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+                edges = np.loadtxt(StringIO(text), dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            pass  # the line parser below reports it with its line number
+        else:
+            if edges.shape[0] > 0 and edges.shape[1] == 2:
+                return edges
+    return _read_edges_lines(path)
+
+
+def _read_edges_lines(path) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -63,9 +109,13 @@ def read_edges_tsv(path) -> np.ndarray:
             if len(parts) != 2:
                 raise SeriesFormatError(f"{path}:{lineno}: expected two node ids")
             try:
-                rows.append((int(parts[0]), int(parts[1])))
+                row = (int(parts[0]), int(parts[1]))
             except ValueError as exc:
                 raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
+            for node in row:
+                if not _INT64.min <= node <= _INT64.max:
+                    raise SeriesFormatError(f"{path}:{lineno}: node id {node} outside the int64 range")
+            rows.append(row)
     if not rows:
         raise SeriesFormatError(f"{path}: empty edge list")
     return np.array(rows, dtype=np.int64)

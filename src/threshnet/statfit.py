@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import zeta as hzeta
 
 from .errors import DomainError, FitDegenerateError
@@ -87,6 +86,8 @@ def _tail_loglik(alpha: float, x_min: int, n: int, sum_log: float) -> float:
 
 
 def _mle_alpha(tail: np.ndarray, x_min: int) -> float:
+    from scipy.optimize import minimize_scalar  # not at module level: `generate` never loads it
+
     n = len(tail)
     s = float(np.log(tail).sum())
     res = minimize_scalar(

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from threshnet import (
     theta_powerlaw_schedule,
     variance_edges,
 )
-from threshnet import analytics
 from threshnet.analytics import directed_branch_boundary, hurwitz_zeta
 from threshnet.statfit import mc_estimate
 
@@ -248,7 +246,7 @@ def test_directed_calibration_hits_target_arcs(pareto3):
 
 def test_directed_calibration_rejects_missed_root(pareto3, monkeypatch):
     # a root finder that stops at its upper bracket must not pass silently
-    monkeypatch.setattr(analytics, "optimize", SimpleNamespace(brentq=lambda f, lo, hi, **kw: hi))
+    monkeypatch.setattr("scipy.optimize.brentq", lambda f, lo, hi, **kw: hi)
     with pytest.raises(NumericError):
         calibrate_theta_directed(10 ** 4, pareto3, 1e5, 1.0, 2.0)
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import threshnet
 from threshnet import ParetoParams, expected_edges, io as tio, p_edge, variance_edges
-from threshnet.cli import main
+from threshnet.cli import MAX_ANALYZE_NODES, main
 from threshnet.errors import SeriesFormatError
 
 
@@ -192,6 +197,48 @@ def test_analyze_id_beyond_n_exits_one(tmp_path, capsys):
     assert err.startswith("error: ")
     assert str(bad) in err and "id 7 " in err
     assert not (tmp_path / "fit_out.json").exists()
+
+
+def test_analyze_id_beyond_int64_exits_one(tmp_path, capsys):
+    bad = tmp_path / "edges.tsv"
+    bad.write_text("0\t1\n99999999999999999999\t2\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--edges", str(bad), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert f"{bad}:2" in err and "99999999999999999999" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_analyze_rejects_n_below_one(tmp_path, capsys, n):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("0\t1\n1\t2\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--edges", str(edges), "--n", n, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and f"--n must be at least 1, got {n}" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("n", [str(10 ** 12), str(MAX_ANALYZE_NODES + 1), None])
+def test_analyze_rejects_node_count_beyond_limit(tmp_path, capsys, n):
+    edges = tmp_path / "edges.tsv"
+    big_id = 10 ** 12 if n is None else 2  # without --n the count is inferred from the largest id
+    edges.write_text(f"0\t1\n1\t{big_id}\n", encoding="utf-8")
+    n_args = [] if n is None else ["--n", n]
+    code, _, err = run(capsys, "analyze", "--edges", str(edges), *n_args, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and f"exceeds the analyze limit of {MAX_ANALYZE_NODES}" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_cli_import_leaves_optimize_and_integrate_unloaded():
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, threshnet.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_growth_sweep_and_fit(tmp_path, capsys):
