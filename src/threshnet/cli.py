@@ -118,9 +118,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# Largest node count `analyze --edges` counts degrees for, checked before the
-# count is allocated: one int64 per node is 800 MB at the cap, before the
-# fit's own copies.
+# Largest `analyze --n`, checked before the degree count is allocated: one
+# int64 per node is 800 MB at the cap, before the fit's own copies.
 MAX_ANALYZE_NODES = 10 ** 8
 
 _ORACLE_KINDS = ("pe", "pew", "pwedge", "var", "em", "em-linlog", "pew-directed", "pew-linkfn")
@@ -222,10 +221,10 @@ def cmd_analyze(args) -> int:
         return 0
     if args.n is not None and args.n < 1:
         raise DomainError(f"--n must be at least 1, got {args.n}")
+    if args.n is not None and args.n > MAX_ANALYZE_NODES:
+        raise ResourceLimitError(f"--n {args.n} exceeds the analyze limit of {MAX_ANALYZE_NODES}")
     edges = tio.read_edges_tsv(args.edges)
     n = args.n if args.n is not None else int(edges.max()) + 1
-    if n > MAX_ANALYZE_NODES:
-        raise ResourceLimitError(f"node count {n} exceeds the analyze limit of {MAX_ANALYZE_NODES}")
     if args.directed:
         out_deg = _degree_counts(edges[:, 0], n, args.edges)
         in_deg = _degree_counts(edges[:, 1], n, args.edges)
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--degrees", default=None)
     a.add_argument(
         "--n", type=int, default=None,
-        help=f"node count, at most {MAX_ANALYZE_NODES} (pads isolated nodes; default: largest id + 1)",
+        help=f"node count, 1 to {MAX_ANALYZE_NODES} (pads isolated nodes; default: largest id + 1)",
     )
     a.add_argument("--directed", action="store_true")
     a.add_argument("--x-min", type=int, default=None, dest="x_min")

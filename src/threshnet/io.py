@@ -8,22 +8,14 @@ smaller id first, directed arcs as (source, target).
 The table writers format `_CHUNK_ROWS` rows at a time with a single
 `%`-format over Python values (`'%.17g' % x` is the same string as
 `format(x, '.17g')`), so their bytes equal a row-by-row write while the
-transient strings stay bounded.  `read_edges_tsv` first parses the whole
-file with `np.loadtxt` when it holds only ASCII digits, signs, spaces, tabs
-and newlines; over those characters loadtxt accepts only lines the
-line-by-line parser also accepts, and yields the same ids.  On any other
-file (an empty one, a third column, `1_0`, non-ASCII digits, an id beyond
-int64, ...) the line-by-line parser reads it again and reports the
-`path:line` error or returns the ids.
+transient strings stay bounded.  The readers parse line by line and report
+a malformed line as `path:line`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
-import warnings
-from io import StringIO
 
 import numpy as np
 
@@ -32,11 +24,7 @@ from .errors import SeriesFormatError
 _FLOAT_FMT = ".17g"
 # Rows formatted per write: bounds the transient value tuple and string.
 _CHUNK_ROWS = 1 << 16
-_INT64 = np.iinfo(np.int64)
-# Text `read_edges_tsv` hands to np.loadtxt may hold only these characters
-# (newlines are already "\n"): over them loadtxt's integer fields and int()
-# agree, while loadtxt also strips whitespace such as "\x1c" that int() rejects.
-_OUTSIDE_FAST_PATH = re.compile(r"[^0-9\t\n +-]")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
@@ -83,22 +71,6 @@ def write_edges_tsv(path, edges: np.ndarray) -> None:
 
 
 def read_edges_tsv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if _OUTSIDE_FAST_PATH.search(text) is None:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
-                edges = np.loadtxt(StringIO(text), dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-        except (ValueError, Warning):
-            pass  # the line parser below reports it with its line number
-        else:
-            if edges.shape[0] > 0 and edges.shape[1] == 2:
-                return edges
-    return _read_edges_lines(path)
-
-
-def _read_edges_lines(path) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -109,13 +81,13 @@ def _read_edges_lines(path) -> np.ndarray:
             if len(parts) != 2:
                 raise SeriesFormatError(f"{path}:{lineno}: expected two node ids")
             try:
-                row = (int(parts[0]), int(parts[1]))
+                i, j = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
-            for node in row:
-                if not _INT64.min <= node <= _INT64.max:
-                    raise SeriesFormatError(f"{path}:{lineno}: node id {node} outside the int64 range")
-            rows.append(row)
+            if not (_INT64_MIN <= i <= _INT64_MAX and _INT64_MIN <= j <= _INT64_MAX):
+                node = j if _INT64_MIN <= i <= _INT64_MAX else i
+                raise SeriesFormatError(f"{path}:{lineno}: node id {node} outside the int64 range")
+            rows.append((i, j))
     if not rows:
         raise SeriesFormatError(f"{path}: empty edge list")
     return np.array(rows, dtype=np.int64)

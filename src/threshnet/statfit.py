@@ -20,6 +20,9 @@ from .model import LinkFn, ParetoParams
 _ALPHA_MAX = 25.0
 _MIN_TAIL = 50
 _TABLE_SPAN = 10 ** 6
+# Largest float below 2**63: Pareto tail draws are clipped to it before the
+# int64 cast, which would otherwise wrap them to a negative value.
+_INT64_TOP_FLOAT = float(np.nextafter(2.0 ** 63, 0.0))
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,8 @@ def _draw_discrete_powerlaw(
     if over.any():
         k_max = x_min + len(cdf) - 1
         ccdf_max = max(1.0 - cdf[-1], 1e-300)
-        out[over] = np.floor(k_max * (ccdf_max / (1.0 - u[over])) ** (1.0 / (alpha - 1.0))).astype(np.int64)
+        tail = k_max * (ccdf_max / (1.0 - u[over])) ** (1.0 / (alpha - 1.0))
+        out[over] = np.floor(np.minimum(tail, _INT64_TOP_FLOAT)).astype(np.int64)
     return out.astype(np.int64)
 
 
@@ -192,7 +196,7 @@ def sample_discrete_powerlaw(
 
     Exact within a precomputed table of `table_span` values; the residual
     tail beyond it (mass ~1e-7 at typical exponents) falls back to the
-    continuous Pareto approximation.
+    continuous Pareto approximation, clipped below 2**63.
     """
     if not (alpha > 1):
         raise DomainError(f"exponent must exceed 1, got {alpha}")

@@ -218,15 +218,13 @@ def test_analyze_rejects_n_below_one(tmp_path, capsys, n):
     assert not (tmp_path / "fit.json").exists()
 
 
-@pytest.mark.parametrize("n", [str(10 ** 12), str(MAX_ANALYZE_NODES + 1), None])
-def test_analyze_rejects_node_count_beyond_limit(tmp_path, capsys, n):
+@pytest.mark.parametrize("n", [10 ** 12, MAX_ANALYZE_NODES + 1])
+def test_analyze_rejects_n_beyond_limit(tmp_path, capsys, n):
     edges = tmp_path / "edges.tsv"
-    big_id = 10 ** 12 if n is None else 2  # without --n the count is inferred from the largest id
-    edges.write_text(f"0\t1\n1\t{big_id}\n", encoding="utf-8")
-    n_args = [] if n is None else ["--n", n]
-    code, _, err = run(capsys, "analyze", "--edges", str(edges), *n_args, "--out-dir", str(tmp_path))
+    edges.write_text("0\t1\n1\t2\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--edges", str(edges), "--n", str(n), "--out-dir", str(tmp_path))
     assert code == 1
-    assert err.startswith("error: ") and f"exceeds the analyze limit of {MAX_ANALYZE_NODES}" in err
+    assert err.startswith("error: ") and f"--n {n} exceeds the analyze limit of {MAX_ANALYZE_NODES}" in err
     assert not (tmp_path / "fit.json").exists()
 
 

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta as hzeta
 
 from threshnet import sample_discrete_powerlaw
@@ -14,6 +14,7 @@ SPAN = 10 ** 6  # the sampler's default table span
     size=st.integers(min_value=0, max_value=2000),
     seed=st.integers(min_value=0, max_value=2 ** 63 - 1),
 )
+@example(alpha=1.2000000000000002, x_min=13, size=363, seed=150)  # a tail draw past 2**63
 def test_sampler_matches_inverse_cdf_oracle(alpha, x_min, size, seed):
     got = sample_discrete_powerlaw(np.random.default_rng(seed), alpha, x_min, size)
 
