@@ -92,7 +92,7 @@ def cmd_generate(args) -> int:
     rule = _build_rule(args, theta)
     config = ModelConfig(n=args.n, d=args.d, pareto=pareto, rule=rule, seed=args.seed)
     t0 = time.perf_counter()
-    graph = generate(config, workers=args.workers, max_edges=args.max_edges)
+    graph = generate(config, max_edges=args.max_edges)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     nodes_path = out / "nodes.tsv"
@@ -240,7 +240,10 @@ def _degree_counts(ids: np.ndarray, n: int, path) -> np.ndarray:
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise SeriesFormatError(f"{path}: node id {bad[0]} outside [0, {n})")
-    return np.bincount(ids, minlength=n)
+    try:
+        return np.bincount(ids, minlength=n)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
+        raise ResourceLimitError(f"{path}: degree counts of {n} nodes do not fit ({exc})") from None
 
 
 def cmd_growth_sweep(args) -> int:
@@ -256,7 +259,7 @@ def cmd_growth_sweep(args) -> int:
         raise ThreshnetError(f"unknown schedule {args.schedule!r}")
     ns = [int(x) for x in args.ns.split(",")]
     seeds = list(range(args.seeds))
-    sweep = growthmod.run_growth_sweep(schedule, ns, pareto, seeds, workers=args.workers)
+    sweep = growthmod.run_growth_sweep(schedule, ns, pareto, seeds)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seed, series in sweep.items():
@@ -307,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--D", type=float, default=None)
     _add_variant_args(g)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--workers", type=int, default=1)
     g.add_argument("--max-edges", type=int, default=None, dest="max_edges")
     g.add_argument("--out-dir", default=".", dest="out_dir")
     g.set_defaults(func=cmd_generate)
@@ -358,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pareto_args(gs)
     gs.add_argument("--ns", required=True, help="comma-separated node counts")
     gs.add_argument("--seeds", type=int, default=1)
-    gs.add_argument("--workers", type=int, default=1)
     gs.add_argument("--fit", action="store_true")
     gs.add_argument("--out-dir", default=".", dest="out_dir")
     gs.set_defaults(func=cmd_growth_sweep)

@@ -3,17 +3,14 @@
 Generation is two-phase: sample every node from its substream, then decide
 all pairs.  Pair enumeration sorts nodes by weight once and prunes on the
 maximal achievable left-hand side (direction dot product at its maximum),
-which is monotone in both weights, so each inner loop breaks at the first
-pruned partner.  Edge decisions are pure, so any worker partition of the
-outer loop yields the identical edge set.
+which is monotone in both weights, so each outer row's partners are one
+contiguous slice of the sorted nodes, decided in one vectorized step.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -22,7 +19,6 @@ from .errors import DomainError, ResourceLimitError
 from .model import EdgeRule, ModelConfig, Node, Variant, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
-_BLOCK = 2048
 
 
 def _max_edges_guard(override: int | None) -> int:
@@ -42,7 +38,6 @@ class Graph:
     directed: bool
     config: ModelConfig
     n_candidates: int = 0
-    wall_time: float = 0.0
 
     @property
     def n(self) -> int:
@@ -59,49 +54,34 @@ class Graph:
         return degree_sequence(self)
 
 
-def _prune_exponents(rule: EdgeRule) -> tuple[float, float, float]:
-    """(exponent on the heavier weight, on the lighter, max of the dot transform)."""
-    if rule.variant is Variant.UNDIRECTED:
-        return 1.0, 1.0, 1.0
-    e_hi = max(rule.alpha, rule.beta)
-    e_lo = min(rule.alpha, rule.beta)
-    h_max = 1.0 if rule.variant is Variant.DIRECTED else rule.h.max_value
-    return e_hi, e_lo, h_max
+def _partner_cutoffs(ws: np.ndarray, rule: EdgeRule) -> np.ndarray:
+    """Partner cutoff of each outer row that weight pruning keeps.
 
-
-def _partner_cutoffs(ws_desc: np.ndarray, p_lo: int, p_hi: int, rule: EdgeRule) -> np.ndarray:
-    """For outer indices [p_lo, p_hi): count of sorted nodes whose weight passes pruning.
-
-    Partner candidates of outer p are sorted indices q in [p+1, cut[p]).
+    `ws` holds the weights in descending order.  The candidate partners of
+    outer row p are the sorted indices q in [p+1, cuts[p]).  The array stops
+    at the first row whose weight cannot reach theta even with itself, so its
+    length is the outer limit.  Pruning bounds the dot transform by its
+    maximum and is monotone in both weights.
     """
-    n = len(ws_desc)
-    e_hi, e_lo, h_max = _prune_exponents(rule)
+    n = len(ws)
+    if rule.variant is Variant.UNDIRECTED:
+        e_hi = e_lo = h_max = 1.0
+    else:
+        e_hi, e_lo = max(rule.alpha, rule.beta), min(rule.alpha, rule.beta)
+        h_max = 1.0 if rule.variant is Variant.DIRECTED else rule.h.max_value
     if h_max < 0:
-        return np.zeros(p_hi - p_lo, dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     if rule.theta <= 0:
-        return np.full(p_hi - p_lo, n, dtype=np.int64)
+        return np.full(n, n, dtype=np.int64)
     if h_max == 0:
-        return np.zeros(p_hi - p_lo, dtype=np.int64)
-    w_asc = ws_desc[::-1]
-    partner_min = (rule.theta / (h_max * ws_desc[p_lo:p_hi] ** e_hi)) ** (1.0 / e_lo)
+        return np.empty(0, dtype=np.int64)
+    w_asc = ws[::-1]
     # inclusive at the boundary despite rounding: one ulp of slack only ever
     # admits extra candidates, never drops one
-    partner_min = np.nextafter(partner_min, 0.0)
-    return n - np.searchsorted(w_asc, partner_min, side="left")
-
-
-def _outer_limit(ws_desc: np.ndarray, rule: EdgeRule) -> int:
-    """First outer index whose best possible pair is already pruned."""
-    n = len(ws_desc)
-    e_hi, e_lo, h_max = _prune_exponents(rule)
-    if h_max < 0:
-        return 0
-    if rule.theta <= 0:
-        return n
-    if h_max == 0:
-        return 0
     w_min = np.nextafter((rule.theta / h_max) ** (1.0 / (e_hi + e_lo)), 0.0)
-    return int(n - np.searchsorted(ws_desc[::-1], w_min, side="left"))
+    limit = n - np.searchsorted(w_asc, w_min, side="left")
+    partner_min = np.nextafter((rule.theta / (h_max * ws[:limit] ** e_hi)) ** (1.0 / e_lo), 0.0)
+    return n - np.searchsorted(w_asc, partner_min, side="left")
 
 
 def _weight_order(weights: np.ndarray) -> np.ndarray:
@@ -109,103 +89,55 @@ def _weight_order(weights: np.ndarray) -> np.ndarray:
     return np.argsort(-weights, kind="stable")
 
 
-def _decide_block(
-    ws: np.ndarray,
-    xs: np.ndarray,
-    order: np.ndarray,
-    rule: EdgeRule,
-    p_lo: int,
-    p_hi: int,
-) -> tuple[np.ndarray, int]:
-    """Edges among candidate pairs with outer sorted index in [p_lo, p_hi)."""
-    cuts = _partner_cutoffs(ws, p_lo, p_hi, rule)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    n_cand = 0
-    for k in range(p_hi - p_lo):
-        p = p_lo + k
-        cut = int(cuts[k])
-        if cut <= p + 1:
-            continue
-        qs = np.arange(p + 1, cut)
-        n_cand += len(qs)
-        dots = xs[qs] @ xs[p]
-        wp = ws[p]
-        wq = ws[qs]
-        if rule.variant is Variant.UNDIRECTED:
-            mask = wp * wq * dots >= rule.theta
-            if mask.any():
-                a = np.full(int(mask.sum()), order[p], dtype=np.int64)
-                b = order[qs[mask]]
-                srcs.append(np.minimum(a, b))
-                dsts.append(np.maximum(a, b))
-        else:
-            f = dots if rule.variant is Variant.DIRECTED else rule.h(dots)
-            fwd = wp ** rule.alpha * wq ** rule.beta * f >= rule.theta
-            rev = wq ** rule.alpha * wp ** rule.beta * f >= rule.theta
-            if fwd.any():
-                srcs.append(np.full(int(fwd.sum()), order[p], dtype=np.int64))
-                dsts.append(order[qs[fwd]])
-            if rev.any():
-                srcs.append(order[qs[rev]])
-                dsts.append(np.full(int(rev.sum()), order[p], dtype=np.int64))
-    if srcs:
-        edges = np.column_stack([np.concatenate(srcs), np.concatenate(dsts)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return edges, n_cand
+def _canonical(keys: np.ndarray, n: int) -> np.ndarray:
+    """Edges with keys src*n + dst as an (E, 2) int64 array sorted by (src, dst)."""
+    # one int64 key per edge: src*n + dst < n**2 < 2**63 for any n whose node
+    # table fits in memory, so the key sort is the lexicographic edge sort
+    return np.column_stack(np.divmod(np.sort(keys), n))
 
 
-def _canonical(edges: np.ndarray) -> np.ndarray:
-    if len(edges) == 0:
-        return edges.reshape(0, 2).astype(np.int64)
-    idx = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[idx]
-
-
-def generate(config: ModelConfig, workers: int = 1, max_edges: int | None = None) -> Graph:
+def generate(config: ModelConfig, max_edges: int | None = None) -> Graph:
     """Materialize the graph for `config`.
 
-    Deterministic in (config.seed, config); independent of `workers`.
-    Raises ResourceLimitError when the edge count exceeds the guard
-    (default 1e8, overridable via argument or the FTM_MAX_EDGES env var).
+    Deterministic in (config.seed, config).  Raises ResourceLimitError as
+    soon as the running edge count exceeds the guard (default 1e8,
+    overridable via argument or the FTM_MAX_EDGES env var).
     """
     guard = _max_edges_guard(max_edges)
-    t0 = time.perf_counter()
-    weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
+    n = config.n
+    weights, dirs = sample_node_table(n, config.seed, config.pareto, config.d)
     order = _weight_order(weights)
     ws = weights[order]
     xs = dirs[order]
     rule = config.rule
 
-    limit = _outer_limit(ws, rule)
-    blocks = [(lo, min(lo + _BLOCK, limit)) for lo in range(0, limit, _BLOCK)]
-
-    results: list[tuple[np.ndarray, int]]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda b: _decide_block(ws, xs, order, rule, b[0], b[1]), blocks)
+    keys = [np.empty(0, dtype=np.int64)]
+    n_cand = n_edges = 0
+    for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
+        u, vs, wq = order[p], order[p + 1 : cut], ws[p + 1 : cut]
+        dots = xs[p + 1 : cut] @ xs[p]
+        if rule.variant is Variant.UNDIRECTED:
+            hit = vs[ws[p] * wq * dots >= rule.theta]
+            row = [np.minimum(u, hit) * n + np.maximum(u, hit)]
+        else:
+            f = dots if rule.variant is Variant.DIRECTED else rule.h(dots)
+            fwd = ws[p] ** rule.alpha * wq ** rule.beta * f >= rule.theta
+            rev = wq ** rule.alpha * ws[p] ** rule.beta * f >= rule.theta
+            row = [u * n + vs[fwd], vs[rev] * n + u]
+        keys += row
+        n_cand += len(vs)
+        n_edges += sum(map(len, row))
+        if n_edges > guard:
+            raise ResourceLimitError(
+                f"edge count {n_edges} exceeds guard {guard}; raise FTM_MAX_EDGES if intended"
             )
-    else:
-        results = [_decide_block(ws, xs, order, rule, lo, hi) for lo, hi in blocks]
-
-    n_cand = sum(r[1] for r in results)
-    total = sum(len(r[0]) for r in results)
-    if total > guard:
-        raise ResourceLimitError(
-            f"edge count {total} exceeds guard {guard}; raise FTM_MAX_EDGES if intended"
-        )
-    parts = [r[0] for r in results if len(r[0])]
-    edges = _canonical(np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64))
     return Graph(
         weights=weights,
         directions=dirs,
-        edges=edges,
+        edges=_canonical(np.concatenate(keys), n),
         directed=rule.is_directed,
         config=config,
         n_candidates=n_cand,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -219,11 +151,8 @@ def candidate_pairs(nodes: list[Node], rule: EdgeRule) -> Iterator[tuple[int, in
     weights = np.array([nd.weight for nd in nodes])
     ids = np.array([nd.id for nd in nodes], dtype=np.int64)
     order = _weight_order(weights)
-    ws = weights[order]
     sorted_ids = ids[order]
-    limit = _outer_limit(ws, rule)
-    for p in range(limit):
-        cut = int(_partner_cutoffs(ws, p, p + 1, rule)[0])
+    for p, cut in enumerate(_partner_cutoffs(weights[order], rule).tolist()):
         for q in range(p + 1, cut):
             yield int(sorted_ids[p]), int(sorted_ids[q])
 
@@ -232,7 +161,6 @@ def generate_naive(config: ModelConfig) -> Graph:
     """O(n^2) reference: every pair decided directly, no pruning."""
     if config.n > 20000:
         raise DomainError("naive reference is limited to n <= 20000")
-    t0 = time.perf_counter()
     weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
     rule = config.rule
     dots = dirs @ dirs.T
@@ -246,16 +174,14 @@ def generate_naive(config: ModelConfig) -> Graph:
     if not rule.is_directed:
         hit = np.triu(hit)
     src, dst = np.nonzero(hit)
-    edges = _canonical(np.column_stack([src, dst]).astype(np.int64))
     n = config.n
     return Graph(
         weights=weights,
         directions=dirs,
-        edges=edges,
+        edges=_canonical(src.astype(np.int64) * n + dst, n),
         directed=rule.is_directed,
         config=config,
         n_candidates=n * (n - 1) // 2,
-        wall_time=time.perf_counter() - t0,
     )
 
 

@@ -81,7 +81,6 @@ def run_growth_sweep(
     pareto: ParetoParams,
     seeds: list[int],
     d: int = 3,
-    workers: int = 1,
 ) -> dict[int, GrowthSeries]:
     """One GrowthSeries per seed: regenerate at each n under schedule's theta(n)."""
     if d != 3:
@@ -94,7 +93,7 @@ def run_growth_sweep(
         for n in ns:
             theta = schedule.theta_for(n, pareto)
             config = ModelConfig(n=n, d=d, pareto=pareto, rule=EdgeRule.undirected(theta), seed=seed)
-            graph = generate(config, workers=workers)
+            graph = generate(config)
             points.append(
                 GrowthPoint(
                     n=n,

@@ -9,13 +9,14 @@ The table writers format `_CHUNK_ROWS` rows at a time with a single
 `%`-format over Python values (`'%.17g' % x` is the same string as
 `format(x, '.17g')`), so their bytes equal a row-by-row write while the
 transient strings stay bounded.  The readers parse line by line and report
-a malformed line as `path:line`.
+a malformed line as `path:line`, and bytes that are not UTF-8 as `path`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,6 +26,16 @@ _FLOAT_FMT = ".17g"
 # Rows formatted per write: bounds the transient value tuple and string.
 _CHUNK_ROWS = 1 << 16
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+@contextmanager
+def _read_text(path):
+    """The UTF-8 file at `path`, open for reading; other bytes raise SeriesFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
@@ -45,7 +56,7 @@ def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
 def read_nodes_tsv(path) -> tuple[np.ndarray, np.ndarray]:
     weights = []
     dirs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) < 3:
@@ -72,7 +83,7 @@ def write_edges_tsv(path, edges: np.ndarray) -> None:
 
 def read_edges_tsv(path) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -95,7 +106,7 @@ def read_edges_tsv(path) -> np.ndarray:
 
 def read_degree_file(path) -> np.ndarray:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -132,5 +143,5 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         return json.load(fh)

@@ -115,20 +115,21 @@ class LinkFn:
             return 1.0
         return self.hi
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
-        """Invert a strictly increasing link on [h(-1), h(1)] by bisection."""
+    def inverse(self, y: float) -> float:
+        """The t in [-1, 1] with h(t) = y, for a strictly increasing link."""
         if not self.strictly_increasing:
             raise DomainError("even-power links are not invertible on [-1, 1]")
         if not (self.lo <= y <= self.hi):
             raise DomainError(f"value {y} outside link range [{self.lo}, {self.hi}]")
-        a, b = -1.0, 1.0
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if self(mid) < y:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
+        if self.kind is LinkKind.IDENTITY:
+            t = float(y)
+        elif self.kind is LinkKind.EXP:
+            t = math.log(y)
+        else:
+            s = y - self.c
+            t = math.copysign(abs(s) ** (1.0 / (2 * self.m + 1)), s)
+        # y - c rounds, so at the ends of the range t may step just outside [-1, 1]
+        return min(1.0, max(-1.0, t))
 
     def spec(self) -> str:
         """Compact textual form, parseable by the CLI."""

@@ -54,7 +54,7 @@ def figure_graphs():
         config = ModelConfig(
             n=FIG_N, d=3, pareto=PARETO, rule=EdgeRule.undirected(FIG_THETA), seed=seed
         )
-        g = generate(config, workers=4)
+        g = generate(config)
         out.append((g.n_edges, degree_sequence(g)))
     return out
 
@@ -168,7 +168,7 @@ def test_c04_directed_exponents_and_boundary_arbitration():
     config = ModelConfig(
         n=FIG_N, d=3, pareto=PARETO, rule=EdgeRule.directed(theta, alpha, beta), seed=11
     )
-    g = generate(config, workers=4)
+    g = generate(config)
     out_deg, in_deg = degree_sequence(g)
     fit_out = fit_powerlaw_discrete(out_deg)
     fit_in = fit_powerlaw_discrete(in_deg)
@@ -213,7 +213,7 @@ def test_c05_linearithmic_growth_sweep():
     t0 = time.perf_counter()
     ns = [10 ** 4, 3 * 10 ** 4, 10 ** 5, 3 * 10 ** 5]
     seeds = list(range(10))
-    sweep = run_growth_sweep(PowerLawSchedule(D=1.0), ns, PARETO, seeds=seeds, workers=4)
+    sweep = run_growth_sweep(PowerLawSchedule(D=1.0), ns, PARETO, seeds=seeds)
     for seed in seeds:
         for p in sweep[seed].points:
             exact = expected_edges_linlog(p.n, 1.0, PARETO)
@@ -238,7 +238,7 @@ def test_c06_concentration():
     """Variance ratio band at n=1e4 and shrinking relative deviation with n."""
     ns = [10 ** 3, 10 ** 4, 10 ** 5]
     seeds = list(range(50))
-    sweep = run_growth_sweep(PowerLawSchedule(D=1.0), ns, PARETO, seeds=seeds, workers=2)
+    sweep = run_growth_sweep(PowerLawSchedule(D=1.0), ns, PARETO, seeds=seeds)
     rows = {row.n: row for row in concentration_report(sweep)}
     assert 0.5 <= rows[10 ** 4].ratio <= 2.0, f"ratio at n=1e4: {rows[10 ** 4].ratio}"
 
@@ -311,7 +311,7 @@ def test_c08_branch_continuity():
 
 
 def test_c09_generator_equivalence():
-    """Pruned parallel generation equals the quadratic reference, all variants."""
+    """Pruned generation equals the quadratic reference, all variants."""
     rules = {
         "undirected": EdgeRule.undirected(12.6),
         "directed": EdgeRule.directed(12.6, 1.0, 2.0),
@@ -321,10 +321,9 @@ def test_c09_generator_equivalence():
         for seed in range(10):
             config = ModelConfig(n=2000, d=3, pareto=PARETO, rule=rule, seed=seed)
             naive = generate_naive(config).edges
-            for workers in (1, 2, 8):
-                got = generate(config, workers=workers).edges
-                assert np.array_equal(got, naive), f"{name} seed={seed} workers={workers}"
-    print("criterion 9 PASS: pruned == naive for 3 variants x 10 seeds x workers {1,2,8}")
+            got = generate(config).edges
+            assert np.array_equal(got, naive), f"{name} seed={seed}"
+    print("criterion 9 PASS: pruned == naive for 3 variants x 10 seeds")
 
 
 def test_c10_calibration_round_trip_and_schedule_growth():

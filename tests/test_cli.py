@@ -228,6 +228,33 @@ def test_analyze_rejects_n_beyond_limit(tmp_path, capsys, n):
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize("flag, data", [("--edges", b"0\t1\n\xff\t2\n"), ("--degrees", b"3\n\xff\n")])
+def test_analyze_non_utf8_input_exits_one(tmp_path, capsys, flag, data):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(data)
+    code, _, err = run(capsys, "analyze", flag, str(bad), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and f"{bad}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("node", [10 ** 12, 2 ** 62])
+def test_analyze_sparse_inferred_id_exits_one(tmp_path, node):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(f"0\t{node}\n", encoding="utf-8")
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # 4 GiB of address space: the 8 TB degree count must fail to allocate on any host
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
+        "from threshnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["analyze", "--edges", str(edges), "--out-dir", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: ") and f"degree counts of {node + 1} nodes do not fit" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_import_leaves_optimize_and_integrate_unloaded():
     src = str(Path(threshnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

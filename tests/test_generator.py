@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threshnet import (
     EdgeRule,
@@ -13,7 +14,7 @@ from threshnet import (
     generate,
     generate_naive,
 )
-from threshnet.model import Node
+from threshnet.model import Node, Variant
 
 
 def _config(n, theta, seed=0, rule=None, pareto=None, d=3):
@@ -53,11 +54,54 @@ def test_pruned_equals_naive(rule, seed):
     assert pruned.n_candidates <= naive.n_candidates
 
 
-def test_worker_count_invariance():
-    config = _config(5000, 17.1, seed=3)
-    baseline = generate(config, workers=1)
-    for workers in (2, 8):
-        assert np.array_equal(generate(config, workers=workers).edges, baseline.edges)
+_LINKS = st.one_of(
+    st.just(LinkFn.identity()),
+    st.just(LinkFn.exp()),
+    st.builds(LinkFn.odd_power_plus_c, st.integers(1, 3), st.floats(-2.0, 2.0)),
+    st.builds(LinkFn.even_power, st.integers(1, 3)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    h=_LINKS,
+    a=st.floats(1.5, 5.0),
+    w0=st.floats(0.5, 3.0),
+    scale=st.floats(0.0, 20.0),
+    alpha=st.floats(0.5, 3.0),
+    beta=st.floats(0.5, 3.0),
+    d=st.integers(2, 5),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2 ** 63 - 1),
+)
+def test_pruned_equals_naive_property(variant, h, a, w0, scale, alpha, beta, d, n, seed):
+    # theta in units of the lightest possible pair, so every rule sees sparse and dense graphs
+    if variant is Variant.UNDIRECTED:
+        rule = EdgeRule.undirected(scale * w0 ** 2)
+    elif variant is Variant.DIRECTED:
+        rule = EdgeRule.directed(scale * w0 ** (alpha + beta), alpha, beta)
+    else:
+        rule = EdgeRule.link_function(scale * w0 ** (alpha + beta), alpha, beta, h)
+    config = _config(n, rule.theta, seed=seed, rule=rule, pareto=ParetoParams(a, w0), d=d)
+    pruned = generate(config)
+    naive = generate_naive(config)
+    assert pruned.edges.dtype == np.int64
+    assert np.array_equal(pruned.edges, naive.edges)
+    nodes = [pruned.node(i) for i in range(n)]
+    assert pruned.n_candidates == len(list(candidate_pairs(nodes, rule)))
+
+
+def test_edge_guard_fires_while_deciding(monkeypatch):
+    calls = []
+    link = LinkFn.__call__
+    monkeypatch.setattr(LinkFn, "__call__", lambda self, t: calls.append(t) or link(self, t))
+    rule = EdgeRule.link_function(0.0, 1.0, 1.0, LinkFn.identity())
+    with pytest.raises(ResourceLimitError):
+        generate(_config(2000, 0.0, rule=rule), max_edges=1000)
+    # the heaviest row alone yields about 2000 arcs; no other row is decided
+    rows = [t for t in calls if np.ndim(t)]
+    assert len(rows) == 1
 
 
 def test_undirected_edges_canonical():
@@ -107,6 +151,9 @@ def test_candidate_pairs_boundary_inclusive():
     nodes = _nodes_from_weights([2.0, 2.5, 1.0])
     got = set(candidate_pairs(nodes, EdgeRule.undirected(5.0)))
     assert (1, 0) in got or (0, 1) in got
+    # theta is the rounded product of the two weights, but theta / 8.09... rounds above 3.96...
+    nodes = _nodes_from_weights([8.095858330855638, 3.9675854484918296])
+    assert list(candidate_pairs(nodes, EdgeRule.undirected(32.12100970655418))) == [(0, 1)]
 
 
 def test_candidate_pairs_superset_of_edges():
@@ -176,7 +223,6 @@ def test_naive_rejects_large_n():
 
 def test_generation_stats_recorded():
     g = generate(_config(1000, 10.0, seed=2))
-    assert g.wall_time > 0
     assert g.n_candidates >= g.n_edges
 
 

@@ -110,9 +110,7 @@ def test_fit_on_generated_sweep(pareto3):
     # the two basis functions are nearly collinear over one decade, so the
     # leading coefficient needs a sizeable seed ensemble to stabilize
     ns = [10000, 20000, 40000, 80000, 160000]
-    sweep = run_growth_sweep(
-        PowerLawSchedule(D=1.0), ns, pareto3, seeds=list(range(100)), workers=4
-    )
+    sweep = run_growth_sweep(PowerLawSchedule(D=1.0), ns, pareto3, seeds=list(range(100)))
     mean_points = [
         (n, float(np.mean([sweep[s].points[i].m for s in sweep]))) for i, n in enumerate(ns)
     ]

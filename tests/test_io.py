@@ -6,6 +6,7 @@ range check; the new code must give the same bytes, the same arrays and the
 same error messages, except that an id beyond int64 is now a format error.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -216,3 +217,11 @@ def test_read_edges_id_beyond_int64_names_file_and_line(tmp_path, line, node):
     path.write_text(f"0\t1\n{line}\n", encoding="utf-8")
     with pytest.raises(SeriesFormatError, match=rf"edges\.tsv:2: node id {node} outside the int64 range"):
         tio.read_edges_tsv(path)
+
+
+@pytest.mark.parametrize("read", [tio.read_nodes_tsv, tio.read_edges_tsv, tio.read_degree_file, tio.read_json])
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, read):
+    bad = tmp_path / "input"
+    bad.write_bytes(b"\xff\t1\n")
+    with pytest.raises(SeriesFormatError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
+        read(bad)

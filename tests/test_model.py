@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from threshnet import (
     DimensionError,
@@ -206,6 +207,46 @@ def test_linkfn_shapes_and_inverse():
         for y in np.linspace(fn.lo + 1e-6, fn.hi - 1e-6, 7):
             t = fn.inverse(y)
             assert abs(fn(t) - y) < 1e-10
+
+
+def _bisect_inverse(fn, y, tol=1e-12):
+    """Oracle for LinkFn.inverse: bisection of a strictly increasing link on [-1, 1]."""
+    a, b = -1.0, 1.0
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if fn(mid) < y:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fn=st.one_of(
+        st.just(LinkFn.identity()),
+        st.just(LinkFn.exp()),
+        st.builds(LinkFn.odd_power_plus_c, st.integers(1, 4), st.floats(-200.0, 200.0)),
+    ),
+    u=st.floats(0.0, 1.0),
+)
+@example(fn=LinkFn.exp(), u=0.0)
+@example(fn=LinkFn.odd_power_plus_c(1, -127.44488464465546), u=0.0)  # y - c is -1.0000000000000142
+@example(fn=LinkFn.odd_power_plus_c(2, 0.3), u=1.0)
+@example(fn=LinkFn.odd_power_plus_c(1, -0.2), u=0.4)
+def test_linkfn_inverse_round_trip(fn, u):
+    y = min(fn.hi, fn.lo + u * (fn.hi - fn.lo))
+    t = fn.inverse(y)
+    assert -1.0 <= t <= 1.0
+    # at least as close as the bisection oracle, up to a few roundings of h itself
+    assert abs(fn(t) - y) <= abs(fn(_bisect_inverse(fn, y)) - y) + 4 * np.spacing(max(abs(y), 1.0))
+
+
+def test_linkfn_inverse_rejects_values_outside_range():
+    for fn in (LinkFn.identity(), LinkFn.exp(), LinkFn.odd_power_plus_c(1, 0.5)):
+        for y in (np.nextafter(fn.lo, -np.inf), np.nextafter(fn.hi, np.inf)):
+            with pytest.raises(DomainError):
+                fn.inverse(y)
 
 
 def test_even_power_not_invertible():
