@@ -366,13 +366,6 @@ def degree_pmf_reference(k, exponent: float):
     return out if out.ndim else float(out)
 
 
-def hurwitz_zeta(s: float, x: float = 1.0) -> float:
-    """Hurwitz zeta, the normalizer of discrete power-law tails."""
-    if not (s > 1):
-        raise DomainError(f"zeta argument must exceed 1, got {s}")
-    return float(_hurwitz_zeta(s, x))
-
-
 @dataclass(frozen=True)
 class PowerLawSchedule:
     """theta(n) = D * n^(1/a)."""

@@ -16,6 +16,7 @@ import numpy as np
 from . import analytics
 from .errors import DimensionError, DomainError, SeriesFormatError
 from .generator import generate
+from .io import _read_text
 from .model import EdgeRule, ModelConfig, ParetoParams
 
 CSV_COLUMNS = ("n", "m", "em", "var", "theta")
@@ -176,7 +177,7 @@ def _fmt(x) -> str:
 def ingest_edge_count_series(path) -> GrowthSeries:
     """Parse and validate an (n, m[, em, var, theta]) CSV series."""
     points = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

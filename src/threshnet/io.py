@@ -29,10 +29,10 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @contextmanager
-def _read_text(path):
+def _read_text(path, newline=None):
     """The UTF-8 file at `path`, open for reading; other bytes raise SeriesFormatError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise SeriesFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -9,7 +9,7 @@ the model's node sampler, so the two routes are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta as hzeta
@@ -20,6 +20,9 @@ from .model import LinkFn, ParetoParams
 _ALPHA_MAX = 25.0
 _MIN_TAIL = 50
 _TABLE_SPAN = 10 ** 6
+# Equal bins of [0, 1) in the inverse-CDF guide (two 32 KB index arrays that
+# stay in cache).  A power of two, so floor(u * bins) is exact.
+_GUIDE_BINS = 4096
 # Largest float below 2**63: Pareto tail draws are clipped to it before the
 # int64 cast, which would otherwise wrap them to a negative value.
 _INT64_TOP_FLOAT = float(np.nextafter(2.0 ** 63, 0.0))
@@ -102,9 +105,10 @@ def _mle_alpha(tail: np.ndarray, x_min: int) -> float:
     return float(res.x)
 
 
-def _ks_stat(tail: np.ndarray, alpha: float, x_min: int) -> float:
-    values, counts = np.unique(tail, return_counts=True)
-    emp_cdf = np.cumsum(counts) / len(tail)
+def _ks_stat(values: np.ndarray, counts: np.ndarray, alpha: float, x_min: int) -> float:
+    """KS distance of the tail given as `np.unique(tail, return_counts=True)`."""
+    cum = np.cumsum(counts)
+    emp_cdf = cum / cum[-1]
     z = hzeta(alpha, x_min)
     model_cdf = 1.0 - hzeta(alpha, values + 1) / z
     return float(np.abs(emp_cdf - model_cdf).max())
@@ -129,7 +133,7 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
     def fit_at(xm: int) -> tuple[float, float, int]:
         tail = x[x >= xm]
         alpha = _mle_alpha(tail, xm)
-        return alpha, _ks_stat(tail, alpha, xm), len(tail)
+        return alpha, _ks_stat(*np.unique(tail, return_counts=True), alpha, xm), len(tail)
 
     if x_min is not None:
         if x_min < 1:
@@ -139,12 +143,7 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
         alpha, ks, n_tail = fit_at(int(x_min))
         chosen = int(x_min)
     else:
-        x_sorted = np.sort(x)
-        candidates = [
-            int(v)
-            for v in np.unique(x_sorted)
-            if (x_sorted >= v).sum() >= min_tail and np.unique(x_sorted[x_sorted >= v]).size >= 2
-        ]
+        candidates = _xmin_candidates(x, min_tail)
         if not candidates:
             raise FitDegenerateError("no x_min candidate keeps enough tail samples")
         best = None
@@ -166,6 +165,13 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
     )
 
 
+def _xmin_candidates(x: np.ndarray, min_tail: int) -> list[int]:
+    """Distinct values of `x` with at least `min_tail` samples at or above, bar the largest."""
+    values, counts = np.unique(x, return_counts=True)
+    at_or_above = np.cumsum(counts[::-1])[::-1]
+    return values[:-1][at_or_above[:-1] >= min_tail].tolist()
+
+
 def _zeta_cdf(alpha: float, x_min: int, table_span: int) -> np.ndarray:
     """CDF of the zeta-normalized discrete power law on x_min .. x_min + table_span - 1."""
     ks = np.arange(x_min, x_min + table_span, dtype=np.float64)
@@ -173,12 +179,37 @@ def _zeta_cdf(alpha: float, x_min: int, table_span: int) -> np.ndarray:
     return np.cumsum(pmf)
 
 
+def _guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the inverse of the non-decreasing `cdf` per bin of [0, 1).
+
+    A uniform u in bin j = floor(u * _GUIDE_BINS) has at least lo[j] and at
+    most hi[j] table values at or below it: lo[j] counts the values <= the
+    bin's lower edge, hi[j] those below its upper edge.
+    """
+    edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS
+    return np.searchsorted(cdf, edges[:-1], side="right"), np.searchsorted(cdf, edges[1:], side="left")
+
+
 def _draw_discrete_powerlaw(
-    rng: np.random.Generator, cdf: np.ndarray, alpha: float, x_min: int, size: int
+    rng: np.random.Generator,
+    cdf: np.ndarray,
+    guide: tuple[np.ndarray, np.ndarray],
+    alpha: float,
+    x_min: int,
+    size: int,
 ) -> np.ndarray:
-    """Invert `cdf` (from `_zeta_cdf`) at `size` uniforms; Pareto fallback past its end."""
+    """Invert `cdf` (from `_zeta_cdf`) at `size` uniforms; Pareto fallback past its end.
+
+    `guide` is `_guide(cdf)`.  A draw whose bin holds no table value takes
+    its index from the guide; only the others search the table, with the
+    same result as `np.searchsorted(cdf, u, side="right")`.
+    """
     u = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="right")
+    lo, hi = guide
+    bins = (u * _GUIDE_BINS).astype(np.intp)
+    idx = lo[bins]
+    unsure = idx != hi[bins]
+    idx[unsure] = np.searchsorted(cdf, u[unsure], side="right")
     out = x_min + idx
     over = idx >= len(cdf)
     if over.any():
@@ -200,7 +231,8 @@ def sample_discrete_powerlaw(
     """
     if not (alpha > 1):
         raise DomainError(f"exponent must exceed 1, got {alpha}")
-    return _draw_discrete_powerlaw(rng, _zeta_cdf(alpha, x_min, table_span), alpha, x_min, size)
+    cdf = _zeta_cdf(alpha, x_min, table_span)
+    return _draw_discrete_powerlaw(rng, cdf, _guide(cdf), alpha, x_min, size)
 
 
 def gof_pvalue(
@@ -215,44 +247,47 @@ def gof_pvalue(
     empirical body below x_min, draws the tail from the fitted law, refits
     the exponent at the same x_min, and records the KS statistic.  p is the
     fraction of replicate statistics at or above the observed one.  The
-    inverse-CDF table of the fitted law is built once per call and shared by
-    every replicate, so the result is bit-exact in (seed, samples, fit).
+    inverse-CDF table of the fitted law and its bin guide are built once per
+    call and shared by every replicate, so the result is bit-exact in
+    (seed, samples, fit).
+
+    Body draws lie below x_min and so never enter the refit tail; when the
+    body is non-empty they are not materialized.  Each replicate owns its
+    RNG and the body draws come last in it, so skipping them changes no
+    draw the tail uses.  With an empty body the "body" is drawn from the
+    fitted law too, and the two draw sets are interleaved as resampled.
     """
     if n_bootstrap < 100:
         raise DomainError(f"need at least 100 bootstrap replicates, got {n_bootstrap}")
     x = np.asarray(samples, dtype=np.int64)
     x = x[x > 0]
-    body = x[x < fit.x_min]
+    has_body = bool((x < fit.x_min).any())
     n = len(x)
     tail_frac = fit.n_tail / n
     cdf = _zeta_cdf(fit.alpha_hat, fit.x_min, _TABLE_SPAN)
+    guide = _guide(cdf)
     exceed = 0
     for rep in range(n_bootstrap):
         rng = np.random.default_rng([seed, rep])
         take_tail = rng.random(n) < tail_frac
-        n_tail_syn = int(take_tail.sum())
-        syn = np.empty(n, dtype=np.int64)
-        syn[take_tail] = _draw_discrete_powerlaw(rng, cdf, fit.alpha_hat, fit.x_min, n_tail_syn)
-        n_body_syn = n - n_tail_syn
-        if n_body_syn:
-            if len(body) == 0:
-                syn[~take_tail] = _draw_discrete_powerlaw(rng, cdf, fit.alpha_hat, fit.x_min, n_body_syn)
-            else:
-                syn[~take_tail] = rng.choice(body, size=n_body_syn, replace=True)
-        tail_syn = syn[syn >= fit.x_min]
-        if len(tail_syn) < 2 or np.unique(tail_syn).size < 2:
+        n_tail_syn = int(np.count_nonzero(take_tail))
+        tail_syn = _draw_discrete_powerlaw(rng, cdf, guide, fit.alpha_hat, fit.x_min, n_tail_syn)
+        if not has_body and n_tail_syn < n:
+            # every draw is at or above x_min, so the whole sample is the tail
+            syn = np.empty(n, dtype=np.int64)
+            syn[take_tail] = tail_syn
+            syn[~take_tail] = _draw_discrete_powerlaw(rng, cdf, guide, fit.alpha_hat, fit.x_min, n - n_tail_syn)
+            tail_syn = syn
+        values, counts = np.unique(tail_syn, return_counts=True)
+        if values.size < 2:
             exceed += 1  # degenerate replicate cannot beat the observed fit
             continue
         alpha_syn = _mle_alpha(tail_syn, fit.x_min)
-        if _ks_stat(tail_syn, alpha_syn, fit.x_min) >= fit.ks_stat:
+        if _ks_stat(values, counts, alpha_syn, fit.x_min) >= fit.ks_stat:
             exceed += 1
     p = exceed / n_bootstrap
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))
     return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap, ks_observed=fit.ks_stat)
-
-
-def with_p_value(fit: FitResult, gof: GofResult) -> FitResult:
-    return replace(fit, p_value=gof.p_value)
 
 
 def _sphere_points(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -30,8 +30,10 @@ from threshnet import (
     theta_powerlaw_schedule,
     variance_edges,
 )
-from threshnet.analytics import directed_branch_boundary, hurwitz_zeta
+from threshnet.analytics import directed_branch_boundary
 from threshnet.statfit import mc_estimate
+
+from oracles import hurwitz_zeta
 
 
 def test_p_edge_given_weight_known_points(pareto3):

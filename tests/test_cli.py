@@ -291,6 +291,14 @@ def test_growth_fit_from_csv(tmp_path, capsys):
     assert payload["c2"] == pytest.approx(-40.0, rel=1e-3)
 
 
+def test_growth_fit_non_utf8_csv_exits_one(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"n,m\n10,5\n\xff,7\n")
+    code, _, err = run(capsys, "growth", "fit", "--in", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and f"{path}: not UTF-8 text" in err
+
+
 def test_growth_fit_malformed_csv_exits_one(tmp_path, capsys):
     path = tmp_path / "series.csv"
     path.write_text("n,m\n10,5\nbroken\n", encoding="utf-8")

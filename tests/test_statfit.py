@@ -14,7 +14,9 @@ from threshnet import (
     p_wedge,
     sample_discrete_powerlaw,
 )
-from threshnet.statfit import ccdf_loglog_slope, with_p_value
+from threshnet.statfit import ccdf_loglog_slope
+
+from oracles import with_p_value
 
 
 def test_ccdf_trivial_cases():
@@ -111,8 +113,8 @@ def test_gof_accepts_true_powerlaw(rng):
 
 
 def test_gof_pvalue_exact_with_resampled_body():
-    # the body below x_min is resampled and the tail drawn from the fit, so
-    # this pins the order of every draw in a replicate, not only the tail's
+    # x_min 12 leaves a body below it; body draws cannot enter the refit tail,
+    # so this pins each replicate's tail/body split and its tail draws
     rng = np.random.default_rng(7)
     samples = np.concatenate([rng.geometric(0.3, 3000), sample_discrete_powerlaw(rng, 2.2, 6, 2000)])
     fit = fit_powerlaw_discrete(samples, x_min=12)
