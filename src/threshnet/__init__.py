@@ -21,22 +21,16 @@ from .model import (
     EdgeRule,
     LinkFn,
     ModelConfig,
-    Node,
     ParetoParams,
     Variant,
-    edge_exists,
-    sample_direction,
-    sample_node,
     sample_node_table,
-    sample_weight,
 )
-from .generator import Graph, candidate_pairs, degree_sequence, generate, generate_naive
+from .generator import Graph, degree_sequence, generate
 from .analytics import (
     CalibratedSchedule,
     PowerLawSchedule,
     calibrate_theta,
     calibrate_theta_directed,
-    degree_pmf_reference,
     expected_arcs_directed,
     expected_edges,
     expected_edges_linlog,
@@ -52,11 +46,9 @@ from .analytics import (
 from .statfit import (
     FitResult,
     GofResult,
-    McEstimate,
     ccdf,
     fit_powerlaw_discrete,
     gof_pvalue,
-    mc_estimate,
     sample_discrete_powerlaw,
 )
 from .growth import (

@@ -17,7 +17,6 @@ import numpy as np
 # scipy.optimize and scipy.integrate are imported inside the functions that
 # use them: `threshnet generate --theta` needs neither, and loading them
 # takes longer than the rest of its start-up.
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
     DomainError,
@@ -28,6 +27,7 @@ from .errors import (
 from .model import LinkFn, ParetoParams
 
 _CALIBRATION_REL_TOL = 1e-10
+_QUAD_REL_TOL = 1e-8
 
 
 def _check_theta(theta: float) -> None:
@@ -127,14 +127,32 @@ def calibrate_theta(n: int, pareto: ParetoParams, target_edges: float) -> float:
         return theta
     from scipy import optimize
 
-    hi = 2.0 * w0 ** 2
-    while p_edge(pareto, hi) > p:
-        hi *= 2.0
+    hi = _bracket_top(lambda t: p_edge(pareto, t), 2.0 * w0 ** 2, p)
     theta = optimize.brentq(
         lambda t: p_edge(pareto, t) - p, w0 ** 2, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200
     )
     _check_calibrated(expected_edges(n, pareto, theta), target_edges)
     return theta
+
+
+def _bracket_top(prob: Callable[[float], float], hi: float, p: float) -> float:
+    """First of hi, 2*hi, 4*hi, ... at which the decreasing `prob` is at most p.
+
+    Stops at the largest finite double: FeasibilityError when `prob` is
+    still above p there, NumericError when the closed form fails first.
+    """
+    while True:
+        try:
+            value = prob(hi)
+        except OverflowError:  # a float power in the closed form
+            value = math.nan
+        if value <= p:
+            return hi
+        if math.isnan(value):
+            raise NumericError(f"edge probability overflows or is NaN at threshold {hi}; cannot bracket target {p}")
+        if math.isinf(2.0 * hi):
+            raise FeasibilityError(f"edge probability stays above {p} at every finite threshold")
+        hi *= 2.0
 
 
 def _check_calibrated(achieved: float, target: float) -> None:
@@ -192,25 +210,17 @@ def p_edge_given_weight_directed(
     theta: float,
     alpha: float,
     beta: float,
-    printed_boundary: bool = False,
 ) -> float:
     """Out-edge probability of a node of weight w in the directed model.
 
-    `printed_boundary` switches branches at (theta/w0^alpha)^(1/beta)
-    instead of the limit-derived w* = (theta/w0^beta)^(1/alpha); the two
-    agree only when alpha = beta.  It exists so the discrepancy can be
-    arbitrated against Monte Carlo; the default boundary is the correct one.
+    Branches switch at the limit-derived w* = (theta/w0^beta)^(1/alpha).
     """
     _check_theta(theta)
     _check_weight(w, pareto)
     if not (alpha > 0 and beta > 0):
         raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
     a, w0 = pareto.a, pareto.w0
-    if printed_boundary:
-        boundary = (theta / w0 ** alpha) ** (1.0 / beta)
-    else:
-        boundary = directed_branch_boundary(pareto, theta, alpha, beta)
-    if w > boundary:
+    if w > directed_branch_boundary(pareto, theta, alpha, beta):
         return 0.5 * (1.0 - a * theta / (w ** alpha * (a + beta) * w0 ** beta))
     return w ** (a * alpha / beta) * w0 ** a / (2.0 * theta ** (a / beta)) * beta / (a + beta)
 
@@ -265,9 +275,7 @@ def calibrate_theta_directed(
     from scipy import optimize
 
     p = target_arcs / ordered_pairs
-    hi = pareto.w0 ** (alpha + beta)
-    while p_edge_directed(pareto, hi, alpha, beta) > p:
-        hi *= 2.0
+    hi = _bracket_top(lambda t: p_edge_directed(pareto, t, alpha, beta), pareto.w0 ** (alpha + beta), p)
     theta = optimize.brentq(
         lambda t: p_edge_directed(pareto, t, alpha, beta) - p,
         0.0,
@@ -287,7 +295,6 @@ def p_edge_given_weight_linkfn(
     alpha: float,
     beta: float,
     h: LinkFn,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Out-edge probability of a node of weight w under a link transform.
 
@@ -335,35 +342,24 @@ def p_edge_given_weight_linkfn(
                 w_r = (theta / (w ** alpha * r)) ** (1.0 / beta)  # above: full sphere
                 hi_lim = max(lo, w_r)
                 if hi_lim > lo:
-                    val, err = integrate.quad(integrand, lo, hi_lim, epsabs=1e-15, epsrel=rel_tol * 1e-2, limit=200)
+                    val, err = integrate.quad(integrand, lo, hi_lim, epsabs=1e-15, epsrel=_QUAD_REL_TOL * 1e-2, limit=200)
                     total += val
-                    _require_quad_tol(val, err, rel_tol)
+                    _require_quad_tol(val, err)
                 total += pareto.survival(hi_lim)
             else:
-                val, err = integrate.quad(integrand, lo, np.inf, epsabs=1e-15, epsrel=rel_tol * 1e-2, limit=200)
+                val, err = integrate.quad(integrand, lo, np.inf, epsabs=1e-15, epsrel=_QUAD_REL_TOL * 1e-2, limit=200)
                 total += val
-                _require_quad_tol(val, err, rel_tol)
+                _require_quad_tol(val, err)
         except integrate.IntegrationWarning as exc:
             raise NumericError(f"link-function quadrature did not converge: {exc}") from exc
     return float(total)
 
 
-def _require_quad_tol(value: float, abserr: float, rel_tol: float) -> None:
-    if abserr > max(abs(value) * rel_tol, 1e-13):
+def _require_quad_tol(value: float, abserr: float) -> None:
+    if abserr > max(abs(value) * _QUAD_REL_TOL, 1e-13):
         raise NumericError(
             f"quadrature error estimate {abserr} exceeds tolerance for value {value}"
         )
-
-
-def degree_pmf_reference(k, exponent: float):
-    """Normalized discrete power-law pmf k^(-exponent) / zeta(exponent)."""
-    if not (exponent > 1):
-        raise DomainError(f"pmf exponent must exceed 1, got {exponent}")
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 1):
-        raise DomainError("degree values must be >= 1")
-    out = k_arr.astype(float) ** -exponent / _hurwitz_zeta(exponent, 1)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     ThreshnetError,
     UnsupportedAnalyticsError,
 )
-from .generator import degree_sequence, generate
+from .generator import generate
 from .model import EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
 
 
@@ -122,34 +122,35 @@ def cmd_generate(args) -> int:
 # int64 per node is 800 MB at the cap, before the fit's own copies.
 MAX_ANALYZE_NODES = 10 ** 8
 
-_ORACLE_KINDS = ("pe", "pew", "pwedge", "var", "em", "em-linlog", "pew-directed", "pew-linkfn")
+# oracle kind -> (flags it needs, closed form of (args, pareto))
+_ORACLES = {
+    "pe": (("theta",), lambda args, pareto: analytics.p_edge(pareto, args.theta)),
+    "pew": (("w", "theta"), lambda args, pareto: analytics.p_edge_given_weight(args.w, pareto, args.theta)),
+    "pwedge": (("theta",), lambda args, pareto: analytics.p_wedge(pareto, args.theta)),
+    "var": (("n", "theta"), lambda args, pareto: analytics.variance_edges(args.n, pareto, args.theta)),
+    "em": (("n", "theta"), lambda args, pareto: analytics.expected_edges(args.n, pareto, args.theta)),
+    "em-linlog": (("n", "D"), lambda args, pareto: analytics.expected_edges_linlog(args.n, args.D, pareto)),
+    "pew-directed": (
+        ("w", "theta", "alpha", "beta"),
+        lambda args, pareto: analytics.p_edge_given_weight_directed(args.w, pareto, args.theta, args.alpha, args.beta),
+    ),
+    "pew-linkfn": (
+        ("w", "theta", "alpha", "beta"),
+        lambda args, pareto: analytics.p_edge_given_weight_linkfn(
+            args.w, pareto, args.theta, args.alpha, args.beta, LinkFn.parse(args.h or "identity")
+        ),
+    ),
+}
 
 
 def cmd_oracle(args) -> int:
     pareto = ParetoParams(a=args.a, w0=args.w0)
     kind = args.kind
-    if kind == "pe":
-        value = analytics.p_edge(pareto, args.theta)
-    elif kind == "pew":
-        value = analytics.p_edge_given_weight(args.w, pareto, args.theta)
-    elif kind == "pwedge":
-        value = analytics.p_wedge(pareto, args.theta)
-    elif kind == "var":
-        value = analytics.variance_edges(args.n, pareto, args.theta)
-    elif kind == "em":
-        value = analytics.expected_edges(args.n, pareto, args.theta)
-    elif kind == "em-linlog":
-        if args.D is None:
-            raise ThreshnetError("em-linlog requires --D")
-        value = analytics.expected_edges_linlog(args.n, args.D, pareto)
-    elif kind == "pew-directed":
-        value = analytics.p_edge_given_weight_directed(args.w, pareto, args.theta, args.alpha, args.beta)
-    elif kind == "pew-linkfn":
-        value = analytics.p_edge_given_weight_linkfn(
-            args.w, pareto, args.theta, args.alpha, args.beta, LinkFn.parse(args.h or "identity")
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ThreshnetError(f"unknown oracle {kind!r}")
+    needed, closed_form = _ORACLES[kind]
+    missing = [f"--{flag}" for flag in needed if getattr(args, flag) is None]
+    if missing:
+        raise ThreshnetError(f"{kind} requires {' '.join(missing)}")
+    value = closed_form(args, pareto)
     print(format(value, ".17g"))
     print(json.dumps({"kind": kind, "value": value}, sort_keys=True))
     return 0
@@ -257,23 +258,17 @@ def cmd_growth_sweep(args) -> int:
         schedule = analytics.CalibratedSchedule(target=lambda n: coeff * n)
     else:
         raise ThreshnetError(f"unknown schedule {args.schedule!r}")
-    ns = [int(x) for x in args.ns.split(",")]
     seeds = list(range(args.seeds))
-    sweep = growthmod.run_growth_sweep(schedule, ns, pareto, seeds)
+    sweep = growthmod.run_growth_sweep(schedule, args.ns, pareto, seeds)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seed, series in sweep.items():
         growthmod.write_series_csv(out / f"series_seed{seed}.csv", series)
-    for n_idx, n in enumerate(ns):
-        pt = sweep[seeds[0]].points[n_idx]
-        mean_m = float(np.mean([sweep[s].points[n_idx].m for s in seeds]))
-        print(f"n={n} theta={pt.theta:.6g} em={pt.em:.6g} mean_m={mean_m:.6g}")
+    mean_ms = [float(np.mean([sweep[s].points[i].m for s in seeds])) for i in range(len(args.ns))]
+    for pt, mean_m in zip(sweep[seeds[0]].points, mean_ms):
+        print(f"n={pt.n} theta={pt.theta:.6g} em={pt.em:.6g} mean_m={mean_m:.6g}")
     if args.fit:
-        mean_points = [
-            (n, float(np.mean([sweep[s].points[i].m for s in seeds]))) for i, n in enumerate(ns)
-        ]
-        fit = growthmod.fit_growth_curve(mean_points)
-        payload = {"c1": fit.c1, "c2": fit.c2, "residual_rms": fit.residual, "log": "natural"}
+        payload = _growth_fit_payload(growthmod.fit_growth_curve(list(zip(args.ns, mean_ms))))
         tio.write_json(out / "growth_fit.json", payload)
         print(json.dumps(payload, sort_keys=True))
     if len(seeds) >= 20:
@@ -287,12 +282,21 @@ def cmd_growth_sweep(args) -> int:
     return 0
 
 
+def _growth_fit_payload(fit: growthmod.GrowthFit) -> dict:
+    return {"c1": fit.c1, "c2": fit.c2, "residual_rms": fit.residual, "log": "natural"}
+
+
 def cmd_growth_fit(args) -> int:
     series = growthmod.ingest_edge_count_series(args.infile)
-    fit = growthmod.fit_growth_curve(series)
-    payload = {"c1": fit.c1, "c2": fit.c2, "residual_rms": fit.residual, "log": "natural"}
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(_growth_fit_payload(growthmod.fit_growth_curve(series)), sort_keys=True))
     return 0
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     o = sub.add_parser("oracle", help="evaluate a closed-form probability or moment")
-    o.add_argument("kind", choices=_ORACLE_KINDS)
+    o.add_argument("kind", choices=list(_ORACLES))
     _add_pareto_args(o)
     o.add_argument("--theta", type=float, default=None)
     o.add_argument("--n", type=int, default=None)
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--D", type=float, default=None)
     gs.add_argument("--coeff", type=float, default=None, help="linear schedule: target m = coeff * n")
     _add_pareto_args(gs)
-    gs.add_argument("--ns", required=True, help="comma-separated node counts")
+    gs.add_argument("--ns", type=_int_list, required=True, help="comma-separated node counts")
     gs.add_argument("--seeds", type=int, default=1)
     gs.add_argument("--fit", action="store_true")
     gs.add_argument("--out-dir", default=".", dest="out_dir")
@@ -379,10 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ThreshnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ThreshnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .model import EdgeRule, ModelConfig, Node, Variant, sample_node_table
+from .errors import ResourceLimitError
+from .model import EdgeRule, ModelConfig, Variant, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
 
@@ -30,7 +29,7 @@ def _max_edges_guard(override: int | None) -> int:
 
 @dataclass
 class Graph:
-    """Node table plus edge set (pairs with i < j, or directed arcs)."""
+    """The node table plus the edge set (pairs with i < j, or directed arcs)."""
 
     weights: np.ndarray
     directions: np.ndarray
@@ -46,9 +45,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def node(self, i: int) -> Node:
-        return Node(i, float(self.weights[i]), self.directions[i])
 
     def degree_sequence(self):
         return degree_sequence(self)
@@ -138,50 +134,6 @@ def generate(config: ModelConfig, max_edges: int | None = None) -> Graph:
         directed=rule.is_directed,
         config=config,
         n_candidates=n_cand,
-    )
-
-
-def candidate_pairs(nodes: list[Node], rule: EdgeRule) -> Iterator[tuple[int, int]]:
-    """Pairs that survive weight pruning: a superset of all edges.
-
-    A pair is yielded iff the maximal achievable left-hand side over
-    directions reaches the threshold.  Sorts by weight internally; inner
-    loops break at the first pruned partner.
-    """
-    weights = np.array([nd.weight for nd in nodes])
-    ids = np.array([nd.id for nd in nodes], dtype=np.int64)
-    order = _weight_order(weights)
-    sorted_ids = ids[order]
-    for p, cut in enumerate(_partner_cutoffs(weights[order], rule).tolist()):
-        for q in range(p + 1, cut):
-            yield int(sorted_ids[p]), int(sorted_ids[q])
-
-
-def generate_naive(config: ModelConfig) -> Graph:
-    """O(n^2) reference: every pair decided directly, no pruning."""
-    if config.n > 20000:
-        raise DomainError("naive reference is limited to n <= 20000")
-    weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
-    rule = config.rule
-    dots = dirs @ dirs.T
-    if rule.variant is Variant.UNDIRECTED:
-        lhs = np.outer(weights, weights) * dots
-    else:
-        f = dots if rule.variant is Variant.DIRECTED else rule.h(dots)
-        lhs = np.outer(weights ** rule.alpha, weights ** rule.beta) * f
-    hit = lhs >= rule.theta
-    np.fill_diagonal(hit, False)
-    if not rule.is_directed:
-        hit = np.triu(hit)
-    src, dst = np.nonzero(hit)
-    n = config.n
-    return Graph(
-        weights=weights,
-        directions=dirs,
-        edges=_canonical(src.astype(np.int64) * n + dst, n),
-        directed=rule.is_directed,
-        config=config,
-        n_candidates=n * (n - 1) // 2,
     )
 
 

@@ -1,7 +1,7 @@
 """Growth experiments: size sweeps, concentration checks, and curve fitting.
 
 Sweeps regenerate the graph from scratch at every n under a threshold
-schedule.  Node substreams are keyed by id, so node i keeps its latent
+schedule.  Substreams are keyed by node id, so node i keeps its latent
 vector across all n within a sweep: nodes persist, edges are re-decided.
 Growth-curve fits use the natural logarithm throughout.
 """
@@ -20,6 +20,7 @@ from .io import _read_text
 from .model import EdgeRule, ModelConfig, ParetoParams
 
 CSV_COLUMNS = ("n", "m", "em", "var", "theta")
+_VARIANCE_RATIO_BAND = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class GrowthPoint:
 class GrowthSeries:
     points: list[GrowthPoint] = field(default_factory=list)
     provenance: str = "generated"  # generated | ingested
-    log_convention: str = "natural"
 
     def __post_init__(self):
         ns = [p.n for p in self.points]
@@ -108,7 +108,7 @@ def run_growth_sweep(
     return out
 
 
-def concentration_report(series_by_seed: dict[int, GrowthSeries], band=(0.5, 2.0)) -> list[ConcentrationRow]:
+def concentration_report(series_by_seed: dict[int, GrowthSeries]) -> list[ConcentrationRow]:
     """Sample vs predicted variance of the edge count per n, across seeds."""
     if len(series_by_seed) < 20:
         raise DomainError(f"concentration report needs >= 20 seeds, got {len(series_by_seed)}")
@@ -132,7 +132,7 @@ def concentration_report(series_by_seed: dict[int, GrowthSeries], band=(0.5, 2.0
                 sample_var=sample_var,
                 predicted_var=float(predicted),
                 ratio=ratio,
-                flagged=not (band[0] <= ratio <= band[1]),
+                flagged=not (_VARIANCE_RATIO_BAND[0] <= ratio <= _VARIANCE_RATIO_BAND[1]),
             )
         )
     return rows
@@ -204,15 +204,7 @@ def ingest_edge_count_series(path) -> GrowthSeries:
             points.append(GrowthPoint(n=n, m=m, **kw))
     if not points:
         raise SeriesFormatError(f"{path}: no data rows")
-    ns = [p.n for p in points]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise SeriesFormatError(f"{path}: n values must be strictly increasing")
-    if any(p.m < 0 for p in points):
-        raise SeriesFormatError(f"{path}: negative edge count")
-    return GrowthSeries(points=points, provenance="ingested")
-
-
-def linlog_leading_coefficient(D: float, pareto: ParetoParams) -> float:
-    """Limit of E[M](n) / (n ln n) under theta(n) = D n^(1/a)."""
-    a, w0 = pareto.a, pareto.w0
-    return w0 ** (2 * a) / (4.0 * D ** a * (a + 1.0))
+    try:
+        return GrowthSeries(points=points, provenance="ingested")
+    except SeriesFormatError as exc:
+        raise SeriesFormatError(f"{path}: {exc}") from None

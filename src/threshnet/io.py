@@ -1,6 +1,6 @@
 """File formats: node/edge tables, degree files, and run manifests.
 
-Node table TSV: id, weight, then the direction coordinates, all floats at 17
+The node table TSV: id, weight, then the direction coordinates, all floats at 17
 significant digits so a round trip is bit-exact for 64-bit values.  Edge
 list TSV: two node ids per line; undirected pairs are written once with the
 smaller id first, directed arcs as (source, target).

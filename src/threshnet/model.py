@@ -1,4 +1,4 @@
-"""Core model types, node samplers, and edge-existence predicates.
+"""Core model types and the node sampler.
 
 A node carries a Pareto-distributed weight and a uniform direction on the
 unit sphere; its latent vector is the product of the two.  Edges are decided
@@ -10,16 +10,14 @@ the threshold is linked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionError, DomainError
-from .streams import SubStream, substream_uniforms
-
-_UNIT_NORM_TOL = 1e-12
+from .streams import substream_uniforms
 
 
 @dataclass(frozen=True)
@@ -149,14 +147,17 @@ class LinkFn:
             return LinkFn.identity()
         if name == "exp":
             return LinkFn.exp()
-        if name == "oddpow":
-            if len(parts) != 3:
-                raise DomainError(f"expected oddpow:m:c, got {text!r}")
-            return LinkFn.odd_power_plus_c(int(parts[1]), float(parts[2]))
-        if name == "evenpow":
-            if len(parts) != 2:
-                raise DomainError(f"expected evenpow:m, got {text!r}")
-            return LinkFn.even_power(int(parts[1]))
+        try:
+            if name == "oddpow":
+                if len(parts) != 3:
+                    raise DomainError(f"expected oddpow:m:c, got {text!r}")
+                return LinkFn.odd_power_plus_c(int(parts[1]), float(parts[2]))
+            if name == "evenpow":
+                if len(parts) != 2:
+                    raise DomainError(f"expected evenpow:m, got {text!r}")
+                return LinkFn.even_power(int(parts[1]))
+        except ValueError:
+            raise DomainError(f"link function {text!r}: m must be an integer and c a number") from None
         raise DomainError(f"unknown link function {text!r}")
 
 
@@ -211,24 +212,6 @@ class EdgeRule:
 
 
 @dataclass(frozen=True)
-class Node:
-    id: int
-    weight: float
-    direction: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise DomainError(f"node id must be non-negative, got {self.id}")
-        norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise DomainError(f"direction norm {norm} deviates from 1 by more than {_UNIT_NORM_TOL}")
-
-    @property
-    def latent(self) -> np.ndarray:
-        return self.weight * self.direction
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     n: int
     d: int
@@ -245,49 +228,15 @@ class ModelConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-def sample_weight(stream: SubStream, pareto: ParetoParams) -> float:
-    """Inverse-CDF Pareto draw: w0 * (1 - U)^(-1/a), U uniform on [0, 1)."""
-    u = stream.next_uniform()
-    return pareto.w0 * (1.0 - u) ** (-1.0 / pareto.a)
-
-
-def sample_direction(stream: SubStream, d: int) -> np.ndarray:
-    """Uniform point on the unit (d-1)-sphere.
-
-    d = 3 uses the cylinder parameterization (z uniform on [-1, 1], azimuth
-    uniform on [0, 2*pi)); other d normalize a vector of standard normals.
-    The method is fixed per d so draws are reproducible.
-    """
-    if d < 2:
-        raise DimensionError(f"direction dimension must be >= 2, got {d}")
-    if d == 3:
-        z = 2.0 * stream.next_uniform() - 1.0
-        phi = 2.0 * math.pi * stream.next_uniform()
-        s = math.sqrt(max(0.0, 1.0 - z * z))
-        return np.array([s * math.cos(phi), s * math.sin(phi), z])
-    u = np.array([stream.next_uniform() for _ in range(d)])
-    g = ndtri(np.maximum(u, 2.0 ** -64))  # ndtri(0) is -inf
-    return g / np.linalg.norm(g)
-
-
-def sample_node(seed: int, node_id: int, pareto: ParetoParams, d: int) -> Node:
-    """One node from its own substream: weight first, then direction.
-
-    Bit-identical to row `node_id` of `sample_node_table` (both run the same
-    vectorized arithmetic; the stream-based samplers can differ by one ulp).
-    """
-    weights, dirs = _sample_rows(np.array([node_id]), seed, pareto, d)
-    return Node(node_id, float(weights[0]), dirs[0])
-
-
 def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized node table: (weights shape (n,), directions shape (n, d))."""
-    return _sample_rows(np.arange(n), seed, pareto, d)
+    """The node table: (weights shape (n,), directions shape (n, d)).
 
-
-def _sample_rows(ids: np.ndarray, seed: int, pareto: ParetoParams, d: int) -> tuple[np.ndarray, np.ndarray]:
+    Node i's substream gives its inverse-CDF Pareto weight, then its direction:
+    for d = 3 a uniform z and azimuth, otherwise normalized standard normals.
+    """
     if d < 2:
         raise DimensionError(f"direction dimension must be >= 2, got {d}")
+    ids = np.arange(n)
     if d == 3:
         u = substream_uniforms(seed, ids, 3)
         weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
@@ -298,22 +247,6 @@ def _sample_rows(ids: np.ndarray, seed: int, pareto: ParetoParams, d: int) -> tu
     else:
         u = substream_uniforms(seed, ids, 1 + d)
         weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
-        g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))
+        g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))  # ndtri(0) is -inf
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
     return weights, dirs
-
-
-def edge_exists(u: Node, v: Node, rule: EdgeRule) -> bool:
-    """Pure edge predicate; for directed variants this is the arc u -> v."""
-    if u.direction.shape != v.direction.shape:
-        raise DimensionError(
-            f"direction dimensions differ: {u.direction.shape} vs {v.direction.shape}"
-        )
-    dot = float(u.direction @ v.direction)
-    if rule.variant is Variant.UNDIRECTED:
-        lhs = u.weight * v.weight * dot
-    elif rule.variant is Variant.DIRECTED:
-        lhs = u.weight ** rule.alpha * v.weight ** rule.beta * dot
-    else:
-        lhs = u.weight ** rule.alpha * v.weight ** rule.beta * float(rule.h(dot))
-    return lhs >= rule.theta

@@ -1,10 +1,8 @@
-"""Degree statistics, discrete power-law fitting, and Monte-Carlo oracles.
+"""Degree statistics and discrete power-law fitting.
 
 The fitting pipeline is the discrete maximum-likelihood method with
 Kolmogorov-Smirnov x_min selection and a semi-parametric bootstrap for the
-goodness-of-fit p-value.  The Monte-Carlo estimators re-derive every closed
-form in `analytics` from the raw edge predicates, using an RNG unrelated to
-the model's node sampler, so the two routes are independent.
+goodness-of-fit p-value.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 from scipy.special import zeta as hzeta
 
 from .errors import DomainError, FitDegenerateError
-from .model import LinkFn, ParetoParams
 
 _ALPHA_MAX = 25.0
 _MIN_TAIL = 50
@@ -55,13 +52,6 @@ class GofResult:
     ks_observed: float
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    estimate: float
-    stderr: float
-    trials: int
-
-
 def ccdf(degrees) -> tuple[np.ndarray, np.ndarray]:
     """Empirical complementary CDF over distinct degree values.
 
@@ -77,14 +67,6 @@ def ccdf(degrees) -> tuple[np.ndarray, np.ndarray]:
     values, counts = np.unique(deg, return_counts=True)
     frac_ge = np.cumsum(counts[::-1])[::-1] / deg.size
     return values, frac_ge
-
-
-def ccdf_loglog_slope(degrees, k_lo: int, k_hi: int) -> float:
-    """Log-log slope of the empirical CCDF between two degree values."""
-    values, frac = ccdf(degrees)
-    c_lo = frac[np.searchsorted(values, k_lo)]
-    c_hi = frac[np.searchsorted(values, k_hi)]
-    return float((np.log(c_hi) - np.log(c_lo)) / (np.log(k_hi) - np.log(k_lo)))
 
 
 def _tail_loglik(alpha: float, x_min: int, n: int, sum_log: float) -> float:
@@ -130,36 +112,31 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
     if np.unique(x).size < 2:
         raise FitDegenerateError("all samples equal; no power-law fit possible")
 
-    def fit_at(xm: int) -> tuple[float, float, int]:
-        tail = x[x >= xm]
-        alpha = _mle_alpha(tail, xm)
-        return alpha, _ks_stat(*np.unique(tail, return_counts=True), alpha, xm), len(tail)
-
     if x_min is not None:
         if x_min < 1:
             raise DomainError(f"x_min must be >= 1, got {x_min}")
         if (x >= x_min).sum() < min_tail:
             raise FitDegenerateError(f"fewer than {min_tail} samples at or above x_min={x_min}")
-        alpha, ks, n_tail = fit_at(int(x_min))
-        chosen = int(x_min)
+        candidates = [int(x_min)]
     else:
         candidates = _xmin_candidates(x, min_tail)
         if not candidates:
             raise FitDegenerateError("no x_min candidate keeps enough tail samples")
-        best = None
-        for xm in candidates:
-            alpha_c, ks_c, nt = fit_at(xm)
-            if best is None or ks_c < best[1]:
-                best = (alpha_c, ks_c, nt, xm)
-        alpha, ks, n_tail, chosen = best
+    best = None
+    for xm in candidates:
+        tail = x[x >= xm]
+        alpha_c = _mle_alpha(tail, xm)
+        ks_c = _ks_stat(*np.unique(tail, return_counts=True), alpha_c, xm)
+        if best is None or ks_c < best[1]:
+            best = (alpha_c, ks_c, tail, xm)
+    alpha, ks, tail, chosen = best
 
-    tail = x[x >= chosen]
     alpha_cont = 1.0 + len(tail) / float(np.log(tail / (chosen - 0.5)).sum())
     return FitResult(
         alpha_hat=alpha,
         x_min=chosen,
         ks_stat=ks,
-        n_tail=n_tail,
+        n_tail=len(tail),
         alpha_continuous=alpha_cont,
         n_zero=n_zero,
     )
@@ -249,19 +226,20 @@ def gof_pvalue(
     fraction of replicate statistics at or above the observed one.  The
     inverse-CDF table of the fitted law and its bin guide are built once per
     call and shared by every replicate, so the result is bit-exact in
-    (seed, samples, fit).
+    (seed, samples, fit).  `fit` must be a fit of `samples`: its tail count
+    must equal the positive samples at or above its x_min.
 
-    Body draws lie below x_min and so never enter the refit tail; when the
-    body is non-empty they are not materialized.  Each replicate owns its
-    RNG and the body draws come last in it, so skipping them changes no
-    draw the tail uses.  With an empty body the "body" is drawn from the
-    fitted law too, and the two draw sets are interleaved as resampled.
+    Body draws lie below x_min and so never enter the refit tail; they are
+    not materialized.  Each replicate owns its RNG and the body draws come
+    last in it, so skipping them changes no draw the tail uses.
     """
     if n_bootstrap < 100:
         raise DomainError(f"need at least 100 bootstrap replicates, got {n_bootstrap}")
     x = np.asarray(samples, dtype=np.int64)
     x = x[x > 0]
-    has_body = bool((x < fit.x_min).any())
+    n_tail = int(np.count_nonzero(x >= fit.x_min))
+    if fit.n_tail != n_tail:
+        raise DomainError(f"not a fit of these samples: {fit.n_tail} tail samples at x_min={fit.x_min}, not {n_tail}")
     n = len(x)
     tail_frac = fit.n_tail / n
     cdf = _zeta_cdf(fit.alpha_hat, fit.x_min, _TABLE_SPAN)
@@ -272,12 +250,6 @@ def gof_pvalue(
         take_tail = rng.random(n) < tail_frac
         n_tail_syn = int(np.count_nonzero(take_tail))
         tail_syn = _draw_discrete_powerlaw(rng, cdf, guide, fit.alpha_hat, fit.x_min, n_tail_syn)
-        if not has_body and n_tail_syn < n:
-            # every draw is at or above x_min, so the whole sample is the tail
-            syn = np.empty(n, dtype=np.int64)
-            syn[take_tail] = tail_syn
-            syn[~take_tail] = _draw_discrete_powerlaw(rng, cdf, guide, fit.alpha_hat, fit.x_min, n - n_tail_syn)
-            tail_syn = syn
         values, counts = np.unique(tail_syn, return_counts=True)
         if values.size < 2:
             exceed += 1  # degenerate replicate cannot beat the observed fit
@@ -289,79 +261,3 @@ def gof_pvalue(
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))
     return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap, ks_observed=fit.ks_stat)
 
-
-def _sphere_points(rng: np.random.Generator, m: int) -> np.ndarray:
-    g = rng.standard_normal((m, 3))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def _pareto_draws(rng: np.random.Generator, pareto: ParetoParams, m: int) -> np.ndarray:
-    return pareto.w0 * (1.0 - rng.random(m)) ** (-1.0 / pareto.a)
-
-
-def mc_estimate(
-    kind: str,
-    pareto: ParetoParams,
-    theta: float,
-    trials: int,
-    seed: int = 0,
-    w: float | None = None,
-    alpha: float | None = None,
-    beta: float | None = None,
-    h: LinkFn | None = None,
-    chunk: int = 10 ** 6,
-) -> McEstimate:
-    """Bernoulli Monte-Carlo estimate of an edge/wedge probability (d = 3).
-
-    kind: 'edge', 'edge_given_weight', 'wedge', 'directed_edge_given_weight',
-    or 'linkfn_edge_given_weight'.  Fresh random nodes per trial, exact
-    predicate, binomial standard error.
-    """
-    if trials < 10 ** 4:
-        raise DomainError(f"need at least 1e4 trials, got {trials}")
-    if kind in ("edge_given_weight", "directed_edge_given_weight", "linkfn_edge_given_weight"):
-        if w is None or w < pareto.w0:
-            raise DomainError("this kind requires a conditioning weight w >= w0")
-    if kind in ("directed_edge_given_weight", "linkfn_edge_given_weight"):
-        if alpha is None or beta is None:
-            raise DomainError("directed kinds require alpha and beta")
-    if kind == "linkfn_edge_given_weight" and h is None:
-        raise DomainError("linkfn kind requires a link function")
-    if not (theta >= 0):
-        raise DomainError(f"threshold must be non-negative, got {theta}")
-
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        if kind == "edge":
-            dots = np.einsum("ij,ij->i", _sphere_points(rng, m), _sphere_points(rng, m))
-            ok = _pareto_draws(rng, pareto, m) * _pareto_draws(rng, pareto, m) * dots >= theta
-        elif kind == "edge_given_weight":
-            x = _sphere_points(rng, 1)[0]
-            dots = _sphere_points(rng, m) @ x
-            ok = w * _pareto_draws(rng, pareto, m) * dots >= theta
-        elif kind == "wedge":
-            wc = _pareto_draws(rng, pareto, m)
-            xc = _sphere_points(rng, m)
-            d1 = np.einsum("ij,ij->i", xc, _sphere_points(rng, m))
-            d2 = np.einsum("ij,ij->i", xc, _sphere_points(rng, m))
-            w1 = _pareto_draws(rng, pareto, m)
-            w2 = _pareto_draws(rng, pareto, m)
-            ok = (wc * w1 * d1 >= theta) & (wc * w2 * d2 >= theta)
-        elif kind == "directed_edge_given_weight":
-            x = _sphere_points(rng, 1)[0]
-            dots = _sphere_points(rng, m) @ x
-            ok = w ** alpha * _pareto_draws(rng, pareto, m) ** beta * dots >= theta
-        elif kind == "linkfn_edge_given_weight":
-            x = _sphere_points(rng, 1)[0]
-            dots = _sphere_points(rng, m) @ x
-            ok = w ** alpha * _pareto_draws(rng, pareto, m) ** beta * h(dots) >= theta
-        else:
-            raise DomainError(f"unknown Monte-Carlo kind {kind!r}")
-        hits += int(ok.sum())
-        done += m
-    p_hat = hits / trials
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
-    return McEstimate(estimate=p_hat, stderr=stderr, trials=trials)

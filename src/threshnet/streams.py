@@ -36,8 +36,7 @@ def substream_key(seed: int, node_id) -> np.ndarray:
 def substream_uniforms(seed: int, node_ids, count: int) -> np.ndarray:
     """Uniform [0, 1) draws, shape (len(node_ids), count).
 
-    Column j of row i is draw number j of node i's substream; identical to
-    what a scalar `SubStream(seed, i)` produces.
+    Column j of row i is draw number j + 1 of node i's substream.
     """
     keys = substream_key(seed, node_ids).reshape(-1, 1)
     j = np.arange(1, count + 1, dtype=np.uint64).reshape(1, -1)
@@ -45,20 +44,3 @@ def substream_uniforms(seed: int, node_ids, count: int) -> np.ndarray:
         raw = mix64(keys + j * _GOLDEN)
     return raw.astype(np.float64) * _INV_2_64
 
-
-class SubStream:
-    """Scalar handle over one node's substream; draws values sequentially."""
-
-    def __init__(self, seed: int, node_id: int):
-        self._key = substream_key(seed, node_id)
-        self._count = 0
-
-    def next_uniform(self) -> float:
-        """Next uniform draw in [0, 1)."""
-        self._count += 1
-        with np.errstate(over="ignore"):
-            raw = mix64(self._key + np.uint64(self._count) * _GOLDEN)
-        return float(raw) * _INV_2_64
-
-    def uniforms(self, k: int) -> np.ndarray:
-        return np.array([self.next_uniform() for _ in range(k)])

@@ -1,12 +1,39 @@
-"""Test-only helpers and oracles that the package itself does not need."""
+"""Test-only helpers and reference implementations that the package itself does not need.
 
-from dataclasses import replace
+Each reference restates a rule of the package independently of the code
+that runs it, so the tests can compare the two:
+
+- node sampling: `SubStream`, `sample_weight` and `sample_direction` draw
+  one value at a time, against the vectorized `sample_node_table`;
+- the edge rule: `edge_exists` decides one pair, `generate_naive` every pair
+  with no pruning, `mc_estimate` fresh random pairs, all against `generate`
+  and the closed forms of `analytics`;
+- the pruning bound: `pair_can_link` states it pair by pair, against the
+  pairs `candidate_pairs` reads off the generator's cutoffs;
+- the bootstrap: `gof_pvalue` builds every replicate in full.
+"""
+
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import ndtri, zeta
 
-from threshnet import DomainError
+from threshnet import (
+    DimensionError,
+    DomainError,
+    EdgeRule,
+    Graph,
+    LinkFn,
+    ModelConfig,
+    ParetoParams,
+    Variant,
+    ccdf,
+    sample_node_table,
+)
+from threshnet.generator import _canonical, _partner_cutoffs, _weight_order
 from threshnet.statfit import _INT64_TOP_FLOAT, _TABLE_SPAN, FitResult, GofResult, _mle_alpha, _zeta_cdf
+from threshnet.streams import _GOLDEN, _INV_2_64, mix64, substream_key
 
 
 def hurwitz_zeta(s: float, x: float = 1.0) -> float:
@@ -16,8 +43,265 @@ def hurwitz_zeta(s: float, x: float = 1.0) -> float:
     return float(zeta(s, x))
 
 
+def degree_pmf_reference(k, exponent: float):
+    """Normalized discrete power-law pmf k^(-exponent) / zeta(exponent)."""
+    if not (exponent > 1):
+        raise DomainError(f"pmf exponent must exceed 1, got {exponent}")
+    k_arr = np.asarray(k)
+    if np.any(k_arr < 1):
+        raise DomainError("degree values must be >= 1")
+    out = k_arr.astype(float) ** -exponent / zeta(exponent, 1)
+    return out if out.ndim else float(out)
+
+
 def with_p_value(fit: FitResult, gof: GofResult) -> FitResult:
     return replace(fit, p_value=gof.p_value)
+
+
+# --- node sampling, one draw at a time ---------------------------------------
+
+
+class SubStream:
+    """Scalar handle over one node's substream; draws values sequentially."""
+
+    def __init__(self, seed: int, node_id: int):
+        self._key = substream_key(seed, node_id)
+        self._count = 0
+
+    def next_uniform(self) -> float:
+        """Next uniform draw in [0, 1); draw j equals column j-1 of `substream_uniforms`."""
+        self._count += 1
+        with np.errstate(over="ignore"):
+            raw = mix64(self._key + np.uint64(self._count) * _GOLDEN)
+        return float(raw) * _INV_2_64
+
+    def uniforms(self, k: int) -> np.ndarray:
+        return np.array([self.next_uniform() for _ in range(k)])
+
+
+def sample_weight(stream, pareto: ParetoParams) -> float:
+    """Inverse-CDF Pareto draw: w0 * (1 - U)^(-1/a), U uniform on [0, 1)."""
+    u = stream.next_uniform()
+    return pareto.w0 * (1.0 - u) ** (-1.0 / pareto.a)
+
+
+def sample_direction(stream, d: int) -> np.ndarray:
+    """Uniform point on the unit (d-1)-sphere.
+
+    d = 3 uses the cylinder parameterization (z uniform on [-1, 1], azimuth
+    uniform on [0, 2*pi)); other d normalize a vector of standard normals.
+    """
+    if d < 2:
+        raise DimensionError(f"direction dimension must be >= 2, got {d}")
+    if d == 3:
+        z = 2.0 * stream.next_uniform() - 1.0
+        phi = 2.0 * math.pi * stream.next_uniform()
+        s = math.sqrt(max(0.0, 1.0 - z * z))
+        return np.array([s * math.cos(phi), s * math.sin(phi), z])
+    u = np.array([stream.next_uniform() for _ in range(d)])
+    g = ndtri(np.maximum(u, 2.0 ** -64))  # ndtri(0) is -inf
+    return g / np.linalg.norm(g)
+
+
+# --- the edge rule, one pair at a time ---------------------------------------
+
+_UNIT_NORM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Node:
+    id: int
+    weight: float
+    direction: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.id < 0:
+            raise DomainError(f"node id must be non-negative, got {self.id}")
+        norm = float(np.linalg.norm(self.direction))
+        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+            raise DomainError(f"direction norm {norm} deviates from 1 by more than {_UNIT_NORM_TOL}")
+
+
+def edge_exists(u: Node, v: Node, rule: EdgeRule) -> bool:
+    """Pure edge predicate; for directed variants this is the arc u -> v."""
+    if u.direction.shape != v.direction.shape:
+        raise DimensionError(f"direction dimensions differ: {u.direction.shape} vs {v.direction.shape}")
+    dot = float(u.direction @ v.direction)
+    if rule.variant is Variant.UNDIRECTED:
+        lhs = u.weight * v.weight * dot
+    elif rule.variant is Variant.DIRECTED:
+        lhs = u.weight ** rule.alpha * v.weight ** rule.beta * dot
+    else:
+        lhs = u.weight ** rule.alpha * v.weight ** rule.beta * float(rule.h(dot))
+    return lhs >= rule.theta
+
+
+def generate_naive(config: ModelConfig) -> Graph:
+    """O(n^2) reference: every pair decided directly, no pruning."""
+    if config.n > 20000:
+        raise DomainError("naive reference is limited to n <= 20000")
+    weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
+    rule = config.rule
+    dots = dirs @ dirs.T
+    if rule.variant is Variant.UNDIRECTED:
+        lhs = np.outer(weights, weights) * dots
+    else:
+        f = dots if rule.variant is Variant.DIRECTED else rule.h(dots)
+        lhs = np.outer(weights ** rule.alpha, weights ** rule.beta) * f
+    hit = lhs >= rule.theta
+    np.fill_diagonal(hit, False)
+    if not rule.is_directed:
+        hit = np.triu(hit)
+    src, dst = np.nonzero(hit)
+    n = config.n
+    return Graph(
+        weights=weights,
+        directions=dirs,
+        edges=_canonical(src.astype(np.int64) * n + dst, n),
+        directed=rule.is_directed,
+        config=config,
+        n_candidates=n * (n - 1) // 2,
+    )
+
+
+def candidate_pairs(weights, rule: EdgeRule) -> set[tuple[int, int]]:
+    """The (heavier, lighter) id pairs that the generator's weight pruning decides."""
+    weights = np.asarray(weights, dtype=float)
+    order = _weight_order(weights)
+    cuts = _partner_cutoffs(weights[order], rule)
+    return {(int(order[p]), int(order[q])) for p, cut in enumerate(cuts.tolist()) for q in range(p + 1, cut)}
+
+
+def pair_can_link(w_u, w_v, rule: EdgeRule) -> np.ndarray:
+    """Whether some pair of directions links nodes of these weights, in either direction.
+
+    The weight-pruning bound stated pair by pair: the link transform at its
+    maximum, the larger of the two orientations.
+    """
+    w_u, w_v = np.asarray(w_u, dtype=float), np.asarray(w_v, dtype=float)
+    if rule.variant is Variant.UNDIRECTED:
+        return w_u * w_v >= rule.theta
+    h_max = 1.0 if rule.variant is Variant.DIRECTED else rule.h.max_value
+    lhs = np.maximum(w_u ** rule.alpha * w_v ** rule.beta, w_v ** rule.alpha * w_u ** rule.beta)
+    return lhs * h_max >= rule.theta
+
+
+def linlog_leading_coefficient(D: float, pareto: ParetoParams) -> float:
+    """Limit of E[M](n) / (n ln n) under theta(n) = D n^(1/a)."""
+    a, w0 = pareto.a, pareto.w0
+    return w0 ** (2 * a) / (4.0 * D ** a * (a + 1.0))
+
+
+def p_edge_given_weight_directed_printed(w: float, pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
+    """The directed out-edge probability with the source's printed branch switch.
+
+    It switches at (theta / w0^alpha)^(1/beta) instead of the limit-derived
+    w* = (theta / w0^beta)^(1/alpha) of `p_edge_given_weight_directed`; the
+    two agree only when alpha = beta.
+    """
+    a, w0 = pareto.a, pareto.w0
+    if w > (theta / w0 ** alpha) ** (1.0 / beta):
+        return 0.5 * (1.0 - a * theta / (w ** alpha * (a + beta) * w0 ** beta))
+    return w ** (a * alpha / beta) * w0 ** a / (2.0 * theta ** (a / beta)) * beta / (a + beta)
+
+
+# --- Monte Carlo over fresh random nodes --------------------------------------
+
+
+def ccdf_loglog_slope(degrees, k_lo: int, k_hi: int) -> float:
+    """Log-log slope of the empirical CCDF between two degree values."""
+    values, frac = ccdf(degrees)
+    c_lo = frac[np.searchsorted(values, k_lo)]
+    c_hi = frac[np.searchsorted(values, k_hi)]
+    return float((np.log(c_hi) - np.log(c_lo)) / (np.log(k_hi) - np.log(k_lo)))
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    estimate: float
+    stderr: float
+    trials: int
+
+
+def _sphere_points(rng: np.random.Generator, m: int) -> np.ndarray:
+    g = rng.standard_normal((m, 3))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _pareto_draws(rng: np.random.Generator, pareto: ParetoParams, m: int) -> np.ndarray:
+    return pareto.w0 * (1.0 - rng.random(m)) ** (-1.0 / pareto.a)
+
+
+def mc_estimate(
+    kind: str,
+    pareto: ParetoParams,
+    theta: float,
+    trials: int,
+    seed: int = 0,
+    w: float | None = None,
+    alpha: float | None = None,
+    beta: float | None = None,
+    h: LinkFn | None = None,
+    chunk: int = 10 ** 6,
+) -> McEstimate:
+    """Bernoulli Monte-Carlo estimate of an edge/wedge probability (d = 3).
+
+    kind: 'edge', 'edge_given_weight', 'wedge', 'directed_edge_given_weight',
+    or 'linkfn_edge_given_weight'.  Fresh random nodes per trial from an RNG
+    unrelated to the model's node sampler, exact predicate, binomial
+    standard error.
+    """
+    if trials < 10 ** 4:
+        raise DomainError(f"need at least 1e4 trials, got {trials}")
+    if kind in ("edge_given_weight", "directed_edge_given_weight", "linkfn_edge_given_weight"):
+        if w is None or w < pareto.w0:
+            raise DomainError("this kind requires a conditioning weight w >= w0")
+    if kind in ("directed_edge_given_weight", "linkfn_edge_given_weight"):
+        if alpha is None or beta is None:
+            raise DomainError("directed kinds require alpha and beta")
+    if kind == "linkfn_edge_given_weight" and h is None:
+        raise DomainError("linkfn kind requires a link function")
+    if not (theta >= 0):
+        raise DomainError(f"threshold must be non-negative, got {theta}")
+
+    rng = np.random.default_rng(seed)
+    hits = 0
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        if kind == "edge":
+            dots = np.einsum("ij,ij->i", _sphere_points(rng, m), _sphere_points(rng, m))
+            ok = _pareto_draws(rng, pareto, m) * _pareto_draws(rng, pareto, m) * dots >= theta
+        elif kind == "edge_given_weight":
+            x = _sphere_points(rng, 1)[0]
+            dots = _sphere_points(rng, m) @ x
+            ok = w * _pareto_draws(rng, pareto, m) * dots >= theta
+        elif kind == "wedge":
+            wc = _pareto_draws(rng, pareto, m)
+            xc = _sphere_points(rng, m)
+            d1 = np.einsum("ij,ij->i", xc, _sphere_points(rng, m))
+            d2 = np.einsum("ij,ij->i", xc, _sphere_points(rng, m))
+            w1 = _pareto_draws(rng, pareto, m)
+            w2 = _pareto_draws(rng, pareto, m)
+            ok = (wc * w1 * d1 >= theta) & (wc * w2 * d2 >= theta)
+        elif kind == "directed_edge_given_weight":
+            x = _sphere_points(rng, 1)[0]
+            dots = _sphere_points(rng, m) @ x
+            ok = w ** alpha * _pareto_draws(rng, pareto, m) ** beta * dots >= theta
+        elif kind == "linkfn_edge_given_weight":
+            x = _sphere_points(rng, 1)[0]
+            dots = _sphere_points(rng, m) @ x
+            ok = w ** alpha * _pareto_draws(rng, pareto, m) ** beta * h(dots) >= theta
+        else:
+            raise DomainError(f"unknown Monte-Carlo kind {kind!r}")
+        hits += int(ok.sum())
+        done += m
+    p_hat = hits / trials
+    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+    return McEstimate(estimate=p_hat, stderr=stderr, trials=trials)
+
+
+# --- the bootstrap, every replicate built in full -----------------------------
 
 
 def draw_discrete_powerlaw(rng, cdf, alpha, x_min, size):

@@ -26,9 +26,7 @@ from threshnet import (
     fit_growth_curve,
     fit_powerlaw_discrete,
     generate,
-    generate_naive,
     gof_pvalue,
-    mc_estimate,
     p_edge,
     p_edge_given_weight,
     p_edge_given_weight_directed,
@@ -38,7 +36,8 @@ from threshnet import (
 )
 from threshnet.analytics import directed_branch_boundary
 from threshnet.generator import degree_sequence
-from threshnet.statfit import ccdf_loglog_slope
+
+from oracles import ccdf_loglog_slope, generate_naive, mc_estimate, p_edge_given_weight_directed_printed
 
 PARETO = ParetoParams(a=3.0, w0=1.0)
 FIG_N = 300000
@@ -152,7 +151,7 @@ def test_c04_directed_exponents_and_boundary_arbitration():
         assert abs(est.estimate - ours) <= 3 * est.stderr, (
             f"alpha={al} beta={be} w={w}: mc={est.estimate} closed={ours}"
         )
-        printed = p_edge_given_weight_directed(w, PARETO, 5.0, al, be, printed_boundary=True)
+        printed = p_edge_given_weight_directed_printed(w, PARETO, 5.0, al, be)
         if abs(est.estimate - printed) > 3 * est.stderr:
             assert al != be, "alternate boundary must agree when alpha == beta"
             printed_fails += 1

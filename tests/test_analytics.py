@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from threshnet import (
     CalibratedSchedule,
@@ -13,10 +14,10 @@ from threshnet import (
     NumericError,
     ParetoParams,
     PowerLawSchedule,
+    ThreshnetError,
     UnsupportedAnalyticsError,
     calibrate_theta,
     calibrate_theta_directed,
-    degree_pmf_reference,
     expected_arcs_directed,
     expected_edges,
     expected_edges_linlog,
@@ -31,9 +32,8 @@ from threshnet import (
     variance_edges,
 )
 from threshnet.analytics import directed_branch_boundary
-from threshnet.statfit import mc_estimate
 
-from oracles import hurwitz_zeta
+from oracles import degree_pmf_reference, hurwitz_zeta, mc_estimate, p_edge_given_weight_directed_printed
 
 
 def test_p_edge_given_weight_known_points(pareto3):
@@ -211,9 +211,9 @@ def test_printed_boundary_diverges_when_asymmetric(pareto3):
     # the alternate branch switch is only tenable at alpha == beta
     w = 4.0
     default = p_edge_given_weight_directed(w, pareto3, 10.0, 1.0, 2.0)
-    printed = p_edge_given_weight_directed(w, pareto3, 10.0, 1.0, 2.0, printed_boundary=True)
+    printed = p_edge_given_weight_directed_printed(w, pareto3, 10.0, 1.0, 2.0)
     assert abs(default - printed) > 0.01
-    same = p_edge_given_weight_directed(w, pareto3, 10.0, 1.5, 1.5, printed_boundary=True)
+    same = p_edge_given_weight_directed_printed(w, pareto3, 10.0, 1.5, 1.5)
     assert same == p_edge_given_weight_directed(w, pareto3, 10.0, 1.5, 1.5)
 
 
@@ -251,6 +251,40 @@ def test_directed_calibration_rejects_missed_root(pareto3, monkeypatch):
     monkeypatch.setattr("scipy.optimize.brentq", lambda f, lo, hi, **kw: hi)
     with pytest.raises(NumericError):
         calibrate_theta_directed(10 ** 4, pareto3, 1e5, 1.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10 ** 7),
+    a=st.floats(min_value=0.05, max_value=10.0),
+    log10_frac=st.floats(min_value=-310.0, max_value=0.0, exclude_max=True),
+    directed=st.booleans(),
+    alpha=st.floats(min_value=0.05, max_value=1e5),
+    beta=st.floats(min_value=0.05, max_value=1e5),
+)
+# the closed form turns NaN, or no finite threshold is high enough
+@example(n=1000, a=0.05, log10_frac=-305.4, directed=False, alpha=1.0, beta=1.0)
+@example(n=1000, a=3.0, log10_frac=-5.7, directed=True, alpha=2.0, beta=1e5)
+@example(n=1000, a=0.05, log10_frac=-205.7, directed=True, alpha=1.0, beta=1.0)
+# a float power in the closed form overflows before the bracket closes
+@example(n=2, a=2.0, log10_frac=-306.0, directed=False, alpha=1.0, beta=1.0)
+@example(n=2, a=1.0, log10_frac=-154.0, directed=True, alpha=1.0, beta=0.5)
+def test_calibration_round_trip_or_threshnet_error(n, a, log10_frac, directed, alpha, beta):
+    # a target anywhere in the feasible range (0, top) either comes back from
+    # its threshold to 1e-10 or is refused with a ThreshnetError
+    pareto = ParetoParams(a, 1.0)
+    top = n * (n - 1) / 2.0 if directed else n * (n - 1) / 4.0
+    target = top * 10.0 ** log10_frac
+    try:
+        if directed:
+            theta = calibrate_theta_directed(n, pareto, target, alpha, beta)
+            achieved = expected_arcs_directed(n, pareto, theta, alpha, beta)
+        else:
+            theta = calibrate_theta(n, pareto, target)
+            achieved = expected_edges(n, pareto, theta)
+    except ThreshnetError:
+        return
+    assert abs(achieved - target) <= 1e-10 * target
 
 
 def test_linkfn_identity_matches_directed(pareto3):

@@ -132,6 +132,62 @@ def test_calibrate_infeasible_exits_one(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--n", "1000", "--a", "0.01", "--target-edges", "1e-300"],
+        ["calibrate", "--n", "1000", "--a", "3", "--variant", "directed", "--alpha", "2", "--beta", "100000",
+         "--target-edges", "1"],
+        ["generate", "--n", "1000", "--a", "3", "--variant", "directed", "--alpha", "2", "--beta", "100000",
+         "--target-edges", "1"],
+        ["calibrate", "--n", "1000", "--a", "0.05", "--variant", "directed", "--alpha", "1", "--beta", "1",
+         "--target-edges", "1e-200"],
+    ],
+    ids=["tiny-target", "directed-large-beta", "generate-directed-large-beta", "directed-tiny-target"],
+)
+def test_calibration_without_finite_bracket_exits_one(tmp_path, capsys, argv):
+    # the threshold bracket doubles up to the largest double, then gives up
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+_LINKFN = ["generate", "--n", "10", "--a", "3", "--variant", "linkfn", "--alpha", "1", "--beta", "1", "--theta", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (_LINKFN + ["--h", "oddpow:x:1"], 1),
+        (_LINKFN + ["--h", "oddpow:1:y"], 1),
+        (["oracle", "pew-linkfn", "--a", "3", "--theta", "1", "--w", "2", "--alpha", "1", "--beta", "1",
+          "--h", "evenpow:z"], 1),
+        (["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "--ns", "100,x"], 2),
+        (["oracle", "pe", "--a", "3"], 1),
+        (["oracle", "var", "--a", "3", "--n", "10"], 1),
+        (["oracle", "pew", "--a", "3", "--theta", "1"], 1),
+        (["oracle", "em-linlog", "--a", "3", "--D", "1"], 1),
+        (["oracle", "pew-directed", "--a", "3", "--theta", "1", "--w", "2"], 1),
+        (["oracle", "pew-directed", "--a", "3", "--theta", "1", "--w", "2", "--alpha", "1"], 1),
+    ],
+    ids=[
+        "h-bad-m", "h-bad-c", "oracle-h-bad-m", "ns-not-integer", "pe-no-theta", "var-no-theta", "pew-no-w",
+        "em-linlog-no-n", "pew-directed-no-alpha-beta", "pew-directed-no-beta",
+    ],
+)
+def test_bad_value_gives_error_line(tmp_path, capsys, monkeypatch, argv, want):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert err.startswith("error: ") if want == 1 else "error: argument" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_analyze_degree_file(tmp_path, capsys):
     rng = np.random.default_rng(0)
     from threshnet import sample_discrete_powerlaw

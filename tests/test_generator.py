@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +11,12 @@ from threshnet import (
     ModelConfig,
     ParetoParams,
     ResourceLimitError,
-    candidate_pairs,
     degree_sequence,
     generate,
-    generate_naive,
 )
-from threshnet.model import Node, Variant
+from threshnet.model import Variant
+
+from oracles import candidate_pairs, generate_naive, pair_can_link
 
 
 def _config(n, theta, seed=0, rule=None, pareto=None, d=3):
@@ -88,8 +90,20 @@ def test_pruned_equals_naive_property(variant, h, a, w0, scale, alpha, beta, d, 
     naive = generate_naive(config)
     assert pruned.edges.dtype == np.int64
     assert np.array_equal(pruned.edges, naive.edges)
-    nodes = [pruned.node(i) for i in range(n)]
-    assert pruned.n_candidates == len(list(candidate_pairs(nodes, rule)))
+    candidates = candidate_pairs(pruned.weights, rule)
+    assert pruned.n_candidates == len(candidates)
+    # the candidates are the pairs whose weights can reach theta, up to the
+    # pruner's rounding slack at the boundary
+    got = {tuple(sorted(pair)) for pair in candidates}
+    surely = _pairs_that_can_link(pruned.weights, rule, rule.theta * (1 + 1e-9))
+    at_most = _pairs_that_can_link(pruned.weights, rule, rule.theta * (1 - 1e-9))
+    assert surely <= got <= at_most
+
+
+def _pairs_that_can_link(weights, rule, theta):
+    i, j = np.triu_indices(len(weights), 1)
+    ok = pair_can_link(weights[i], weights[j], replace(rule, theta=theta))
+    return set(zip(i[ok].tolist(), j[ok].tolist()))
 
 
 def test_edge_guard_fires_while_deciding(monkeypatch):
@@ -130,37 +144,28 @@ def test_theta_zero_yields_half_of_pairs():
     assert g.n_candidates == pairs
 
 
-def _nodes_from_weights(weights):
-    x = np.array([0.0, 0.0, 1.0])
-    return [Node(i, w, x.copy()) for i, w in enumerate(weights)]
-
-
 def test_candidate_pairs_theta_zero_all_pairs():
-    nodes = _nodes_from_weights([3.0, 2.0, 1.0, 1.5])
-    got = set(candidate_pairs(nodes, EdgeRule.undirected(0.0)))
+    got = candidate_pairs([3.0, 2.0, 1.0, 1.5], EdgeRule.undirected(0.0))
     assert len(got) == 6
 
 
 def test_candidate_pairs_prunes_light_pair():
-    nodes = _nodes_from_weights([10.0, 1.0, 1.0])
-    got = set(candidate_pairs(nodes, EdgeRule.undirected(5.0)))
+    got = candidate_pairs([10.0, 1.0, 1.0], EdgeRule.undirected(5.0))
     assert got == {(0, 1), (0, 2)}
 
 
 def test_candidate_pairs_boundary_inclusive():
-    nodes = _nodes_from_weights([2.0, 2.5, 1.0])
-    got = set(candidate_pairs(nodes, EdgeRule.undirected(5.0)))
+    got = candidate_pairs([2.0, 2.5, 1.0], EdgeRule.undirected(5.0))
     assert (1, 0) in got or (0, 1) in got
     # theta is the rounded product of the two weights, but theta / 8.09... rounds above 3.96...
-    nodes = _nodes_from_weights([8.095858330855638, 3.9675854484918296])
-    assert list(candidate_pairs(nodes, EdgeRule.undirected(32.12100970655418))) == [(0, 1)]
+    got = candidate_pairs([8.095858330855638, 3.9675854484918296], EdgeRule.undirected(32.12100970655418))
+    assert got == {(0, 1)}
 
 
 def test_candidate_pairs_superset_of_edges():
     config = _config(3000, 14.4, seed=5)
     naive = generate_naive(config)
-    nodes = [naive.node(i) for i in range(config.n)]
-    yielded = set(candidate_pairs(nodes, config.rule))
+    yielded = candidate_pairs(naive.weights, config.rule)
     edges = {(int(i), int(j)) for i, j in naive.edges}
     normalized = {tuple(sorted(p)) for p in yielded}
     assert edges <= normalized
@@ -170,8 +175,7 @@ def test_candidate_pairs_superset_of_edges():
 def test_candidate_pairs_negative_max_link():
     # max of h on [-1, 1] is negative: nothing can reach a positive threshold
     rule = EdgeRule.link_function(1.0, 1.0, 1.0, LinkFn.odd_power_plus_c(1, -2.0))
-    nodes = _nodes_from_weights([5.0, 4.0, 3.0])
-    assert list(candidate_pairs(nodes, rule)) == []
+    assert candidate_pairs([5.0, 4.0, 3.0], rule) == set()
 
 
 def test_yielded_pairs_subquadratic():

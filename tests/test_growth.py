@@ -17,7 +17,8 @@ from threshnet import (
     run_growth_sweep,
     write_series_csv,
 )
-from threshnet.growth import linlog_leading_coefficient
+
+from oracles import linlog_leading_coefficient
 
 
 class FlatSchedule:

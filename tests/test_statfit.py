@@ -8,15 +8,12 @@ from threshnet import (
     ccdf,
     fit_powerlaw_discrete,
     gof_pvalue,
-    mc_estimate,
     p_edge,
     p_edge_given_weight,
     p_wedge,
     sample_discrete_powerlaw,
 )
-from threshnet.statfit import ccdf_loglog_slope
-
-from oracles import with_p_value
+from oracles import ccdf_loglog_slope, mc_estimate, with_p_value
 
 
 def test_ccdf_trivial_cases():
@@ -126,6 +123,12 @@ def test_gof_rejects_geometric(rng):
     fit = fit_powerlaw_discrete(samples, x_min=1)
     gof = gof_pvalue(samples, fit, n_bootstrap=100, seed=2)
     assert gof.p_value < 0.05
+
+
+def test_gof_rejects_fit_of_other_samples(rng):
+    fit = fit_powerlaw_discrete(sample_discrete_powerlaw(rng, 2.5, 1, 5000), x_min=1)
+    with pytest.raises(DomainError, match="not a fit of these samples"):
+        gof_pvalue(rng.geometric(0.5, 300), fit, n_bootstrap=100, seed=1)
 
 
 def test_gof_requires_enough_replicates(rng):

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 from scipy.special import zeta as hzeta
 
-from threshnet import FitDegenerateError, fit_powerlaw_discrete, gof_pvalue, sample_discrete_powerlaw
+from threshnet import DomainError, FitDegenerateError, fit_powerlaw_discrete, gof_pvalue, sample_discrete_powerlaw
 from threshnet.statfit import _GUIDE_BINS, _draw_discrete_powerlaw, _guide, _xmin_candidates, _zeta_cdf
 
 import oracles
@@ -112,6 +113,7 @@ def test_gof_pvalue_matches_full_replicates_scanned_xmin(seed, n_body, n_tail, a
 
 @settings(max_examples=8, deadline=None)
 @given(**_SAMPLE)
+@example(seed=0, n_body=50, n_tail=100, alpha=2.5, x_min=1, boot_seed=0)  # x_min 1: no body, every draw in the tail
 def test_gof_pvalue_matches_full_replicates_fixed_xmin(seed, n_body, n_tail, alpha, x_min, boot_seed):
     # a small tail makes degenerate replicates (fewer than two distinct values) common
     samples = _bootstrap_sample(seed, n_body, n_tail, alpha, x_min)
@@ -119,13 +121,14 @@ def test_gof_pvalue_matches_full_replicates_fixed_xmin(seed, n_body, n_tail, alp
 
 
 @settings(max_examples=8, deadline=None)
-@given(**_SAMPLE, n_fit=st.integers(min_value=2, max_value=800))
-def test_gof_pvalue_matches_full_replicates_empty_body(seed, n_body, n_tail, alpha, x_min, boot_seed, n_fit):
-    # x_min 1 leaves no body; a fit of a prefix has n_tail below the sample
-    # size, so replicates also draw the "body" from the fitted law
+@given(**_SAMPLE, n_drop=st.integers(min_value=1, max_value=400))
+def test_gof_pvalue_rejects_fit_of_other_samples(seed, n_body, n_tail, alpha, x_min, boot_seed, n_drop):
+    # every sample is positive, so a fit of a prefix at x_min 1 counts fewer
+    # tail samples than the whole sample has
     samples = _bootstrap_sample(seed, n_body, n_tail, alpha, x_min)
-    fit = _fit_or_reject(samples[:n_fit], x_min=1)
-    _assert_gof_matches_full_replicates(samples, fit, boot_seed)
+    fit = _fit_or_reject(samples[:-n_drop], x_min=1)
+    with pytest.raises(DomainError):
+        gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,8 @@
 import numpy as np
 
-from threshnet.streams import SubStream, mix64, substream_key, substream_uniforms
+from threshnet.streams import mix64, substream_key, substream_uniforms
+
+from oracles import SubStream
 
 
 def test_mix64_scalar_array_agree():
