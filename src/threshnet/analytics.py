@@ -367,7 +367,6 @@ class PowerLawSchedule:
     """theta(n) = D * n^(1/a)."""
 
     D: float
-    kind: str = "powerlaw"
 
     def __post_init__(self):
         if not (self.D > 0):
@@ -382,7 +381,6 @@ class CalibratedSchedule:
     """theta(n) solved so the expected edge count equals target(n)."""
 
     target: Callable[[int], float]
-    kind: str = "calibrated"
 
     def theta_for(self, n: int, pareto: ParetoParams) -> float:
         return calibrate_theta(n, pareto, self.target(n))

@@ -48,6 +48,18 @@ def _build_rule(args, theta: float) -> EdgeRule:
     return EdgeRule.link_function(theta, args.alpha, args.beta, LinkFn.parse(args.h or "identity"))
 
 
+def _calibrate(args, pareto: ParetoParams) -> tuple[float, float]:
+    """The threshold that puts the expected edge (directed: arc) count at --target-edges, and that count."""
+    rule = _build_rule(args, 0.0)  # checks alpha, beta and h before the solve
+    if rule.variant is Variant.LINKFN:
+        raise UnsupportedAnalyticsError("no calibration closed form for link-function rules")
+    if rule.is_directed:
+        theta = analytics.calibrate_theta_directed(args.n, pareto, args.target_edges, rule.alpha, rule.beta)
+        return theta, analytics.expected_arcs_directed(args.n, pareto, theta, rule.alpha, rule.beta)
+    theta = analytics.calibrate_theta(args.n, pareto, args.target_edges)
+    return theta, analytics.expected_edges(args.n, pareto, theta)
+
+
 def _resolve_theta(args, pareto: ParetoParams) -> float:
     sources = [args.theta is not None, args.target_edges is not None, args.schedule is not None]
     if sum(sources) != 1:
@@ -55,13 +67,7 @@ def _resolve_theta(args, pareto: ParetoParams) -> float:
     if args.theta is not None:
         return args.theta
     if args.target_edges is not None:
-        if args.variant == "directed":
-            return analytics.calibrate_theta_directed(args.n, pareto, args.target_edges, args.alpha, args.beta)
-        if args.variant == "linkfn":
-            raise UnsupportedAnalyticsError("no calibration closed form for link-function rules")
-        return analytics.calibrate_theta(args.n, pareto, args.target_edges)
-    if args.schedule != "powerlaw":
-        raise ThreshnetError(f"unknown schedule {args.schedule!r}")
+        return _calibrate(args, pareto)[0]
     if args.D is None:
         raise ThreshnetError("--schedule powerlaw requires --D")
     return analytics.theta_powerlaw_schedule(args.n, args.D, pareto.a)
@@ -157,13 +163,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    pareto = ParetoParams(a=args.a, w0=args.w0)
-    if args.variant == "directed":
-        theta = analytics.calibrate_theta_directed(args.n, pareto, args.target_edges, args.alpha, args.beta)
-        achieved = analytics.expected_arcs_directed(args.n, pareto, theta, args.alpha, args.beta)
-    else:
-        theta = analytics.calibrate_theta(args.n, pareto, args.target_edges)
-        achieved = analytics.expected_edges(args.n, pareto, theta)
+    theta, achieved = _calibrate(args, ParetoParams(a=args.a, w0=args.w0))
     payload = {
         "theta": theta,
         "expected_edges": achieved,
@@ -249,15 +249,15 @@ def _degree_counts(ids: np.ndarray, n: int, path) -> np.ndarray:
 
 def cmd_growth_sweep(args) -> int:
     pareto = ParetoParams(a=args.a, w0=args.w0)
+    if args.seeds < 1:
+        raise DomainError(f"--seeds must be at least 1, got {args.seeds}")
     if args.schedule == "powerlaw":
         if args.D is None:
             raise ThreshnetError("--schedule powerlaw requires --D")
         schedule = analytics.PowerLawSchedule(D=args.D)
-    elif args.schedule == "linear":
+    else:
         coeff = args.coeff if args.coeff is not None else 1.0
         schedule = analytics.CalibratedSchedule(target=lambda n: coeff * n)
-    else:
-        raise ThreshnetError(f"unknown schedule {args.schedule!r}")
     seeds = list(range(args.seeds))
     sweep = growthmod.run_growth_sweep(schedule, args.ns, pareto, seeds)
     out = Path(args.out_dir)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .model import EdgeRule, ModelConfig, Variant, sample_node_table
+from .model import EdgeRule, ModelConfig, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
 
@@ -57,14 +57,11 @@ def _partner_cutoffs(ws: np.ndarray, rule: EdgeRule) -> np.ndarray:
     outer row p are the sorted indices q in [p+1, cuts[p]).  The array stops
     at the first row whose weight cannot reach theta even with itself, so its
     length is the outer limit.  Pruning bounds the dot transform by its
-    maximum and is monotone in both weights.
+    maximum h(1) and is monotone in both weights.
     """
     n = len(ws)
-    if rule.variant is Variant.UNDIRECTED:
-        e_hi = e_lo = h_max = 1.0
-    else:
-        e_hi, e_lo = max(rule.alpha, rule.beta), min(rule.alpha, rule.beta)
-        h_max = 1.0 if rule.variant is Variant.DIRECTED else rule.h.max_value
+    e_hi, e_lo = max(rule.alpha, rule.beta), min(rule.alpha, rule.beta)
+    h_max = rule.h.hi
     if h_max < 0:
         return np.empty(0, dtype=np.int64)
     if rule.theta <= 0:
@@ -111,15 +108,13 @@ def generate(config: ModelConfig, max_edges: int | None = None) -> Graph:
     n_cand = n_edges = 0
     for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
         u, vs, wq = order[p], order[p + 1 : cut], ws[p + 1 : cut]
-        dots = xs[p + 1 : cut] @ xs[p]
-        if rule.variant is Variant.UNDIRECTED:
-            hit = vs[ws[p] * wq * dots >= rule.theta]
-            row = [np.minimum(u, hit) * n + np.maximum(u, hit)]
+        f = rule.h(xs[p + 1 : cut] @ xs[p])
+        hit = vs[ws[p] ** rule.alpha * wq ** rule.beta * f >= rule.theta]
+        if rule.is_directed:
+            rev = vs[wq ** rule.alpha * ws[p] ** rule.beta * f >= rule.theta]
+            row = [u * n + hit, rev * n + u]
         else:
-            f = dots if rule.variant is Variant.DIRECTED else rule.h(dots)
-            fwd = ws[p] ** rule.alpha * wq ** rule.beta * f >= rule.theta
-            rev = wq ** rule.alpha * ws[p] ** rule.beta * f >= rule.theta
-            row = [u * n + vs[fwd], vs[rev] * n + u]
+            row = [np.minimum(u, hit) * n + np.maximum(u, hit)]
         keys += row
         n_cand += len(vs)
         n_edges += sum(map(len, row))

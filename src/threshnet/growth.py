@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .errors import DimensionError, DomainError, SeriesFormatError
+from .errors import DomainError, SeriesFormatError
 from .generator import generate
 from .io import _read_text
 from .model import EdgeRule, ModelConfig, ParetoParams
@@ -43,14 +43,6 @@ class GrowthSeries:
             raise SeriesFormatError("series n values must be strictly increasing")
         if any(p.m < 0 for p in self.points):
             raise SeriesFormatError("edge counts must be non-negative")
-
-    @property
-    def ns(self) -> np.ndarray:
-        return np.array([p.n for p in self.points])
-
-    @property
-    def ms(self) -> np.ndarray:
-        return np.array([p.m for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -81,11 +73,11 @@ def run_growth_sweep(
     ns: list[int],
     pareto: ParetoParams,
     seeds: list[int],
-    d: int = 3,
 ) -> dict[int, GrowthSeries]:
-    """One GrowthSeries per seed: regenerate at each n under schedule's theta(n)."""
-    if d != 3:
-        raise DimensionError("growth analytics are defined for d = 3 only")
+    """One GrowthSeries per seed: regenerate at each n under schedule's theta(n).
+
+    Directions live on S^2 (d = 3), where the em and var analytics hold.
+    """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("sweep sizes must be strictly increasing")
     out: dict[int, GrowthSeries] = {}
@@ -93,7 +85,7 @@ def run_growth_sweep(
         points = []
         for n in ns:
             theta = schedule.theta_for(n, pareto)
-            config = ModelConfig(n=n, d=d, pareto=pareto, rule=EdgeRule.undirected(theta), seed=seed)
+            config = ModelConfig(n=n, d=3, pareto=pareto, rule=EdgeRule.undirected(theta), seed=seed)
             graph = generate(config)
             points.append(
                 GrowthPoint(

@@ -112,9 +112,12 @@ def read_degree_file(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                values.append(int(line))
+                value = int(line)
             except ValueError as exc:
                 raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
+            if not (_INT64_MIN <= value <= _INT64_MAX):
+                raise SeriesFormatError(f"{path}:{lineno}: degree {value} outside the int64 range")
+            values.append(value)
     if not values:
         raise SeriesFormatError(f"{path}: empty degree file")
     return np.array(values, dtype=np.int64)

@@ -103,15 +103,8 @@ class LinkFn:
 
     @property
     def hi(self) -> float:
-        """h(1)."""
+        """h(1), the maximum of h on [-1, 1] for every link kind."""
         return self(1.0)
-
-    @property
-    def max_value(self) -> float:
-        """Maximum of h over [-1, 1]."""
-        if self.kind is LinkKind.EVEN_POWER:
-            return 1.0
-        return self.hi
 
     def inverse(self, y: float) -> float:
         """The t in [-1, 1] with h(t) = y, for a strictly increasing link."""
@@ -169,45 +162,50 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class EdgeRule:
-    """Edge-existence rule: variant, threshold, and variant parameters.
+    """Edge-existence rule: arc u -> v exists when
 
-    Undirected:   w_u * w_v * dot >= theta
-    Directed:     w_u^alpha * w_v^beta * dot >= theta     (arc u -> v)
-    LinkFunction: w_u^alpha * w_v^beta * h(dot) >= theta  (arc u -> v)
+        w_u^alpha * w_v^beta * h(dot) >= theta.
+
+    Undirected:   alpha = beta = 1, h the identity; each pair decided once
+    Directed:     h the identity
+    LinkFunction: any alpha, beta and h
     """
 
     variant: Variant
     theta: float
-    alpha: float | None = None
-    beta: float | None = None
-    h: LinkFn | None = None
+    alpha: float
+    beta: float
+    h: LinkFn
 
     def __post_init__(self):
         if not (self.theta >= 0):
             raise DomainError(f"threshold must be non-negative, got theta={self.theta}")
-        if self.variant is Variant.UNDIRECTED:
-            return
         if self.alpha is None or self.beta is None:
             raise DomainError(f"{self.variant.value} rule requires alpha and beta")
         if not (self.alpha > 0 and self.beta > 0):
             raise DomainError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
-        if self.variant is Variant.LINKFN and self.h is None:
-            raise DomainError("linkfn rule requires a link function")
+        if self.h is None:
+            raise DomainError(f"{self.variant.value} rule requires a link function")
+        if self.variant is not Variant.LINKFN and self.h != LinkFn.identity():
+            raise DomainError(f"{self.variant.value} rule takes the identity link, got {self.h.spec()}")
+        if self.variant is Variant.UNDIRECTED and (self.alpha, self.beta) != (1.0, 1.0):
+            raise DomainError(f"undirected rule takes alpha = beta = 1, got {self.alpha}, {self.beta}")
 
     @staticmethod
     def undirected(theta: float) -> "EdgeRule":
-        return EdgeRule(Variant.UNDIRECTED, theta)
+        return EdgeRule(Variant.UNDIRECTED, theta, 1.0, 1.0, LinkFn.identity())
 
     @staticmethod
     def directed(theta: float, alpha: float, beta: float) -> "EdgeRule":
-        return EdgeRule(Variant.DIRECTED, theta, alpha=alpha, beta=beta)
+        return EdgeRule(Variant.DIRECTED, theta, alpha, beta, LinkFn.identity())
 
     @staticmethod
     def link_function(theta: float, alpha: float, beta: float, h: LinkFn) -> "EdgeRule":
-        return EdgeRule(Variant.LINKFN, theta, alpha=alpha, beta=beta, h=h)
+        return EdgeRule(Variant.LINKFN, theta, alpha, beta, h)
 
     @property
     def is_directed(self) -> bool:
+        """Whether the reverse arc v -> u is decided apart from u -> v."""
         return self.variant is not Variant.UNDIRECTED
 
 

@@ -181,7 +181,7 @@ def pair_can_link(w_u, w_v, rule: EdgeRule) -> np.ndarray:
     w_u, w_v = np.asarray(w_u, dtype=float), np.asarray(w_v, dtype=float)
     if rule.variant is Variant.UNDIRECTED:
         return w_u * w_v >= rule.theta
-    h_max = 1.0 if rule.variant is Variant.DIRECTED else rule.h.max_value
+    h_max = 1.0 if rule.variant is Variant.DIRECTED else max(rule.h(-1.0), rule.h(1.0))
     lhs = np.maximum(w_u ** rule.alpha * w_v ** rule.beta, w_v ** rule.alpha * w_u ** rule.beta)
     return lhs * h_max >= rule.theta
 

@@ -154,6 +154,7 @@ def test_calibration_without_finite_bracket_exits_one(tmp_path, capsys, argv):
 
 
 _LINKFN = ["generate", "--n", "10", "--a", "3", "--variant", "linkfn", "--alpha", "1", "--beta", "1", "--theta", "1"]
+_SWEEP = ["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "--ns", "100,200"]
 
 
 @pytest.mark.parametrize(
@@ -170,10 +171,16 @@ _LINKFN = ["generate", "--n", "10", "--a", "3", "--variant", "linkfn", "--alpha"
         (["oracle", "em-linlog", "--a", "3", "--D", "1"], 1),
         (["oracle", "pew-directed", "--a", "3", "--theta", "1", "--w", "2"], 1),
         (["oracle", "pew-directed", "--a", "3", "--theta", "1", "--w", "2", "--alpha", "1"], 1),
+        (["generate", "--n", "1000", "--a", "3", "--variant", "directed", "--target-edges", "10"], 1),
+        (["calibrate", "--n", "1000", "--a", "3", "--variant", "directed", "--target-edges", "10"], 1),
+        (_SWEEP + ["--seeds", "0"], 1),
+        (_SWEEP + ["--seeds", "-1"], 1),
     ],
     ids=[
         "h-bad-m", "h-bad-c", "oracle-h-bad-m", "ns-not-integer", "pe-no-theta", "var-no-theta", "pew-no-w",
         "em-linlog-no-n", "pew-directed-no-alpha-beta", "pew-directed-no-beta",
+        "generate-directed-target-no-alpha-beta", "calibrate-directed-no-alpha-beta", "sweep-zero-seeds",
+        "sweep-negative-seeds",
     ],
 )
 def test_bad_value_gives_error_line(tmp_path, capsys, monkeypatch, argv, want):
@@ -262,6 +269,15 @@ def test_analyze_id_beyond_int64_exits_one(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert f"{bad}:2" in err and "99999999999999999999" in err
+
+
+def test_analyze_degree_beyond_int64_exits_one(tmp_path, capsys):
+    bad = tmp_path / "deg.txt"
+    bad.write_text("3\n99999999999999999999999\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--degrees", str(bad), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert f"{bad}:2" in err and "99999999999999999999999" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

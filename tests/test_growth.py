@@ -3,7 +3,6 @@ import pytest
 
 from threshnet import (
     CalibratedSchedule,
-    DimensionError,
     DomainError,
     GrowthFit,
     GrowthPoint,
@@ -48,8 +47,6 @@ def test_sweep_deterministic(pareto3):
 
 
 def test_sweep_validation(pareto3):
-    with pytest.raises(DimensionError):
-        run_growth_sweep(PowerLawSchedule(D=1.0), [100], pareto3, seeds=[0], d=4)
     with pytest.raises(DomainError):
         run_growth_sweep(PowerLawSchedule(D=1.0), [200, 100], pareto3, seeds=[0])
 

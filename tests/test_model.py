@@ -9,6 +9,7 @@ from threshnet import (
     LinkFn,
     ModelConfig,
     ParetoParams,
+    Variant,
     sample_node_table,
 )
 
@@ -178,6 +179,21 @@ def test_edge_rule_validation():
         EdgeRule.link_function(1.0, 1.0, 1.0, None)
 
 
+@pytest.mark.parametrize(
+    "variant, alpha, beta, h",
+    [
+        (Variant.UNDIRECTED, 2.0, 1.0, LinkFn.identity()),
+        (Variant.UNDIRECTED, 1.0, 0.5, LinkFn.identity()),
+        (Variant.UNDIRECTED, 1.0, 1.0, LinkFn.exp()),
+        (Variant.DIRECTED, 1.0, 2.0, LinkFn.even_power(1)),
+    ],
+)
+def test_rule_rejects_values_its_variant_fixes(variant, alpha, beta, h):
+    # undirected is alpha = beta = 1 with the identity link; directed is the identity link
+    with pytest.raises(DomainError):
+        EdgeRule(variant, 1.0, alpha, beta, h)
+
+
 def test_model_config_validation(pareto3):
     rule = EdgeRule.undirected(1.0)
     with pytest.raises(DomainError):
@@ -245,7 +261,7 @@ def test_linkfn_inverse_rejects_values_outside_range():
 def test_even_power_not_invertible():
     even = LinkFn.even_power(1)
     assert even(-0.5) == even(0.5) == 0.25
-    assert even.max_value == 1.0
+    assert even.hi == 1.0
     assert not even.strictly_increasing
     with pytest.raises(DomainError):
         even.inverse(0.5)
