@@ -35,9 +35,7 @@ from .analytics import (
     expected_edges,
     expected_edges_linlog,
     p_edge,
-    p_edge_directed,
     p_edge_given_weight,
-    p_edge_given_weight_directed,
     p_edge_given_weight_linkfn,
     p_wedge,
     theta_powerlaw_schedule,

@@ -40,37 +40,77 @@ def _check_weight(w: float, pareto: ParetoParams) -> None:
         raise DomainError(f"weight {w} below Pareto scale w0={pareto.w0}")
 
 
-def p_edge_given_weight(w: float, pareto: ParetoParams, theta: float) -> float:
-    """Probability that a node of weight w links to an independent random node."""
+def _check_exponents(alpha: float, beta: float) -> None:
+    if not (alpha > 0 and beta > 0):
+        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
+
+
+def directed_branch_boundary(pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
+    """Weight at which the two integration regimes of P_e(w) meet.
+
+    This is where max{w0, theta^(1/beta) / w^(alpha/beta)} switches:
+    w* = (theta / w0^beta)^(1/alpha).
+    """
+    return (theta / pareto.w0 ** beta) ** (1.0 / alpha)
+
+
+def p_edge_given_weight(
+    w: float, pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float = 1.0
+) -> float:
+    """Probability that a node of weight w has an arc to an independent random node.
+
+    The rule is w^alpha * w'^beta * dot >= theta; alpha = beta = 1 is the
+    undirected model.  Branches switch at the limit-derived
+    w* = (theta/w0^beta)^(1/alpha).
+    """
     _check_theta(theta)
     _check_weight(w, pareto)
+    _check_exponents(alpha, beta)
     a, w0 = pareto.a, pareto.w0
-    if w > theta / w0:
-        return 0.5 * (1.0 - a * theta / (w * (a + 1.0) * w0))
-    return 0.5 * w0 ** a / (theta ** a * (a + 1.0)) * w ** a
+    if w > directed_branch_boundary(pareto, theta, alpha, beta):
+        return 0.5 * (1.0 - a * theta / (w ** alpha * (a + beta) * w0 ** beta))
+    return w ** (a * alpha / beta) * w0 ** a / (2.0 * theta ** (a / beta)) * beta / (a + beta)
 
 
-def p_edge(pareto: ParetoParams, theta: float) -> float:
-    """Edge probability for two independent random nodes."""
+def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float = 1.0) -> float:
+    """Arc probability for an ordered pair of independent random nodes.
+
+    P_e(w) integrated against the weight density, written in
+    r = w0/w* = (w0^(alpha+beta) / theta)^(1/alpha): when r >= 1 every
+    weight lies in the upper branch of P_e(w), otherwise the weights below
+    w* lie in the lower one.  log r comes from logs and every power of r
+    taken is at most 1, so nothing overflows.  At alpha = beta = 1 (the
+    undirected model) this is the paper's closed form term by term.
+    """
     _check_theta(theta)
-    a, w0 = pareto.a, pareto.w0
-    if theta < w0 ** 2:
-        return 0.5 - 0.5 * (a / (a + 1.0)) ** 2 * theta / w0 ** 2
-    return (
-        w0 ** (2 * a)
-        / (2.0 * theta ** a)
-        * (
-            a * (math.log(theta) - 2.0 * math.log(w0)) / (a + 1.0)
-            - (a / (a + 1.0)) ** 2
-            + 1.0
-        )
-    )
+    _check_exponents(alpha, beta)
+    if theta == 0.0:
+        return 0.5
+    a = pareto.a
+    log_r = ((alpha + beta) * math.log(pareto.w0) - math.log(theta)) / alpha
+    c = a * a / ((a + alpha) * (a + beta))
+    if log_r >= 0.0:
+        return 0.5 * (1.0 - c * math.exp(-alpha * log_r))
+    upper = 0.5 * (1.0 - c) * math.exp(a * log_r)
+    # lower branch: (r^a - r^(a+e)) / e with e = a*alpha/beta - a, written as
+    # r^min(a, a+e) * (1 - r^|e|) / |e| so that it never cancels; ln(1/r) at e = 0
+    e = a * (alpha - beta) / beta
+    spread = -log_r if e == 0.0 else -math.expm1(abs(e) * log_r) / abs(e)
+    return upper + a * beta / (2.0 * (a + beta)) * (math.exp(min(a, a + e) * log_r) * spread)
 
 
 def expected_edges(n: int, pareto: ParetoParams, theta: float) -> float:
     if n < 1:
         raise DomainError(f"node count must be >= 1, got {n}")
     return n * (n - 1) / 2.0 * p_edge(pareto, theta)
+
+
+def expected_arcs_directed(
+    n: int, pareto: ParetoParams, theta: float, alpha: float, beta: float
+) -> float:
+    if n < 1:
+        raise DomainError(f"node count must be >= 1, got {n}")
+    return n * (n - 1) * p_edge(pareto, theta, alpha, beta)
 
 
 def p_wedge(pareto: ParetoParams, theta: float) -> float:
@@ -119,40 +159,42 @@ def calibrate_theta(n: int, pareto: ParetoParams, target_edges: float) -> float:
         raise FeasibilityError(
             f"target {target_edges} infeasible for n={n}: must lie in (0, {pairs / 2.0})"
         )
-    a, w0 = pareto.a, pareto.w0
-    p = target_edges / pairs
-    # low-threshold branch inverts in closed form
-    theta = 2.0 * (0.5 - p) * w0 ** 2 * ((a + 1.0) / a) ** 2
-    if theta <= w0 ** 2:
-        return theta
-    from scipy import optimize
-
-    hi = _bracket_top(lambda t: p_edge(pareto, t), 2.0 * w0 ** 2, p)
-    theta = optimize.brentq(
-        lambda t: p_edge(pareto, t) - p, w0 ** 2, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200
-    )
+    theta = _solve_theta(pareto, target_edges / pairs, 1.0, 1.0)
     _check_calibrated(expected_edges(n, pareto, theta), target_edges)
     return theta
 
 
-def _bracket_top(prob: Callable[[float], float], hi: float, p: float) -> float:
-    """First of hi, 2*hi, 4*hi, ... at which the decreasing `prob` is at most p.
+def calibrate_theta_directed(
+    n: int, pareto: ParetoParams, target_arcs: float, alpha: float, beta: float
+) -> float:
+    """Threshold with expected arc count = target_arcs in the directed model."""
+    ordered_pairs = float(n) * (n - 1)
+    if not (0.0 < target_arcs < ordered_pairs / 2.0):
+        raise FeasibilityError(
+            f"target {target_arcs} infeasible for n={n}: must lie in (0, {ordered_pairs / 2.0})"
+        )
+    theta = _solve_theta(pareto, target_arcs / ordered_pairs, alpha, beta)
+    _check_calibrated(expected_arcs_directed(n, pareto, theta, alpha, beta), target_arcs)
+    return theta
 
-    Stops at the largest finite double: FeasibilityError when `prob` is
-    still above p there, NumericError when the closed form fails first.
+
+def _solve_theta(pareto: ParetoParams, p: float, alpha: float, beta: float) -> float:
+    """The threshold at which p_edge falls to p, which lies in (0, 1/2).
+
+    p_edge is 1/2 at theta = 0 and decreasing; the bracket's top doubles up
+    from theta = 1 and stops at the largest finite double, where a p_edge
+    still above p gives FeasibilityError.
     """
-    while True:
-        try:
-            value = prob(hi)
-        except OverflowError:  # a float power in the closed form
-            value = math.nan
-        if value <= p:
-            return hi
-        if math.isnan(value):
-            raise NumericError(f"edge probability overflows or is NaN at threshold {hi}; cannot bracket target {p}")
+    from scipy import optimize
+
+    hi = 1.0
+    while p_edge(pareto, hi, alpha, beta) > p:
         if math.isinf(2.0 * hi):
             raise FeasibilityError(f"edge probability stays above {p} at every finite threshold")
         hi *= 2.0
+    return optimize.brentq(
+        lambda t: p_edge(pareto, t, alpha, beta) - p, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200
+    )
 
 
 def _check_calibrated(achieved: float, target: float) -> None:
@@ -195,99 +237,6 @@ def expected_edges_linlog(n: int, D: float, pareto: ParetoParams) -> float:
     )
 
 
-def directed_branch_boundary(pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
-    """Weight at which the two integration regimes of the directed P_e(w) meet.
-
-    This is where max{w0, theta^(1/beta) / w^(alpha/beta)} switches:
-    w* = (theta / w0^beta)^(1/alpha).
-    """
-    return (theta / pareto.w0 ** beta) ** (1.0 / alpha)
-
-
-def p_edge_given_weight_directed(
-    w: float,
-    pareto: ParetoParams,
-    theta: float,
-    alpha: float,
-    beta: float,
-) -> float:
-    """Out-edge probability of a node of weight w in the directed model.
-
-    Branches switch at the limit-derived w* = (theta/w0^beta)^(1/alpha).
-    """
-    _check_theta(theta)
-    _check_weight(w, pareto)
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
-    a, w0 = pareto.a, pareto.w0
-    if w > directed_branch_boundary(pareto, theta, alpha, beta):
-        return 0.5 * (1.0 - a * theta / (w ** alpha * (a + beta) * w0 ** beta))
-    return w ** (a * alpha / beta) * w0 ** a / (2.0 * theta ** (a / beta)) * beta / (a + beta)
-
-
-def p_edge_directed(pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
-    """Arc probability for an ordered pair of independent random nodes.
-
-    Integrates the directed P_e(w) against the weight density; closed form
-    in both regimes of w*.
-    """
-    _check_theta(theta)
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
-    a, w0 = pareto.a, pareto.w0
-    if theta == 0.0:
-        return 0.5
-    wstar = directed_branch_boundary(pareto, theta, alpha, beta)
-    wc = max(w0, wstar)
-    # upper branch: integral of f(w) * (1 - C / w^alpha) / 2 over [wc, inf)
-    c = a * theta / ((a + beta) * w0 ** beta)
-    surv = (w0 / wc) ** a
-    upper = 0.5 * (surv - c * a * w0 ** a / (a + alpha) * wc ** -(a + alpha))
-    if wstar <= w0:
-        return upper
-    # lower branch: integral of f(w) * K * w^(a*alpha/beta) over [w0, w*)
-    k = w0 ** a * beta / (2.0 * theta ** (a / beta) * (a + beta))
-    e = a * alpha / beta - a
-    if e == 0.0:
-        lower = k * a * w0 ** a * math.log(wstar / w0)
-    else:
-        lower = k * a * w0 ** a * (wstar ** e - w0 ** e) / e
-    return upper + lower
-
-
-def expected_arcs_directed(
-    n: int, pareto: ParetoParams, theta: float, alpha: float, beta: float
-) -> float:
-    if n < 1:
-        raise DomainError(f"node count must be >= 1, got {n}")
-    return n * (n - 1) * p_edge_directed(pareto, theta, alpha, beta)
-
-
-def calibrate_theta_directed(
-    n: int, pareto: ParetoParams, target_arcs: float, alpha: float, beta: float
-) -> float:
-    """Threshold with expected arc count = target_arcs in the directed model."""
-    ordered_pairs = float(n) * (n - 1)
-    if not (0.0 < target_arcs < ordered_pairs / 2.0):
-        raise FeasibilityError(
-            f"target {target_arcs} infeasible for n={n}: must lie in (0, {ordered_pairs / 2.0})"
-        )
-    from scipy import optimize
-
-    p = target_arcs / ordered_pairs
-    hi = _bracket_top(lambda t: p_edge_directed(pareto, t, alpha, beta), pareto.w0 ** (alpha + beta), p)
-    theta = optimize.brentq(
-        lambda t: p_edge_directed(pareto, t, alpha, beta) - p,
-        0.0,
-        hi,
-        xtol=1e-300,
-        rtol=8.9e-16,
-        maxiter=200,
-    )
-    _check_calibrated(expected_arcs_directed(n, pareto, theta, alpha, beta), target_arcs)
-    return theta
-
-
 def p_edge_given_weight_linkfn(
     w: float,
     pareto: ParetoParams,
@@ -307,8 +256,7 @@ def p_edge_given_weight_linkfn(
 
     _check_theta(theta)
     _check_weight(w, pareto)
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
+    _check_exponents(alpha, beta)
     if not h.strictly_increasing:
         raise UnsupportedAnalyticsError(
             "closed-form and quadrature analytics require a strictly increasing link"

@@ -40,12 +40,12 @@ def _add_variant_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_rule(args, theta: float) -> EdgeRule:
+    """The rule of the given flags; EdgeRule rejects a flag that its variant fixes otherwise."""
     variant = Variant(args.variant)
-    if variant is Variant.UNDIRECTED:
-        return EdgeRule.undirected(theta)
-    if variant is Variant.DIRECTED:
-        return EdgeRule.directed(theta, args.alpha, args.beta)
-    return EdgeRule.link_function(theta, args.alpha, args.beta, LinkFn.parse(args.h or "identity"))
+    fixed = 1.0 if variant is Variant.UNDIRECTED else None  # other variants need both flags
+    alpha = fixed if args.alpha is None else args.alpha
+    beta = fixed if args.beta is None else args.beta
+    return EdgeRule(variant, theta, alpha, beta, LinkFn.parse(args.h or "identity"))
 
 
 def _calibrate(args, pareto: ParetoParams) -> tuple[float, float]:
@@ -138,7 +138,7 @@ _ORACLES = {
     "em-linlog": (("n", "D"), lambda args, pareto: analytics.expected_edges_linlog(args.n, args.D, pareto)),
     "pew-directed": (
         ("w", "theta", "alpha", "beta"),
-        lambda args, pareto: analytics.p_edge_given_weight_directed(args.w, pareto, args.theta, args.alpha, args.beta),
+        lambda args, pareto: analytics.p_edge_given_weight(args.w, pareto, args.theta, args.alpha, args.beta),
     ),
     "pew-linkfn": (
         ("w", "theta", "alpha", "beta"),
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=float, default=None)
     c.add_argument("--beta", type=float, default=None)
     c.add_argument("--out-dir", default=None, dest="out_dir")
-    c.set_defaults(func=cmd_calibrate)
+    c.set_defaults(func=cmd_calibrate, h=None)
 
     a = sub.add_parser("analyze", help="fit the degree distribution of an edge list")
     src = a.add_mutually_exclusive_group(required=True)

@@ -10,6 +10,9 @@ that runs it, so the tests can compare the two:
   and the closed forms of `analytics`;
 - the pruning bound: `pair_can_link` states it pair by pair, against the
   pairs `candidate_pairs` reads off the generator's cutoffs;
+- the closed forms: `p_edge_given_weight_undirected` and `p_edge_undirected`
+  are the paper's undirected formulas, against the alpha = beta = 1 case of
+  `p_edge_given_weight` and `p_edge`;
 - the bootstrap: `gof_pvalue` builds every replicate in full.
 """
 
@@ -192,11 +195,35 @@ def linlog_leading_coefficient(D: float, pareto: ParetoParams) -> float:
     return w0 ** (2 * a) / (4.0 * D ** a * (a + 1.0))
 
 
+def p_edge_given_weight_undirected(w: float, pareto: ParetoParams, theta: float) -> float:
+    """The paper's P_e(w) for the undirected rule w_u * w_v * dot >= theta."""
+    a, w0 = pareto.a, pareto.w0
+    if w > theta / w0:
+        return 0.5 * (1.0 - a * theta / (w * (a + 1.0) * w0))
+    return 0.5 * w0 ** a / (theta ** a * (a + 1.0)) * w ** a
+
+
+def p_edge_undirected(pareto: ParetoParams, theta: float) -> float:
+    """The paper's P_e for the undirected rule, with its branch at theta = w0^2."""
+    a, w0 = pareto.a, pareto.w0
+    if theta < w0 ** 2:
+        return 0.5 - 0.5 * (a / (a + 1.0)) ** 2 * theta / w0 ** 2
+    return (
+        w0 ** (2 * a)
+        / (2.0 * theta ** a)
+        * (
+            a * (math.log(theta) - 2.0 * math.log(w0)) / (a + 1.0)
+            - (a / (a + 1.0)) ** 2
+            + 1.0
+        )
+    )
+
+
 def p_edge_given_weight_directed_printed(w: float, pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
     """The directed out-edge probability with the source's printed branch switch.
 
     It switches at (theta / w0^alpha)^(1/beta) instead of the limit-derived
-    w* = (theta / w0^beta)^(1/alpha) of `p_edge_given_weight_directed`; the
+    w* = (theta / w0^beta)^(1/alpha) of `p_edge_given_weight`; the
     two agree only when alpha = beta.
     """
     a, w0 = pareto.a, pareto.w0

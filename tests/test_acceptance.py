@@ -29,7 +29,6 @@ from threshnet import (
     gof_pvalue,
     p_edge,
     p_edge_given_weight,
-    p_edge_given_weight_directed,
     p_wedge,
     run_growth_sweep,
     variance_edges,
@@ -78,15 +77,15 @@ def test_c01_closed_forms_vs_monte_carlo():
         ("wedge", a2w2, 16.0, {}, p_wedge(a2w2, 16.0)),
         (
             "directed_edge_given_weight", a3, 10.0, {"w": 2.0, "alpha": 1.0, "beta": 2.0},
-            p_edge_given_weight_directed(2.0, a3, 10.0, 1.0, 2.0),
+            p_edge_given_weight(2.0, a3, 10.0, 1.0, 2.0),
         ),
         (
             "directed_edge_given_weight", a3, 10.0, {"w": 20.0, "alpha": 1.0, "beta": 2.0},
-            p_edge_given_weight_directed(20.0, a3, 10.0, 1.0, 2.0),
+            p_edge_given_weight(20.0, a3, 10.0, 1.0, 2.0),
         ),
         (
             "directed_edge_given_weight", a2, 0.7, {"w": 1.2, "alpha": 2.0, "beta": 1.0},
-            p_edge_given_weight_directed(1.2, a2, 0.7, 2.0, 1.0),
+            p_edge_given_weight(1.2, a2, 0.7, 2.0, 1.0),
         ),
     ]
     assert len(grid) >= 12
@@ -147,7 +146,7 @@ def test_c04_directed_exponents_and_boundary_arbitration():
             "directed_edge_given_weight", PARETO, 5.0, 10 ** 6, seed=400 + i,
             w=w, alpha=al, beta=be,
         )
-        ours = p_edge_given_weight_directed(w, PARETO, 5.0, al, be)
+        ours = p_edge_given_weight(w, PARETO, 5.0, al, be)
         assert abs(est.estimate - ours) <= 3 * est.stderr, (
             f"alpha={al} beta={be} w={w}: mc={est.estimate} closed={ours}"
         )
@@ -185,7 +184,7 @@ def test_c04_directed_exponents_and_boundary_arbitration():
     u = 0.5 * (nodes_u + 1.0)
     lam = (FIG_N - 1) * np.array(
         [
-            p_edge_given_weight_directed(PARETO.w0 * ui ** (-1.0 / PARETO.a), PARETO, theta, alpha, beta)
+            p_edge_given_weight(PARETO.w0 * ui ** (-1.0 / PARETO.a), PARETO, theta, alpha, beta)
             for ui in u
         ]
     )

@@ -23,9 +23,7 @@ from threshnet import (
     expected_edges_linlog,
     generate,
     p_edge,
-    p_edge_directed,
     p_edge_given_weight,
-    p_edge_given_weight_directed,
     p_edge_given_weight_linkfn,
     p_wedge,
     theta_powerlaw_schedule,
@@ -33,7 +31,14 @@ from threshnet import (
 )
 from threshnet.analytics import directed_branch_boundary
 
-from oracles import degree_pmf_reference, hurwitz_zeta, mc_estimate, p_edge_given_weight_directed_printed
+from oracles import (
+    degree_pmf_reference,
+    hurwitz_zeta,
+    mc_estimate,
+    p_edge_given_weight_directed_printed,
+    p_edge_given_weight_undirected,
+    p_edge_undirected,
+)
 
 
 def test_p_edge_given_weight_known_points(pareto3):
@@ -183,48 +188,61 @@ def test_linlog_validity_region():
         expected_edges_linlog(10, 1.0, pareto)
 
 
-def test_directed_reduces_to_undirected(pareto3):
-    for theta in (0.0, 0.5, 1.0, 4.0, 25.0):
-        assert p_edge_directed(pareto3, theta, 1.0, 1.0) == pytest.approx(
-            p_edge(pareto3, theta), rel=1e-12, abs=1e-15
-        )
-        for w in (1.0, 2.0, 7.0, 40.0):
-            assert p_edge_given_weight_directed(w, pareto3, theta, 1.0, 1.0) == pytest.approx(
-                p_edge_given_weight(w, pareto3, theta), rel=1e-12, abs=1e-15
-            )
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=0.1, max_value=10.0),
+    w0=st.floats(min_value=0.3, max_value=3.0),
+    log10_w=st.floats(min_value=0.0, max_value=2.0),
+    log10_theta=st.floats(min_value=-3.0, max_value=3.0),
+)
+@example(a=3.0, w0=1.0, log10_w=0.0, log10_theta=0.0)  # both branch points
+@example(a=3.0, w0=1.0, log10_w=math.log10(2.0), log10_theta=math.log10(0.5))
+@example(a=3.0, w0=1.0, log10_w=math.log10(7.0), log10_theta=math.log10(4.0))
+@example(a=3.0, w0=1.0, log10_w=math.log10(40.0), log10_theta=math.log10(25.0))
+def test_directed_reduces_to_undirected(a, w0, log10_w, log10_theta):
+    # at their alpha = beta = 1 defaults the closed forms are the paper's undirected ones
+    pareto = ParetoParams(a, w0)
+    w = w0 * 10.0 ** log10_w
+    theta = w0 ** 2 * 10.0 ** log10_theta
+    assert p_edge(pareto, 0.0) == p_edge_undirected(pareto, 0.0) == 0.5
+    assert p_edge_given_weight(w, pareto, 0.0) == p_edge_given_weight_undirected(w, pareto, 0.0) == 0.5
+    assert p_edge(pareto, theta) == pytest.approx(p_edge_undirected(pareto, theta), rel=1e-12)
+    assert p_edge_given_weight(w, pareto, theta) == pytest.approx(
+        p_edge_given_weight_undirected(w, pareto, theta), rel=1e-12
+    )
 
 
 def test_directed_known_point(pareto3):
-    got = p_edge_given_weight_directed(2.0, pareto3, 10.0, 1.0, 2.0)
+    got = p_edge_given_weight(2.0, pareto3, 10.0, 1.0, 2.0)
     assert got == pytest.approx(0.0178885, rel=1e-5)
 
 
 def test_directed_branch_continuity(pareto3):
     for alpha, beta, theta in [(1.0, 2.0, 10.0), (2.0, 1.0, 5.0), (0.7, 1.3, 3.0)]:
         wstar = directed_branch_boundary(pareto3, theta, alpha, beta)
-        lo = p_edge_given_weight_directed(np.nextafter(wstar, 0), pareto3, theta, alpha, beta)
-        hi = p_edge_given_weight_directed(np.nextafter(wstar, np.inf), pareto3, theta, alpha, beta)
+        lo = p_edge_given_weight(np.nextafter(wstar, 0), pareto3, theta, alpha, beta)
+        hi = p_edge_given_weight(np.nextafter(wstar, np.inf), pareto3, theta, alpha, beta)
         assert abs(lo - hi) <= 1e-12
 
 
 def test_printed_boundary_diverges_when_asymmetric(pareto3):
     # the alternate branch switch is only tenable at alpha == beta
     w = 4.0
-    default = p_edge_given_weight_directed(w, pareto3, 10.0, 1.0, 2.0)
+    default = p_edge_given_weight(w, pareto3, 10.0, 1.0, 2.0)
     printed = p_edge_given_weight_directed_printed(w, pareto3, 10.0, 1.0, 2.0)
     assert abs(default - printed) > 0.01
     same = p_edge_given_weight_directed_printed(w, pareto3, 10.0, 1.5, 1.5)
-    assert same == p_edge_given_weight_directed(w, pareto3, 10.0, 1.5, 1.5)
+    assert same == p_edge_given_weight(w, pareto3, 10.0, 1.5, 1.5)
 
 
 def test_directed_p_edge_matches_monte_carlo(pareto3):
     theta, alpha, beta = 6.0, 1.0, 2.0
-    closed = p_edge_directed(pareto3, theta, alpha, beta)
+    closed = p_edge(pareto3, theta, alpha, beta)
     # integrate the conditional against Monte-Carlo weights for the source node
     rng = np.random.default_rng(5)
     ws = pareto3.w0 * (1 - rng.random(20000)) ** (-1 / pareto3.a)
-    emp = np.mean([p_edge_given_weight_directed(w, pareto3, theta, alpha, beta) for w in ws])
-    se = np.std([p_edge_given_weight_directed(w, pareto3, theta, alpha, beta) for w in ws]) / np.sqrt(len(ws))
+    emp = np.mean([p_edge_given_weight(w, pareto3, theta, alpha, beta) for w in ws])
+    se = np.std([p_edge_given_weight(w, pareto3, theta, alpha, beta) for w in ws]) / np.sqrt(len(ws))
     assert abs(emp - closed) <= 4 * se
 
 
@@ -253,6 +271,28 @@ def test_directed_calibration_rejects_missed_root(pareto3, monkeypatch):
         calibrate_theta_directed(10 ** 4, pareto3, 1e5, 1.0, 2.0)
 
 
+def test_directed_calibration_reaches_target_past_float_powers():
+    # the root is theta = 1e154; one doubling past it (theta / w0^beta)^(1/alpha) overflows a float
+    pareto = ParetoParams(1.0, 1.0)
+    theta = calibrate_theta_directed(2, pareto, 1e-154, 0.5, 1.0)
+    assert abs(expected_arcs_directed(2, pareto, theta, 0.5, 1.0) - 1e-154) <= 1e-10 * 1e-154
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    a=st.floats(min_value=0.05, max_value=10.0),
+    w0=st.floats(min_value=0.1, max_value=10.0),
+    alpha=st.floats(min_value=0.05, max_value=1e5),
+    beta=st.floats(min_value=0.05, max_value=1e5),
+    theta=st.floats(min_value=0.0, max_value=1e308),
+)
+@example(a=10.0, w0=1.0, alpha=1.0, beta=0.05, theta=1e308)  # theta ** (a / beta) overflows a float
+@example(a=3.0, w0=2.0, alpha=2000.0, beta=1.0, theta=1.0)  # w0 ** (alpha + beta) overflows a float
+def test_p_edge_is_a_probability_at_any_threshold(a, w0, alpha, beta, theta):
+    pe = p_edge(ParetoParams(a, w0), theta, alpha, beta)
+    assert 0.0 <= pe <= 0.5
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=10 ** 7),
@@ -262,11 +302,11 @@ def test_directed_calibration_rejects_missed_root(pareto3, monkeypatch):
     alpha=st.floats(min_value=0.05, max_value=1e5),
     beta=st.floats(min_value=0.05, max_value=1e5),
 )
-# the closed form turns NaN, or no finite threshold is high enough
+# no finite threshold is high enough
 @example(n=1000, a=0.05, log10_frac=-305.4, directed=False, alpha=1.0, beta=1.0)
 @example(n=1000, a=3.0, log10_frac=-5.7, directed=True, alpha=2.0, beta=1e5)
 @example(n=1000, a=0.05, log10_frac=-205.7, directed=True, alpha=1.0, beta=1.0)
-# a float power in the closed form overflows before the bracket closes
+# roots past 1e154, where a float power of theta would overflow
 @example(n=2, a=2.0, log10_frac=-306.0, directed=False, alpha=1.0, beta=1.0)
 @example(n=2, a=1.0, log10_frac=-154.0, directed=True, alpha=1.0, beta=0.5)
 def test_calibration_round_trip_or_threshnet_error(n, a, log10_frac, directed, alpha, beta):
@@ -296,7 +336,7 @@ def test_linkfn_identity_matches_directed(pareto3):
         (12.0, 20.0, 0.5, 1.5),
     ]:
         quad = p_edge_given_weight_linkfn(w, pareto3, theta, alpha, beta, ident)
-        closed = p_edge_given_weight_directed(w, pareto3, theta, alpha, beta)
+        closed = p_edge_given_weight(w, pareto3, theta, alpha, beta)
         assert quad == pytest.approx(closed, rel=1e-7, abs=1e-10)
 
 

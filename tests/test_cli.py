@@ -142,8 +142,11 @@ def test_calibrate_infeasible_exits_one(capsys):
          "--target-edges", "1"],
         ["calibrate", "--n", "1000", "--a", "0.05", "--variant", "directed", "--alpha", "1", "--beta", "1",
          "--target-edges", "1e-200"],
+        ["calibrate", "--n", "1000", "--a", "3", "--w0", "2", "--variant", "directed", "--alpha", "2000",
+         "--beta", "1", "--target-edges", "10"],
     ],
-    ids=["tiny-target", "directed-large-beta", "generate-directed-large-beta", "directed-tiny-target"],
+    ids=["tiny-target", "directed-large-beta", "generate-directed-large-beta", "directed-tiny-target",
+         "directed-w0-power-beyond-floats"],
 )
 def test_calibration_without_finite_bracket_exits_one(tmp_path, capsys, argv):
     # the threshold bracket doubles up to the largest double, then gives up
@@ -175,12 +178,15 @@ _SWEEP = ["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "
         (["calibrate", "--n", "1000", "--a", "3", "--variant", "directed", "--target-edges", "10"], 1),
         (_SWEEP + ["--seeds", "0"], 1),
         (_SWEEP + ["--seeds", "-1"], 1),
+        (["generate", "--n", "100", "--a", "3", "--theta", "1", "--alpha", "2", "--h", "exp"], 1),
+        (["generate", "--n", "100", "--a", "3", "--theta", "1", "--variant", "directed", "--alpha", "2",
+          "--beta", "1", "--h", "exp"], 1),
     ],
     ids=[
         "h-bad-m", "h-bad-c", "oracle-h-bad-m", "ns-not-integer", "pe-no-theta", "var-no-theta", "pew-no-w",
         "em-linlog-no-n", "pew-directed-no-alpha-beta", "pew-directed-no-beta",
         "generate-directed-target-no-alpha-beta", "calibrate-directed-no-alpha-beta", "sweep-zero-seeds",
-        "sweep-negative-seeds",
+        "sweep-negative-seeds", "undirected-alpha-and-h", "directed-h",
     ],
 )
 def test_bad_value_gives_error_line(tmp_path, capsys, monkeypatch, argv, want):
