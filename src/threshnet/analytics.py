@@ -9,6 +9,7 @@ P(dot >= t) = (1 - t) / 2 when t is in [0, 1].
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -181,13 +182,17 @@ def calibrate_theta_directed(
 def _solve_theta(pareto: ParetoParams, p: float, alpha: float, beta: float) -> float:
     """The threshold at which p_edge falls to p, which lies in (0, 1/2).
 
-    p_edge is 1/2 at theta = 0 and decreasing; the bracket's top doubles up
-    from theta = 1 and stops at the largest finite double, where a p_edge
-    still above p gives FeasibilityError.
+    p_edge is 1/2 at theta = 0, decreasing, and linear in theta up to
+    w0^(alpha+beta) (r = 1).  The bracket's top starts there, taken from logs
+    and clamped to the normal doubles, and doubles until p_edge is at most p,
+    so the root is on the linear part or within a factor of 2 of the top.
+    A p_edge still above p at the largest finite double gives
+    FeasibilityError.
     """
     from scipy import optimize
 
-    hi = 1.0
+    log_top = (alpha + beta) * math.log(pareto.w0)
+    hi = math.exp(min(max(log_top, math.log(sys.float_info.min)), math.log(sys.float_info.max)))
     while p_edge(pareto, hi, alpha, beta) > p:
         if math.isinf(2.0 * hi):
             raise FeasibilityError(f"edge probability stays above {p} at every finite threshold")

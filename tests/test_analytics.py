@@ -196,9 +196,6 @@ def test_linlog_validity_region():
     log10_theta=st.floats(min_value=-3.0, max_value=3.0),
 )
 @example(a=3.0, w0=1.0, log10_w=0.0, log10_theta=0.0)  # both branch points
-@example(a=3.0, w0=1.0, log10_w=math.log10(2.0), log10_theta=math.log10(0.5))
-@example(a=3.0, w0=1.0, log10_w=math.log10(7.0), log10_theta=math.log10(4.0))
-@example(a=3.0, w0=1.0, log10_w=math.log10(40.0), log10_theta=math.log10(25.0))
 def test_directed_reduces_to_undirected(a, w0, log10_w, log10_theta):
     # at their alpha = beta = 1 defaults the closed forms are the paper's undirected ones
     pareto = ParetoParams(a, w0)
@@ -210,6 +207,15 @@ def test_directed_reduces_to_undirected(a, w0, log10_w, log10_theta):
     assert p_edge_given_weight(w, pareto, theta) == pytest.approx(
         p_edge_given_weight_undirected(w, pareto, theta), rel=1e-12
     )
+
+
+def test_directed_reduces_to_undirected_on_grid(pareto3):
+    for theta in (0.0, 0.5, 1.0, 4.0, 25.0):
+        assert p_edge(pareto3, theta) == pytest.approx(p_edge_undirected(pareto3, theta), rel=1e-12, abs=1e-15)
+        for w in (1.0, 2.0, 7.0, 40.0):
+            assert p_edge_given_weight(w, pareto3, theta) == pytest.approx(
+                p_edge_given_weight_undirected(w, pareto3, theta), rel=1e-12, abs=1e-15
+            )
 
 
 def test_directed_known_point(pareto3):
@@ -278,6 +284,18 @@ def test_directed_calibration_reaches_target_past_float_powers():
     assert abs(expected_arcs_directed(2, pareto, theta, 0.5, 1.0) - 1e-154) <= 1e-10 * 1e-154
 
 
+def test_calibration_root_far_below_one_round_trips():
+    # roots near 4e-59 and 1e-20: brentq on [0, 1] takes more than its 200
+    # iterations to close on the first, so the bracket starts at w0^(alpha+beta)
+    pareto = ParetoParams(3.0, 1e-30)
+    theta = calibrate_theta(1000, pareto, 10.0)
+    assert abs(expected_edges(1000, pareto, theta) - 10.0) <= 1e-10 * 10.0
+    pareto = ParetoParams(3.0, 0.5)
+    target = expected_arcs_directed(1000, pareto, 1e-20, 50.0, 50.0)
+    theta = calibrate_theta_directed(1000, pareto, target, 50.0, 50.0)
+    assert theta == pytest.approx(1e-20, rel=1e-12)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     a=st.floats(min_value=0.05, max_value=10.0),
@@ -301,18 +319,21 @@ def test_p_edge_is_a_probability_at_any_threshold(a, w0, alpha, beta, theta):
     directed=st.booleans(),
     alpha=st.floats(min_value=0.05, max_value=1e5),
     beta=st.floats(min_value=0.05, max_value=1e5),
+    log10_w0=st.floats(min_value=-30.0, max_value=1.0),
 )
 # no finite threshold is high enough
-@example(n=1000, a=0.05, log10_frac=-305.4, directed=False, alpha=1.0, beta=1.0)
-@example(n=1000, a=3.0, log10_frac=-5.7, directed=True, alpha=2.0, beta=1e5)
-@example(n=1000, a=0.05, log10_frac=-205.7, directed=True, alpha=1.0, beta=1.0)
+@example(n=1000, a=0.05, log10_frac=-305.4, directed=False, alpha=1.0, beta=1.0, log10_w0=0.0)
+@example(n=1000, a=3.0, log10_frac=-5.7, directed=True, alpha=2.0, beta=1e5, log10_w0=0.0)
+@example(n=1000, a=0.05, log10_frac=-205.7, directed=True, alpha=1.0, beta=1.0, log10_w0=0.0)
 # roots past 1e154, where a float power of theta would overflow
-@example(n=2, a=2.0, log10_frac=-306.0, directed=False, alpha=1.0, beta=1.0)
-@example(n=2, a=1.0, log10_frac=-154.0, directed=True, alpha=1.0, beta=0.5)
-def test_calibration_round_trip_or_threshnet_error(n, a, log10_frac, directed, alpha, beta):
+@example(n=2, a=2.0, log10_frac=-306.0, directed=False, alpha=1.0, beta=1.0, log10_w0=0.0)
+@example(n=2, a=1.0, log10_frac=-154.0, directed=True, alpha=1.0, beta=0.5, log10_w0=0.0)
+# w0^(alpha+beta) below the smallest normal double
+@example(n=1000, a=3.0, log10_frac=-3.0, directed=True, alpha=1e5, beta=1e5, log10_w0=-30.0)
+def test_calibration_round_trip_or_threshnet_error(n, a, log10_frac, directed, alpha, beta, log10_w0):
     # a target anywhere in the feasible range (0, top) either comes back from
     # its threshold to 1e-10 or is refused with a ThreshnetError
-    pareto = ParetoParams(a, 1.0)
+    pareto = ParetoParams(a, 10.0 ** log10_w0)
     top = n * (n - 1) / 2.0 if directed else n * (n - 1) / 4.0
     target = top * 10.0 ** log10_frac
     try:
