@@ -46,15 +46,6 @@ def _check_exponents(alpha: float, beta: float) -> None:
         raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
 
 
-def directed_branch_boundary(pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
-    """Weight at which the two integration regimes of P_e(w) meet.
-
-    This is where max{w0, theta^(1/beta) / w^(alpha/beta)} switches:
-    w* = (theta / w0^beta)^(1/alpha).
-    """
-    return (theta / pareto.w0 ** beta) ** (1.0 / alpha)
-
-
 def p_edge_given_weight(
     w: float, pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float = 1.0
 ) -> float:
@@ -62,15 +53,20 @@ def p_edge_given_weight(
 
     The rule is w^alpha * w'^beta * dot >= theta; alpha = beta = 1 is the
     undirected model.  Branches switch at the limit-derived
-    w* = (theta/w0^beta)^(1/alpha).
+    w* = (theta/w0^beta)^(1/alpha), where w^alpha * w0^beta = theta.  The
+    switch and the lower branch, a power of w^alpha * w0^beta / theta <= 1,
+    are taken from logs, so no power of theta overflows.
     """
     _check_theta(theta)
     _check_weight(w, pareto)
     _check_exponents(alpha, beta)
+    if theta == 0.0:
+        return 0.5
     a, w0 = pareto.a, pareto.w0
-    if w > directed_branch_boundary(pareto, theta, alpha, beta):
+    log_ratio = alpha * math.log(w) + beta * math.log(w0) - math.log(theta)
+    if log_ratio > 0.0:
         return 0.5 * (1.0 - a * theta / (w ** alpha * (a + beta) * w0 ** beta))
-    return w ** (a * alpha / beta) * w0 ** a / (2.0 * theta ** (a / beta)) * beta / (a + beta)
+    return 0.5 * beta / (a + beta) * math.exp(a / beta * log_ratio)
 
 
 def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float = 1.0) -> float:
@@ -128,14 +124,11 @@ def p_wedge(pareto: ParetoParams, theta: float) -> float:
             - 0.5 * r ** 2 * theta / w0 ** 2
             + 0.25 * a ** 3 * theta ** 2 / ((a + 1.0) ** 2 * (a + 2.0) * w0 ** 4)
         )
-    head = 0.25 * w0 ** (2 * a) / (theta ** (2 * a) * (a + 1.0) ** 2) * (theta ** a - w0 ** (2 * a))
-    tail = (
-        0.25
-        * w0 ** (2 * a)
-        / theta ** a
-        * (1.0 - 2.0 * r ** 2 + a ** 3 / ((a + 1.0) ** 2 * (a + 2.0)))
-    )
-    return head + tail
+    # s = (w0^2 / theta)^a <= 1, from logs so that no power overflows
+    log_s = a * (2.0 * math.log(w0) - math.log(theta))
+    head = -math.expm1(log_s) / (a + 1.0) ** 2
+    tail = 1.0 - 2.0 * r ** 2 + a ** 3 / ((a + 1.0) ** 2 * (a + 2.0))
+    return 0.25 * math.exp(log_s) * (head + tail)
 
 
 def variance_edges(n: int, pareto: ParetoParams, theta: float) -> float:

@@ -3,16 +3,18 @@
 Each reference restates a rule of the package independently of the code
 that runs it, so the tests can compare the two:
 
-- node sampling: `SubStream`, `sample_weight` and `sample_direction` draw
-  one value at a time, against the vectorized `sample_node_table`;
+- node sampling: `SubStream`, over its own SplitMix64 on Python ints
+  (`splitmix64`), and `sample_weight` and `sample_direction` draw one value
+  at a time, against `streams` and the vectorized `sample_node_table`;
 - the edge rule: `edge_exists` decides one pair, `generate_naive` every pair
   with no pruning, `mc_estimate` fresh random pairs, all against `generate`
   and the closed forms of `analytics`;
 - the pruning bound: `pair_can_link` states it pair by pair, against the
   pairs `candidate_pairs` reads off the generator's cutoffs;
-- the closed forms: `p_edge_given_weight_undirected` and `p_edge_undirected`
-  are the paper's undirected formulas, against the alpha = beta = 1 case of
-  `p_edge_given_weight` and `p_edge`;
+- the closed forms: `p_edge_given_weight_undirected`, `p_edge_undirected`
+  and `p_wedge_paper` are the paper's formulas, taken as printed, against
+  `p_edge_given_weight` and `p_edge` at alpha = beta = 1 and against
+  `p_wedge`, which are written so that no power overflows;
 - the bootstrap: `gof_pvalue` builds every replicate in full.
 """
 
@@ -36,7 +38,6 @@ from threshnet import (
 )
 from threshnet.generator import _canonical, _partner_cutoffs, _weight_order
 from threshnet.statfit import _INT64_TOP_FLOAT, _TABLE_SPAN, FitResult, GofResult, _mle_alpha, _zeta_cdf
-from threshnet.streams import _GOLDEN, _INV_2_64, mix64, substream_key
 
 
 def hurwitz_zeta(s: float, x: float = 1.0) -> float:
@@ -64,19 +65,28 @@ def with_p_value(fit: FitResult, gof: GofResult) -> FitResult:
 # --- node sampling, one draw at a time ---------------------------------------
 
 
+_MASK64 = 2 ** 64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(x: int) -> int:
+    """SplitMix64 finalizer of a Python int in [0, 2^64), mod 2^64."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
+
+
 class SubStream:
     """Scalar handle over one node's substream; draws values sequentially."""
 
     def __init__(self, seed: int, node_id: int):
-        self._key = substream_key(seed, node_id)
+        self._key = splitmix64(seed ^ splitmix64((node_id + 1) * _GOLDEN & _MASK64))
         self._count = 0
 
     def next_uniform(self) -> float:
         """Next uniform draw in [0, 1); draw j equals column j-1 of `substream_uniforms`."""
         self._count += 1
-        with np.errstate(over="ignore"):
-            raw = mix64(self._key + np.uint64(self._count) * _GOLDEN)
-        return float(raw) * _INV_2_64
+        return float(splitmix64((self._key + self._count * _GOLDEN) & _MASK64)) * 2.0 ** -64
 
     def uniforms(self, k: int) -> np.ndarray:
         return np.array([self.next_uniform() for _ in range(k)])
@@ -217,6 +227,22 @@ def p_edge_undirected(pareto: ParetoParams, theta: float) -> float:
             + 1.0
         )
     )
+
+
+def p_wedge_paper(pareto: ParetoParams, theta: float) -> float:
+    """The paper's wedge probability, with its branch at theta = w0^2, in powers of theta."""
+    a, w0 = pareto.a, pareto.w0
+    r = a / (a + 1.0)
+    if theta < w0 ** 2:
+        return 0.25 - 0.5 * r ** 2 * theta / w0 ** 2 + 0.25 * a ** 3 * theta ** 2 / ((a + 1.0) ** 2 * (a + 2.0) * w0 ** 4)
+    head = 0.25 * w0 ** (2 * a) / (theta ** (2 * a) * (a + 1.0) ** 2) * (theta ** a - w0 ** (2 * a))
+    tail = 0.25 * w0 ** (2 * a) / theta ** a * (1.0 - 2.0 * r ** 2 + a ** 3 / ((a + 1.0) ** 2 * (a + 2.0)))
+    return head + tail
+
+
+def directed_branch_boundary(pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
+    """The weight w* = (theta / w0^beta)^(1/alpha) at which the two branches of P_e(w) meet."""
+    return (theta / pareto.w0 ** beta) ** (1.0 / alpha)
 
 
 def p_edge_given_weight_directed_printed(w: float, pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:

@@ -33,10 +33,15 @@ from threshnet import (
     run_growth_sweep,
     variance_edges,
 )
-from threshnet.analytics import directed_branch_boundary
 from threshnet.generator import degree_sequence
 
-from oracles import ccdf_loglog_slope, generate_naive, mc_estimate, p_edge_given_weight_directed_printed
+from oracles import (
+    ccdf_loglog_slope,
+    directed_branch_boundary,
+    generate_naive,
+    mc_estimate,
+    p_edge_given_weight_directed_printed,
+)
 
 PARETO = ParetoParams(a=3.0, w0=1.0)
 FIG_N = 300000

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,15 +30,16 @@ from threshnet import (
     theta_powerlaw_schedule,
     variance_edges,
 )
-from threshnet.analytics import directed_branch_boundary
 
 from oracles import (
     degree_pmf_reference,
+    directed_branch_boundary,
     hurwitz_zeta,
     mc_estimate,
     p_edge_given_weight_directed_printed,
     p_edge_given_weight_undirected,
     p_edge_undirected,
+    p_wedge_paper,
 )
 
 
@@ -238,7 +240,8 @@ def test_printed_boundary_diverges_when_asymmetric(pareto3):
     printed = p_edge_given_weight_directed_printed(w, pareto3, 10.0, 1.0, 2.0)
     assert abs(default - printed) > 0.01
     same = p_edge_given_weight_directed_printed(w, pareto3, 10.0, 1.5, 1.5)
-    assert same == p_edge_given_weight(w, pareto3, 10.0, 1.5, 1.5)
+    # the printed powers of theta and the log form round differently
+    assert same == pytest.approx(p_edge_given_weight(w, pareto3, 10.0, 1.5, 1.5), rel=1e-13)
 
 
 def test_directed_p_edge_matches_monte_carlo(pareto3):
@@ -309,6 +312,56 @@ def test_calibration_root_far_below_one_round_trips():
 def test_p_edge_is_a_probability_at_any_threshold(a, w0, alpha, beta, theta):
     pe = p_edge(ParetoParams(a, w0), theta, alpha, beta)
     assert 0.0 <= pe <= 0.5
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    a=st.floats(min_value=0.05, max_value=10.0),
+    w0=st.floats(min_value=0.1, max_value=10.0),
+    alpha=st.floats(min_value=0.05, max_value=20.0),
+    beta=st.floats(min_value=0.05, max_value=20.0),
+    log10_w=st.floats(min_value=0.0, max_value=10.0),
+    theta=st.floats(min_value=0.0, max_value=sys.float_info.max),
+)
+@example(a=3.0, w0=1.0, alpha=1.0, beta=0.5, log10_w=math.log10(2.0), theta=1e300)  # theta ** (a / beta) overflows
+@example(a=10.0, w0=1.0, alpha=1.0, beta=1.0, log10_w=0.0, theta=1e40)  # theta ** (2 * a) overflows
+@example(a=0.05, w0=10.0, alpha=20.0, beta=20.0, log10_w=10.0, theta=sys.float_info.max)
+def test_p_edge_given_weight_and_p_wedge_are_probabilities_at_any_threshold(a, w0, alpha, beta, log10_w, theta):
+    pareto = ParetoParams(a, w0)
+    assert 0.0 <= p_edge_given_weight(w0 * 10.0 ** log10_w, pareto, theta, alpha, beta) <= 0.5
+    assert 0.0 <= p_wedge(pareto, theta) <= 0.25
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    a=st.floats(min_value=0.5, max_value=5.0),
+    w0=st.floats(min_value=0.1, max_value=10.0),
+    alpha=st.floats(min_value=0.5, max_value=3.0),
+    beta=st.floats(min_value=0.5, max_value=3.0),
+    log10_w=st.floats(min_value=0.0, max_value=6.0),
+    log10_theta=st.floats(min_value=-3.0, max_value=308.0),
+)
+def test_closed_forms_agree_with_paper_forms_where_those_are_finite(a, w0, alpha, beta, log10_w, log10_theta):
+    # the log forms agree with the printed powers of theta to 1e-13 wherever
+    # the printed forms neither overflow nor leave the normal doubles; below
+    # 1e-150 rounding the exponent alone comes close to 1e-13
+    pareto = ParetoParams(a, w0)
+    w, theta = w0 * 10.0 ** log10_w, 10.0 ** log10_theta
+    try:
+        # the printed P_e(w) switches elsewhere unless alpha = beta; compare where both are on the lower branch
+        lower = w <= min(directed_branch_boundary(pareto, theta, alpha, beta), (theta / w0 ** alpha) ** (1.0 / beta))
+        printed = p_edge_given_weight_directed_printed(w, pareto, theta, alpha, beta) if lower else None
+    except OverflowError:
+        printed = None
+    if printed is not None and printed >= 1e-150:
+        assert p_edge_given_weight(w, pareto, theta, alpha, beta) == pytest.approx(printed, rel=1e-13)
+    try:
+        paper = p_wedge_paper(pareto, theta)
+    except OverflowError:
+        paper = None
+    # the printed form's w0^(4a) / theta^(2a) goes subnormal past this point
+    if paper is not None and 2.0 * a * math.log(theta / w0 ** 2) < 690.0:
+        assert p_wedge(pareto, theta) == pytest.approx(paper, rel=1e-13)
 
 
 @settings(max_examples=300, deadline=None)

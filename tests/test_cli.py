@@ -102,6 +102,22 @@ def test_oracle_values(capsys):
     assert float(out.splitlines()[0]) == 0.75
 
 
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        (["pew-directed", "--a", "3", "--theta", "1e300", "--w", "2", "--alpha", "1", "--beta", "0.5"], 0.5),
+        (["pwedge", "--a", "10", "--theta", "1e40"], 0.25),
+        (["var", "--a", "10", "--n", "100", "--theta", "1e40"], (100 * 99 / 2) ** 2 / 4),  # Popoviciu
+    ],
+    ids=["pew-directed", "pwedge", "var"],
+)
+def test_oracle_past_float_powers_of_theta_prints_a_value(capsys, argv, top):
+    # theta ** (a / beta) and theta ** (2 * a) overflow a float at these thresholds
+    code, out, _ = run(capsys, "oracle", *argv)
+    assert code == 0
+    assert 0.0 <= float(out.splitlines()[0]) <= top
+
+
 def test_oracle_domain_error_exits_one(capsys):
     code, _, err = run(capsys, "oracle", "pe", "--a", "3", "--w0", "1", "--theta", "-1")
     assert code == 1

@@ -14,8 +14,10 @@ from threshnet import (
     degree_sequence,
     generate,
 )
-from threshnet.model import Variant
+from threshnet.generator import _weight_order
+from threshnet.model import Variant, sample_node_table
 
+import oracles
 from oracles import candidate_pairs, generate_naive, pair_can_link
 
 
@@ -104,6 +106,51 @@ def _pairs_that_can_link(weights, rule, theta):
     i, j = np.triu_indices(len(weights), 1)
     ok = pair_can_link(weights[i], weights[j], replace(rule, theta=theta))
     return set(zip(i[ok].tolist(), j[ok].tolist()))
+
+
+def _tied_node_table(n, seed, pareto, d):
+    weights, dirs = sample_node_table(n, seed, pareto, d)
+    return np.round(weights, 1), dirs  # w0 = 1, so every rounded weight stays >= w0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["undirected", "directed", "exp"]),
+    a=st.floats(1.5, 4.0),
+    scale=st.floats(0.0, 12.0),
+    alpha=st.floats(0.5, 3.0),
+    beta=st.floats(0.5, 3.0),
+    n=st.integers(380, 420),
+    seed=st.integers(0, 2 ** 63 - 1),
+)
+def test_tied_weights_give_naive_edges_and_tie_free_candidate_count(kind, a, scale, alpha, beta, n, seed):
+    # weights rounded to 0.1 tie in long runs, which the weight sort may put in any order
+    if kind == "undirected":
+        rule = EdgeRule.undirected(scale)
+    elif kind == "directed":
+        rule = EdgeRule.directed(scale, alpha, beta)
+    else:
+        rule = EdgeRule.link_function(scale, alpha, beta, LinkFn.exp())
+    config = _config(n, rule.theta, seed=seed, rule=rule, pareto=ParetoParams(a, 1.0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("threshnet.generator.sample_node_table", _tied_node_table)
+        patch.setattr(oracles, "sample_node_table", _tied_node_table)
+        pruned = generate(config)
+        naive = generate_naive(config)
+    assert len(np.unique(pruned.weights)) < n // 2
+    assert np.array_equal(pruned.edges, naive.edges)
+    # the candidates are the unordered pairs whose weights can reach theta,
+    # a count that no order of tied weights changes, up to the pruner's slack
+    surely = _pairs_that_can_link(pruned.weights, rule, rule.theta * (1 + 1e-9))
+    at_most = _pairs_that_can_link(pruned.weights, rule, rule.theta * (1 - 1e-9))
+    assert len(surely) <= pruned.n_candidates <= len(at_most)
+
+
+def test_weight_order_is_a_descending_permutation():
+    weights = np.round(1.0 + np.random.default_rng(3).pareto(2.0, 5000), 1)
+    order = _weight_order(weights)
+    assert np.array_equal(np.sort(order), np.arange(len(weights)))
+    assert np.all(np.diff(weights[order]) <= 0)
 
 
 def test_edge_guard_fires_while_deciding(monkeypatch):

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from threshnet.streams import mix64, substream_key, substream_uniforms
+from threshnet.streams import _BLOCK, mix64, substream_key, substream_uniforms
 
-from oracles import SubStream
+from oracles import SubStream, splitmix64
 
 
 def test_mix64_scalar_array_agree():
@@ -51,3 +53,45 @@ def test_seed_changes_stream():
     a = substream_uniforms(1, np.arange(10), 3)
     b = substream_uniforms(2, np.arange(10), 3)
     assert not np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 64 - 1),
+    count=st.sampled_from([3, 4, 5, 6]),  # the node table draws 3 at d = 3, else 1 + d
+    length=st.sampled_from(["one", "block-1", "block", "block+1", "two-blocks+1"]),
+    ids_seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_substream_uniforms_match_scalar_oracle(seed, count, length, ids_seed):
+    # row blocks of _BLOCK // count rows; lengths at and around one block edge
+    rows = _BLOCK // count
+    size = {"one": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1, "two-blocks+1": 2 * rows + 1}[length]
+    ids = np.random.default_rng(ids_seed).integers(0, 2 ** 63, size)  # not contiguous, nor sorted
+    table = substream_uniforms(seed, ids, count)
+    assert table.shape == (size, count) and table.dtype == np.float64
+    oracle = [SubStream(seed, int(i)).uniforms(count) for i in ids]
+    assert np.array_equal(table, np.array(oracle))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.uint64(2 ** 64 - 1),
+        12345,
+        np.array(7, dtype=np.uint64),
+        np.arange(0, 2 ** 63, 2 ** 59, dtype=np.uint64).reshape(4, 4),
+        np.arange(_BLOCK + 1, dtype=np.uint64),
+    ],
+    ids=["numpy-scalar", "int", "0-d", "2-d", "block+1"],
+)
+def test_mix64_keeps_shape_and_dtype(x):
+    out = mix64(x)
+    assert out.shape == np.shape(x)
+    assert out.dtype == np.uint64
+    assert [int(v) for v in out.ravel()] == [splitmix64(int(v)) for v in np.ravel(x)]
+
+
+def test_mix64_leaves_its_input_alone():
+    x = np.arange(5, dtype=np.uint64)
+    mix64(x)
+    assert np.array_equal(x, np.arange(5))
