@@ -54,8 +54,9 @@ def p_edge_given_weight(
     The rule is w^alpha * w'^beta * dot >= theta; alpha = beta = 1 is the
     undirected model.  Branches switch at the limit-derived
     w* = (theta/w0^beta)^(1/alpha), where w^alpha * w0^beta = theta.  The
-    switch and the lower branch, a power of w^alpha * w0^beta / theta <= 1,
-    are taken from logs, so no power of theta overflows.
+    switch and both branches are powers of w^alpha * w0^beta / theta taken
+    from logs, at most 1 in the lower branch and its inverse in the upper, so
+    no power of theta, w or w0 overflows.
     """
     _check_theta(theta)
     _check_weight(w, pareto)
@@ -65,7 +66,7 @@ def p_edge_given_weight(
     a, w0 = pareto.a, pareto.w0
     log_ratio = alpha * math.log(w) + beta * math.log(w0) - math.log(theta)
     if log_ratio > 0.0:
-        return 0.5 * (1.0 - a * theta / (w ** alpha * (a + beta) * w0 ** beta))
+        return 0.5 * (1.0 - a / (a + beta) * math.exp(-log_ratio))
     return 0.5 * beta / (a + beta) * math.exp(a / beta * log_ratio)
 
 
@@ -118,12 +119,9 @@ def p_wedge(pareto: ParetoParams, theta: float) -> float:
     _check_theta(theta)
     a, w0 = pareto.a, pareto.w0
     r = a / (a + 1.0)
-    if theta < w0 ** 2:
-        return (
-            0.25
-            - 0.5 * r ** 2 * theta / w0 ** 2
-            + 0.25 * a ** 3 * theta ** 2 / ((a + 1.0) ** 2 * (a + 2.0) * w0 ** 4)
-        )
+    t = theta / w0 / w0  # quotients, not w0^2, so that nothing overflows
+    if t < 1.0:
+        return 0.25 - 0.5 * r ** 2 * t + 0.25 * a ** 3 * t * t / ((a + 1.0) ** 2 * (a + 2.0))
     # s = (w0^2 / theta)^a <= 1, from logs so that no power overflows
     log_s = a * (2.0 * math.log(w0) - math.log(theta))
     head = -math.expm1(log_s) / (a + 1.0) ** 2
@@ -213,19 +211,22 @@ def expected_edges_linlog(n: int, D: float, pareto: ParetoParams) -> float:
     """Exact expected edge count under theta(n) = D * n^(1/a).
 
     Valid once D * n^(1/a) >= w0^2; equals expected_edges at that threshold.
-    Leading coefficient of n*ln(n) is w0^(2a) / (4 D^a (a+1)).
+    Leading coefficient of n*ln(n) is w0^(2a) / (4 D^a (a+1)).  The powers
+    w0^(2a) / D^a are taken from logs: inside the validity region they are
+    at most n, outside it the check compares logs, so neither overflows.
     """
     a, w0 = pareto.a, pareto.w0
     if not (D > 0):
         raise DomainError(f"schedule coefficient must be positive, got D={D}")
-    if n < w0 ** (2 * a) / D ** a:
+    log_scale = a * (2.0 * math.log(w0) - math.log(D))
+    if n < 1 or math.log(n) < log_scale:
         raise DomainError(
-            f"n={n} below validity region n >= w0^(2a)/D^a = {w0 ** (2 * a) / D ** a}"
+            f"n={n} below validity region ln n >= a (2 ln w0 - ln D) = {log_scale}"
         )
     return (
         (n - 1)
-        * w0 ** (2 * a)
-        / (4.0 * D ** a)
+        * math.exp(log_scale)
+        / 4.0
         * (
             math.log(n) / (a + 1.0)
             - (a / (a + 1.0)) ** 2

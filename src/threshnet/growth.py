@@ -86,11 +86,11 @@ def run_growth_sweep(
         for n in ns:
             theta = schedule.theta_for(n, pareto)
             config = ModelConfig(n=n, d=3, pareto=pareto, rule=EdgeRule.undirected(theta), seed=seed)
-            graph = generate(config)
+            m = generate(config).n_edges  # the graph is freed before the next n is sampled
             points.append(
                 GrowthPoint(
                     n=n,
-                    m=graph.n_edges,
+                    m=m,
                     em=analytics.expected_edges(n, pareto, theta),
                     var=analytics.variance_edges(n, pareto, theta) if n >= 2 else 0.0,
                     theta=theta,

@@ -8,14 +8,17 @@ smaller id first, directed arcs as (source, target).
 The table writers format `_CHUNK_ROWS` rows at a time with a single
 `%`-format over Python values (`'%.17g' % x` is the same string as
 `format(x, '.17g')`), so their bytes equal a row-by-row write while the
-transient strings stay bounded.  The readers parse line by line and report
-a malformed line as `path:line`, and bytes that are not UTF-8 as `path`.
+transient strings stay bounded.  An edge file in exactly the form
+`write_edges_tsv` emits is parsed in one pass; every other input is parsed
+line by line, which reports a malformed line as `path:line`.  Bytes that are
+not UTF-8 are reported as `path`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -26,6 +29,13 @@ _FLOAT_FMT = ".17g"
 # Rows formatted per write: bounds the transient value tuple and string.
 _CHUNK_ROWS = 1 << 16
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# Lines as `write_edges_tsv` emits them for non-negative ids: no sign, no
+# leading zero, at most 18 digits (so inside int64), one tab, and "\n".
+_ID = "(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_EDGES = re.compile(rf"(?:{_ID}\t{_ID}\n)+")
+# Characters per fullmatch call: the regex engine keeps a backtracking record
+# per repeated line, about 60 MB for one call over 216k lines.
+_MATCH_CHARS = 1 << 16
 
 
 @contextmanager
@@ -81,7 +91,24 @@ def write_edges_tsv(path, edges: np.ndarray) -> None:
             fh.write("%d\t%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
+def _is_canonical(text: str) -> bool:
+    """Whether `text` is one or more lines as `write_edges_tsv` emits them."""
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + _MATCH_CHARS) + 1 or len(text)
+        if not _CANONICAL_EDGES.fullmatch(text, lo, hi):
+            return False
+        lo = hi
+    return lo > 0
+
+
 def read_edges_tsv(path) -> np.ndarray:
+    with _read_text(path, newline="") as fh:
+        text = fh.read()
+    if _is_canonical(text):
+        # text mode splits at any whitespace and makes no copy of the text
+        return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+    del text  # any other file is read again, one line at a time
     rows = []
     with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionError, DomainError
-from .streams import substream_uniforms
+from .streams import _BLOCK, substream_uniforms
 
 
 @dataclass(frozen=True)
@@ -234,16 +233,25 @@ def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[
     """
     if d < 2:
         raise DimensionError(f"direction dimension must be >= 2, got {d}")
-    ids = np.arange(n)
     if d == 3:
-        u = substream_uniforms(seed, ids, 3)
-        weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
-        z = 2.0 * u[:, 1] - 1.0
-        phi = 2.0 * np.pi * u[:, 2]
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        dirs = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+        # One block of ids at a time, written straight into the output columns,
+        # so no n-sized temporary exists besides the two outputs.
+        weights = np.empty(n)
+        dirs = np.empty((n, 3))
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            u = substream_uniforms(seed, np.arange(lo, hi), 3)
+            weights[lo:hi] = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+            z = 2.0 * u[:, 1] - 1.0
+            phi = 2.0 * np.pi * u[:, 2]
+            s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+            np.multiply(s, np.cos(phi), out=dirs[lo:hi, 0])
+            np.multiply(s, np.sin(phi), out=dirs[lo:hi, 1])
+            dirs[lo:hi, 2] = z
     else:
-        u = substream_uniforms(seed, ids, 1 + d)
+        from scipy.special import ndtri  # not at module level: d = 3 never loads scipy
+
+        u = substream_uniforms(seed, np.arange(n), 1 + d)
         weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
         g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))  # ndtri(0) is -inf
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)

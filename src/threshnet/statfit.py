@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as hzeta
+# scipy.special and scipy.optimize are imported inside the functions that use
+# them: `generate` and the growth sweep never do, and loading scipy.special
+# takes longer than a small `generate`.
 
 from .errors import DomainError, FitDegenerateError
 
@@ -69,17 +71,14 @@ def ccdf(degrees) -> tuple[np.ndarray, np.ndarray]:
     return values, frac_ge
 
 
-def _tail_loglik(alpha: float, x_min: int, n: int, sum_log: float) -> float:
-    return -n * np.log(hzeta(alpha, x_min)) - alpha * sum_log
-
-
 def _mle_alpha(tail: np.ndarray, x_min: int) -> float:
-    from scipy.optimize import minimize_scalar  # not at module level: `generate` never loads it
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta as hzeta
 
     n = len(tail)
     s = float(np.log(tail).sum())
     res = minimize_scalar(
-        lambda alpha: -_tail_loglik(alpha, x_min, n, s),
+        lambda alpha: n * np.log(hzeta(alpha, x_min)) + alpha * s,  # minus the tail log-likelihood
         bounds=(1.0 + 1e-7, _ALPHA_MAX),
         method="bounded",
         options={"xatol": 1e-8},
@@ -89,6 +88,8 @@ def _mle_alpha(tail: np.ndarray, x_min: int) -> float:
 
 def _ks_stat(values: np.ndarray, counts: np.ndarray, alpha: float, x_min: int) -> float:
     """KS distance of the tail given as `np.unique(tail, return_counts=True)`."""
+    from scipy.special import zeta as hzeta
+
     cum = np.cumsum(counts)
     emp_cdf = cum / cum[-1]
     z = hzeta(alpha, x_min)
@@ -151,6 +152,8 @@ def _xmin_candidates(x: np.ndarray, min_tail: int) -> list[int]:
 
 def _zeta_cdf(alpha: float, x_min: int, table_span: int) -> np.ndarray:
     """CDF of the zeta-normalized discrete power law on x_min .. x_min + table_span - 1."""
+    from scipy.special import zeta as hzeta
+
     ks = np.arange(x_min, x_min + table_span, dtype=np.float64)
     pmf = ks ** -alpha / hzeta(alpha, x_min)
     return np.cumsum(pmf)

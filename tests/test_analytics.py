@@ -317,18 +317,22 @@ def test_p_edge_is_a_probability_at_any_threshold(a, w0, alpha, beta, theta):
 @settings(max_examples=500, deadline=None)
 @given(
     a=st.floats(min_value=0.05, max_value=10.0),
-    w0=st.floats(min_value=0.1, max_value=10.0),
+    w0=st.floats(min_value=0.1, max_value=1e300),
     alpha=st.floats(min_value=0.05, max_value=20.0),
     beta=st.floats(min_value=0.05, max_value=20.0),
-    log10_w=st.floats(min_value=0.0, max_value=10.0),
+    log10_w=st.floats(min_value=0.0, max_value=300.0),
     theta=st.floats(min_value=0.0, max_value=sys.float_info.max),
 )
 @example(a=3.0, w0=1.0, alpha=1.0, beta=0.5, log10_w=math.log10(2.0), theta=1e300)  # theta ** (a / beta) overflows
 @example(a=10.0, w0=1.0, alpha=1.0, beta=1.0, log10_w=0.0, theta=1e40)  # theta ** (2 * a) overflows
 @example(a=0.05, w0=10.0, alpha=20.0, beta=20.0, log10_w=10.0, theta=sys.float_info.max)
+@example(a=3.0, w0=1.0, alpha=2.0, beta=1.0, log10_w=200.0, theta=1.0)  # w ** alpha overflows
+@example(a=3.0, w0=1e200, alpha=1.0, beta=1.0, log10_w=0.0, theta=1.0)  # w0 ** 2 and w0 ** beta overflow
+@example(a=3.0, w0=1e300, alpha=20.0, beta=20.0, log10_w=0.0, theta=sys.float_info.max)
 def test_p_edge_given_weight_and_p_wedge_are_probabilities_at_any_threshold(a, w0, alpha, beta, log10_w, theta):
     pareto = ParetoParams(a, w0)
-    assert 0.0 <= p_edge_given_weight(w0 * 10.0 ** log10_w, pareto, theta, alpha, beta) <= 0.5
+    w = min(w0 * 10.0 ** log10_w, 1e300)  # w0 <= 1e300, so w >= w0
+    assert 0.0 <= p_edge_given_weight(w, pareto, theta, alpha, beta) <= 0.5
     assert 0.0 <= p_wedge(pareto, theta) <= 0.25
 
 
@@ -348,9 +352,10 @@ def test_closed_forms_agree_with_paper_forms_where_those_are_finite(a, w0, alpha
     pareto = ParetoParams(a, w0)
     w, theta = w0 * 10.0 ** log10_w, 10.0 ** log10_theta
     try:
-        # the printed P_e(w) switches elsewhere unless alpha = beta; compare where both are on the lower branch
-        lower = w <= min(directed_branch_boundary(pareto, theta, alpha, beta), (theta / w0 ** alpha) ** (1.0 / beta))
-        printed = p_edge_given_weight_directed_printed(w, pareto, theta, alpha, beta) if lower else None
+        # the printed P_e(w) switches elsewhere unless alpha = beta; compare where both take the same branch
+        switches = (directed_branch_boundary(pareto, theta, alpha, beta), (theta / w0 ** alpha) ** (1.0 / beta))
+        same = w <= min(switches) or w > max(switches)
+        printed = p_edge_given_weight_directed_printed(w, pareto, theta, alpha, beta) if same else None
     except OverflowError:
         printed = None
     if printed is not None and printed >= 1e-150:

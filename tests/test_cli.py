@@ -118,6 +118,26 @@ def test_oracle_past_float_powers_of_theta_prints_a_value(capsys, argv, top):
     assert 0.0 <= float(out.splitlines()[0]) <= top
 
 
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        (["pew-directed", "--a", "3", "--theta", "1", "--w", "1e200", "--alpha", "2", "--beta", "1"], 0.5),
+        (["pwedge", "--a", "3", "--w0", "1e200", "--theta", "1"], 0.25),
+        (["var", "--a", "3", "--w0", "1e200", "--n", "100", "--theta", "1"], (100 * 99 / 2) ** 2 / 4),
+        (["em-linlog", "--a", "3", "--w0", "1e200", "--n", "100", "--D", "1"], None),  # n below w0^(2a)/D^a
+    ],
+    ids=["pew-directed", "pwedge", "var", "em-linlog"],
+)
+def test_oracle_past_float_powers_of_w_or_w0_prints_a_value_or_error(capsys, argv, top):
+    # w ** alpha, w0 ** 2 and w0 ** (2 * a) overflow a float here
+    code, out, err = run(capsys, "oracle", *argv)
+    if top is None:
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    else:
+        assert code == 0
+        assert 0.0 <= float(out.splitlines()[0]) <= top
+
+
 def test_oracle_domain_error_exits_one(capsys):
     code, _, err = run(capsys, "oracle", "pe", "--a", "3", "--w0", "1", "--theta", "-1")
     assert code == 1
@@ -349,15 +369,33 @@ def test_analyze_sparse_inferred_id_exits_one(tmp_path, node):
     assert "Traceback" not in out.stderr
 
 
-def test_cli_import_leaves_optimize_and_integrate_unloaded():
+_SCIPY_FREE_RUN = """
+import json, sys
+import threshnet.cli
+from threshnet import ParetoParams, PowerLawSchedule, fit_powerlaw_discrete, run_growth_sweep, sample_node_table
+threshnet.cli.main(["generate", "--n", "2000", "--a", "3", "--theta", "3", "--seed", "1", "--out-dir", sys.argv[1]])
+run_growth_sweep(PowerLawSchedule(D=1.0), [1000, 2000], ParetoParams(3.0, 1.0), [1])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+_, dirs = sample_node_table(500, 1, ParetoParams(3.0, 1.0), 5)
+fit = fit_powerlaw_discrete(json.loads(sys.argv[2]))
+print(json.dumps({"loaded": loaded, "dirs": dirs.tolist(), "alpha": fit.alpha_hat, "ks": fit.ks_stat}))
+"""
+
+
+def test_cli_import_generate_and_sweep_load_no_scipy(tmp_path):
+    # The test process has scipy loaded, so the import is watched in a fresh interpreter.
     src = str(Path(threshnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, threshnet.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    samples = np.random.default_rng(3).zipf(2.5, 400).tolist()
+    argv = [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path / "g"), json.dumps(samples)]
+    stdout = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    out = json.loads(stdout.splitlines()[-1])  # after the lines `generate` prints
+    assert out["loaded"] == []
+    # scipy.special loads on first use, with the same results as here
+    _, dirs = threshnet.sample_node_table(500, 1, ParetoParams(3.0, 1.0), 5)
+    fit = threshnet.fit_powerlaw_discrete(samples)
+    assert np.array_equal(np.array(out["dirs"]), dirs)
+    assert (out["alpha"], out["ks"]) == (fit.alpha_hat, fit.ks_stat)
 
 
 def test_growth_sweep_and_fit(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 The oracles are the row-by-row writers and the line-by-line edge parser the
 package had before its writers were chunked and its reader got an int64
-range check; the new code must give the same bytes, the same arrays and the
-same error messages, except that an id beyond int64 is now a format error.
+range check and a one-pass parse of canonical files; the new code must give
+the same bytes, the same arrays and the same error messages, except that an
+id beyond int64 is now a format error.
 """
 
 import re
@@ -129,6 +130,7 @@ def test_writers_match_oracle_across_real_chunk_size(tmp_path, n):
     oracle_write_edges(tmp_path / "want_edges.tsv", edges)
     assert (tmp_path / "got_nodes.tsv").read_bytes() == (tmp_path / "want_nodes.tsv").read_bytes()
     assert (tmp_path / "got_edges.tsv").read_bytes() == (tmp_path / "want_edges.tsv").read_bytes()
+    assert np.array_equal(tio.read_edges_tsv(tmp_path / "got_edges.tsv"), edges)  # one pass, checked in pieces
 
 
 @settings_tmp
@@ -170,8 +172,62 @@ def edge_texts(draw):
     return text
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=edge_texts())
+def is_canonical(text):
+    """Whether `text` is what `write_edges_tsv` writes for ids of at most 18 digits."""
+    if not text.endswith("\n"):
+        return False
+    for line in text[:-1].split("\n"):
+        ids = line.split("\t")
+        if len(ids) != 2 or not all(i.isascii() and i.isdigit() and len(i) <= 18 and str(int(i)) == i for i in ids):
+            return False
+    return True
+
+
+# Non-negative ids with 1 to 19 digits; 19 digits leave the canonical form.
+written_ids = st.one_of(st.integers(0, 10 ** 18 - 1), st.integers(10 ** 18, INT64.max), st.sampled_from([0, 10 ** 18]))
+# One-character changes of a written file, each leaving the canonical form.
+PERTURBATIONS = [None, "leading 0", "+", "non-ASCII digit", "space for tab", "\r\n", "no final newline", "blank line"]
+
+
+@st.composite
+def written_edge_texts(draw):
+    edges = draw(st.lists(st.tuples(written_ids, written_ids), min_size=1, max_size=20))
+    text = "".join(f"{i}\t{j}\n" for i, j in edges)  # the bytes of `write_edges_tsv`, as tested above
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    id_starts = [0] + [k + 1 for k, c in enumerate(text[:-1]) if c in "\t\n"]
+    if kind in ("leading 0", "+"):
+        pos = draw(st.sampled_from(id_starts))
+        text = text[:pos] + kind[-1] + text[pos:]
+    elif kind == "non-ASCII digit":
+        pos = draw(st.sampled_from(id_starts))
+        text = text[:pos] + chr(0x0660 + int(text[pos])) + text[pos + 1 :]  # ARABIC-INDIC DIGIT
+    elif kind == "space for tab":
+        pos = draw(st.sampled_from([k for k, c in enumerate(text) if c == "\t"]))
+        text = text[:pos] + " " + text[pos + 1 :]
+    elif kind == "\r\n":
+        pos = draw(st.sampled_from([k for k, c in enumerate(text) if c == "\n"]))
+        text = text[:pos] + "\r" + text[pos:]
+    elif kind == "no final newline":
+        text = text[:-1]
+    elif kind == "blank line":
+        text += "\n"
+    return text
+
+
+_WRITTEN = "0\t1\n7\t123456789012345678\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(edge_texts(), written_edge_texts()))
+@example(text=_WRITTEN)
+@example(text="0" + _WRITTEN)
+@example(text=_WRITTEN.replace("12", "112"))  # a 19-digit id inside int64
+@example(text=_WRITTEN.replace("\n", "\r\n", 1))
+@example(text=_WRITTEN[:-1])
+@example(text=_WRITTEN.replace("\t", " ", 1))
+@example(text=_WRITTEN + "\n")
+@example(text="+" + _WRITTEN)
+@example(text=_WRITTEN.replace("7", "\u0667"))
 @example(text="1_0\t2\n")
 @example(text="1\t2\t\n")
 @example(text="\t1\t2\n")
@@ -193,7 +249,15 @@ def edge_texts(draw):
 def test_read_edges_matches_oracle(tmp_path, text):
     path = tmp_path / "edges.tsv"
     path.write_text(text, encoding="utf-8", newline="")
-    got, want = outcome(tio.read_edges_tsv, path), outcome(oracle_read_edges, path)
+    outcomes = []
+    for match_chars in (1, 7, tio._MATCH_CHARS):  # the form checked in many pieces, or in one
+        with mock.patch.object(tio, "_MATCH_CHARS", match_chars):
+            with mock.patch.object(np, "fromstring", wraps=np.fromstring) as one_pass:
+                outcomes.append(outcome(tio.read_edges_tsv, path))
+        assert one_pass.called == is_canonical(text)  # any other text takes the line parser
+    got, want = outcomes[-1], outcome(oracle_read_edges, path)
+    for other in outcomes[:-1]:
+        assert_same_outcome(other, got)
     if isinstance(got, str) and got.endswith("outside the int64 range"):
         # The reader stops at the first line holding such an id; the old loop
         # reads on and overflows only when it builds the array, so it agrees

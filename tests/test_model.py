@@ -12,6 +12,7 @@ from threshnet import (
     Variant,
     sample_node_table,
 )
+from threshnet.streams import _BLOCK
 
 from oracles import Node, SubStream, edge_exists, sample_direction, sample_weight
 
@@ -106,6 +107,42 @@ def test_table_matches_scalar_sampler(pareto3):
             stream = SubStream(77, i)
             assert sample_weight(stream, pareto3) == pytest.approx(weights[i], rel=1e-14)
             assert np.allclose(sample_direction(stream, d), dirs[i], atol=1e-12)
+
+
+def _rows_from_substreams(seed, ids, pareto):
+    """Rows `ids` of the d = 3 node table: SubStream's uniforms, whole-array arithmetic."""
+    u = np.array([SubStream(seed, i).uniforms(3) for i in ids])
+    weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+    z = 2.0 * u[:, 1] - 1.0
+    phi = 2.0 * np.pi * u[:, 2]
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return weights, np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def _assert_block_edges_match_oracle(n, seed, pareto):
+    weights, dirs = sample_node_table(n, seed, pareto, 3)
+    assert weights.shape == (n,) and dirs.shape == (n, 3)
+    ids = sorted({i for lo in range(0, n, _BLOCK) for i in (lo, lo + 1, min(lo + _BLOCK, n) - 1) if i < n})
+    want_w, want_x = _rows_from_substreams(seed, ids, pareto)
+    assert np.array_equal(weights[ids].view(np.int64), want_w.view(np.int64))
+    assert np.array_equal(dirs[ids].view(np.int64), want_x.view(np.int64))
+    for i in ids[-2:]:
+        # the one-value-at-a-time samplers use the math module; allow an ulp of drift
+        stream = SubStream(seed, i)
+        assert sample_weight(stream, pareto) == pytest.approx(weights[i], rel=1e-14)
+        assert np.allclose(sample_direction(stream, 3), dirs[i], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_blocked_table_matches_oracle_at_block_edges(pareto3, n):
+    _assert_block_edges_match_oracle(n, 2024, pareto3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+@example(seed=2 ** 64 - 1)
+def test_blocked_table_matches_oracle_for_any_seed(seed):
+    _assert_block_edges_match_oracle(_BLOCK + 1, seed, ParetoParams(2.5, 1.7))
 
 
 def test_node_independent_of_population(pareto3):
