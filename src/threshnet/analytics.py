@@ -29,6 +29,9 @@ from .model import LinkFn, ParetoParams
 
 _CALIBRATION_REL_TOL = 1e-10
 _QUAD_REL_TOL = 1e-8
+# Below ln(largest double) by a margin, so a float power x ** p with
+# p * ln(x) under it cannot raise OverflowError.
+_LOG_POW_MAX = 709.0
 
 
 def _check_theta(theta: float) -> None:
@@ -54,9 +57,11 @@ def p_edge_given_weight(
     The rule is w^alpha * w'^beta * dot >= theta; alpha = beta = 1 is the
     undirected model.  Branches switch at the limit-derived
     w* = (theta/w0^beta)^(1/alpha), where w^alpha * w0^beta = theta.  The
-    switch and both branches are powers of w^alpha * w0^beta / theta taken
-    from logs, at most 1 in the lower branch and its inverse in the upper, so
-    no power of theta, w or w0 overflows.
+    switch and the lower branch are powers of w^alpha * w0^beta / theta
+    taken from logs, at most 1, so no power of theta, w or w0 overflows.
+    The upper branch divides by w^alpha * w0^beta directly wherever that is
+    a finite normal double: its inverse from logs would carry the absolute
+    rounding of the log, about 1e-13 relative at large powers.
     """
     _check_theta(theta)
     _check_weight(w, pareto)
@@ -64,10 +69,16 @@ def p_edge_given_weight(
     if theta == 0.0:
         return 0.5
     a, w0 = pareto.a, pareto.w0
-    log_ratio = alpha * math.log(w) + beta * math.log(w0) - math.log(theta)
-    if log_ratio > 0.0:
-        return 0.5 * (1.0 - a / (a + beta) * math.exp(-log_ratio))
-    return 0.5 * beta / (a + beta) * math.exp(a / beta * log_ratio)
+    log_w, log_w0 = alpha * math.log(w), beta * math.log(w0)
+    log_ratio = log_w + log_w0 - math.log(theta)
+    if log_ratio <= 0.0:
+        return 0.5 * beta / (a + beta) * math.exp(a / beta * log_ratio)
+    if log_w < _LOG_POW_MAX and log_w0 < _LOG_POW_MAX:
+        # theta is at most about w^alpha * w0^beta here, so a * theta is below den
+        den = w ** alpha * (a + beta) * w0 ** beta
+        if sys.float_info.min <= den < math.inf:
+            return 0.5 * (1.0 - a * theta / den)
+    return 0.5 * (1.0 - a / (a + beta) * math.exp(-log_ratio))
 
 
 def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float = 1.0) -> float:

@@ -7,12 +7,14 @@ goodness-of-fit p-value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special and scipy.optimize are imported inside the functions that use
-# them: `generate` and the growth sweep never do, and loading scipy.special
-# takes longer than a small `generate`.
+# scipy.special is imported inside the functions that use it: `generate` and
+# the growth sweep never do, and loading it takes longer than a small
+# `generate`.  The exponent fit minimizes with `_fminbound`, not scipy.optimize,
+# whose import costs about as much again.
 
 from .errors import DomainError, FitDegenerateError
 
@@ -72,18 +74,85 @@ def ccdf(degrees) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mle_alpha(tail: np.ndarray, x_min: int) -> float:
-    from scipy.optimize import minimize_scalar
     from scipy.special import zeta as hzeta
 
     n = len(tail)
     s = float(np.log(tail).sum())
-    res = minimize_scalar(
-        lambda alpha: n * np.log(hzeta(alpha, x_min)) + alpha * s,  # minus the tail log-likelihood
-        bounds=(1.0 + 1e-7, _ALPHA_MAX),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x)
+    # minus the tail log-likelihood
+    return _fminbound(lambda alpha: n * np.log(hzeta(alpha, x_min)) + alpha * s, 1.0 + 1e-7, _ALPHA_MAX, 1e-8)
+
+
+def _fminbound(func, a: float, b: float, xatol: float) -> float:
+    """Minimizer of `func` on [a, b] by Brent's bounded method (Forsythe, Malcolm and Moler's fmin).
+
+    A plain-float port of scipy 1.17's `optimize._optimize._minimize_scalar_bounded`
+    (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy
+    Developers), step for step, so it returns the same bits as
+    `minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol}).x`
+    without loading scipy.optimize.  A sign from `>= 0` equals scipy's
+    `np.sign(r) + (r == 0)` for every r that is not NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # scipy's default maxiter, which caps function evaluations
+            break
+    return xf
 
 
 def _ks_stat(values: np.ndarray, counts: np.ndarray, alpha: float, x_min: int) -> float:

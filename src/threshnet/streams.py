@@ -38,11 +38,6 @@ def _mix_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mix64(x) -> np.ndarray:
-    """SplitMix64 finalizer. Accepts a scalar or uint64 array, wraps mod 2^64."""
-    return _mix_inplace(np.array(x, dtype=np.uint64))
-
-
 def substream_key(seed: int, node_id) -> np.ndarray:
     """State of the substream for one node (or an array of node ids)."""
     x = np.array(node_id, dtype=np.uint64)

@@ -6,6 +6,7 @@ that runs it, so the tests can compare the two:
 - node sampling: `SubStream`, over its own SplitMix64 on Python ints
   (`splitmix64`), and `sample_weight` and `sample_direction` draw one value
   at a time, against `streams` and the vectorized `sample_node_table`;
+  `mix64` runs the package's in-place mix on a copy, against `splitmix64`;
 - the edge rule: `edge_exists` decides one pair, `generate_naive` every pair
   with no pruning, `mc_estimate` fresh random pairs, all against `generate`
   and the closed forms of `analytics`;
@@ -15,7 +16,10 @@ that runs it, so the tests can compare the two:
   and `p_wedge_paper` are the paper's formulas, taken as printed, against
   `p_edge_given_weight` and `p_edge` at alpha = beta = 1 and against
   `p_wedge`, which are written so that no power overflows;
-- the bootstrap: `gof_pvalue` builds every replicate in full.
+- the exponent fit: `mle_alpha` minimizes with scipy's `minimize_scalar`,
+  against the port of its bounded method in `statfit`;
+- the bootstrap: `gof_pvalue` builds every replicate in full and refits
+  with `mle_alpha`.
 """
 
 import math
@@ -37,7 +41,8 @@ from threshnet import (
     sample_node_table,
 )
 from threshnet.generator import _canonical, _partner_cutoffs, _weight_order
-from threshnet.statfit import _INT64_TOP_FLOAT, _TABLE_SPAN, FitResult, GofResult, _mle_alpha, _zeta_cdf
+from threshnet.statfit import _ALPHA_MAX, _INT64_TOP_FLOAT, _TABLE_SPAN, FitResult, GofResult, _zeta_cdf
+from threshnet.streams import _mix_inplace
 
 
 def hurwitz_zeta(s: float, x: float = 1.0) -> float:
@@ -67,6 +72,11 @@ def with_p_value(fit: FitResult, gof: GofResult) -> FitResult:
 
 _MASK64 = 2 ** 64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(x) -> np.ndarray:
+    """SplitMix64 finalizer of a scalar or uint64 array, into a new array (the package mixes in place)."""
+    return _mix_inplace(np.array(x, dtype=np.uint64))
 
 
 def splitmix64(x: int) -> int:
@@ -371,6 +381,21 @@ def draw_discrete_powerlaw(rng, cdf, alpha, x_min, size):
     return out.astype(np.int64)
 
 
+def mle_alpha(tail: np.ndarray, x_min: int) -> float:
+    """The tail's exponent by scipy's bounded minimizer, as `statfit._mle_alpha` found it before its own port."""
+    from scipy.optimize import minimize_scalar
+
+    n = len(tail)
+    s = float(np.log(tail).sum())
+    res = minimize_scalar(
+        lambda alpha: n * np.log(zeta(alpha, x_min)) + alpha * s,  # minus the tail log-likelihood
+        bounds=(1.0 + 1e-7, _ALPHA_MAX),
+        method="bounded",
+        options={"xatol": 1e-8},
+    )
+    return float(res.x)
+
+
 def _ks_stat(tail, alpha, x_min):
     values, counts = np.unique(tail, return_counts=True)
     emp_cdf = np.cumsum(counts) / len(tail)
@@ -406,7 +431,7 @@ def gof_pvalue(samples, fit: FitResult, n_bootstrap: int = 1000, seed: int = 0) 
         if len(tail_syn) < 2 or np.unique(tail_syn).size < 2:
             exceed += 1  # degenerate replicate cannot beat the observed fit
             continue
-        alpha_syn = _mle_alpha(tail_syn, fit.x_min)
+        alpha_syn = mle_alpha(tail_syn, fit.x_min)
         if _ks_stat(tail_syn, alpha_syn, fit.x_min) >= fit.ks_stat:
             exceed += 1
     p = exceed / n_bootstrap

@@ -398,6 +398,38 @@ def test_cli_import_generate_and_sweep_load_no_scipy(tmp_path):
     assert (out["alpha"], out["ks"]) == (fit.alpha_hat, fit.ks_stat)
 
 
+_ANALYZE_RUN = """
+import json, sys
+from threshnet.cli import main
+g, a = sys.argv[1:]
+main(["generate", "--n", "2000", "--a", "3", "--theta", "3", "--seed", "1", "--out-dir", g])
+main(["analyze", "--edges", g + "/edges.tsv", "--n", "2000", "--bootstrap", "100", "--out-dir", a])
+after_analyze = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+main(["calibrate", "--n", "100", "--a", "3", "--w0", "1", "--target-edges", "1237.5"])
+print(json.dumps({"analyze": after_analyze, "calibrate": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_cli_analyze_loads_no_scipy_optimize_and_calibrate_does(tmp_path, capsys):
+    # analyze refits with statfit's own bounded minimizer; only calibration's brentq needs scipy.optimize
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", _ANALYZE_RUN, str(tmp_path / "g"), str(tmp_path / "fresh")]
+    stdout = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    out = json.loads(stdout.splitlines()[-1])
+    assert "scipy.special" in out["analyze"] and "scipy.optimize" not in out["analyze"]
+    assert out["calibrate"]
+    # the fresh run's fit and p-value are the ones this process computes
+    code, _, _ = run(
+        capsys, "analyze", "--edges", str(tmp_path / "g" / "edges.tsv"), "--n", "2000",
+        "--bootstrap", "100", "--out-dir", str(tmp_path / "here"),
+    )
+    assert code == 0
+    for name in ("fit.json", "ccdf.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    assert tio.read_json(tmp_path / "here" / "fit.json")["p_value"] is not None
+
+
 def test_growth_sweep_and_fit(tmp_path, capsys):
     code, out, _ = run(
         capsys,

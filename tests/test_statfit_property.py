@@ -4,7 +4,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from scipy.special import zeta as hzeta
 
 from threshnet import DomainError, FitDegenerateError, fit_powerlaw_discrete, gof_pvalue, sample_discrete_powerlaw
-from threshnet.statfit import _GUIDE_BINS, _draw_discrete_powerlaw, _guide, _xmin_candidates, _zeta_cdf
+from threshnet.statfit import _GUIDE_BINS, _draw_discrete_powerlaw, _guide, _mle_alpha, _xmin_candidates, _zeta_cdf
 
 import oracles
 
@@ -48,6 +48,33 @@ def test_sampler_draws_equal_one_table_search(alpha, x_min, table_span, size, se
     cdf = _zeta_cdf(alpha, x_min, table_span)
     want = oracles.draw_discrete_powerlaw(np.random.default_rng(seed), cdf, alpha, x_min, size)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.floats(min_value=1.1, max_value=6.0),
+    x_min=st.integers(min_value=1, max_value=50),
+    size=st.integers(min_value=50, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2 ** 63 - 1),
+)
+def test_mle_alpha_equals_minimize_scalar_bit_for_bit(alpha, x_min, size, seed):
+    tail = sample_discrete_powerlaw(np.random.default_rng(seed), alpha, x_min, size)
+    assert _mle_alpha(tail, x_min) == oracles.mle_alpha(tail, x_min)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x_min=st.integers(min_value=1, max_value=50),
+    gap=st.integers(min_value=1, max_value=10 ** 6),
+    n_low=st.integers(min_value=1, max_value=5000),
+    n_high=st.integers(min_value=1, max_value=5000),
+)
+@example(x_min=50, gap=1, n_low=5000, n_high=1)  # the optimum sits at the upper bound
+@example(x_min=1, gap=10 ** 6, n_low=1, n_high=5000)  # and near the lower one
+def test_mle_alpha_equals_minimize_scalar_on_two_value_tails(x_min, gap, n_low, n_high):
+    # the fewest distinct values a refit sees; a skewed split or a wide gap pushes the optimum toward a bound
+    tail = np.repeat(np.array([x_min, x_min + gap], dtype=np.int64), [n_low, n_high])
+    assert _mle_alpha(tail, x_min) == oracles.mle_alpha(tail, x_min)
 
 
 class _Replay:

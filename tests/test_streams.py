@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threshnet.streams import _BLOCK, mix64, substream_key, substream_uniforms
+from threshnet.streams import _BLOCK, substream_key, substream_uniforms
 
-from oracles import SubStream, splitmix64
+from oracles import SubStream, mix64, splitmix64
 
 
 def test_mix64_scalar_array_agree():
