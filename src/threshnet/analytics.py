@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 # scipy.optimize and scipy.integrate are imported inside the functions that
 # use them: `threshnet generate --theta` needs neither, and loading them
 # takes longer than the rest of its start-up.
@@ -28,7 +27,8 @@ from .errors import (
 from .model import LinkFn, ParetoParams
 
 _CALIBRATION_REL_TOL = 1e-10
-_QUAD_REL_TOL = 1e-8
+# Quadrature tolerance, relative to the whole probability it contributes to.
+_QUAD_REL_TOL = 1e-12
 # Below ln(largest double) by a margin, so a float power x ** p with
 # p * ln(x) under it cannot raise OverflowError.
 _LOG_POW_MAX = 709.0
@@ -56,12 +56,13 @@ def p_edge_given_weight(
 
     The rule is w^alpha * w'^beta * dot >= theta; alpha = beta = 1 is the
     undirected model.  Branches switch at the limit-derived
-    w* = (theta/w0^beta)^(1/alpha), where w^alpha * w0^beta = theta.  The
-    switch and the lower branch are powers of w^alpha * w0^beta / theta
-    taken from logs, at most 1, so no power of theta, w or w0 overflows.
-    The upper branch divides by w^alpha * w0^beta directly wherever that is
-    a finite normal double: its inverse from logs would carry the absolute
-    rounding of the log, about 1e-13 relative at large powers.
+    w* = (theta/w0^beta)^(1/alpha), where w^alpha * w0^beta = theta, found
+    from logs so that no power of theta, w or w0 overflows.  Each branch
+    takes w^alpha * w0^beta from the powers themselves wherever that (and,
+    in the lower branch, its quotient by theta) is a normal double, and from
+    logs elsewhere: a power from logs carries the absolute rounding of the
+    log, about 1e-13 relative at large powers, and the lower branch raises
+    it to a/beta.
     """
     _check_theta(theta)
     _check_weight(w, pareto)
@@ -72,6 +73,9 @@ def p_edge_given_weight(
     log_w, log_w0 = alpha * math.log(w), beta * math.log(w0)
     log_ratio = log_w + log_w0 - math.log(theta)
     if log_ratio <= 0.0:
+        num = w ** alpha * w0 ** beta if log_w < _LOG_POW_MAX and abs(log_w0) < _LOG_POW_MAX else 0.0
+        if sys.float_info.min <= num < math.inf and num / theta >= sys.float_info.min:
+            return 0.5 * beta / (a + beta) * (num / theta) ** (a / beta)
         return 0.5 * beta / (a + beta) * math.exp(a / beta * log_ratio)
     if log_w < _LOG_POW_MAX and log_w0 < _LOG_POW_MAX:
         # theta is at most about w^alpha * w0^beta here, so a * theta is below den
@@ -248,19 +252,16 @@ def expected_edges_linlog(n: int, D: float, pareto: ParetoParams) -> float:
 
 
 def p_edge_given_weight_linkfn(
-    w: float,
-    pareto: ParetoParams,
-    theta: float,
-    alpha: float,
-    beta: float,
-    h: LinkFn,
+    w: float, pareto: ParetoParams, theta: float, alpha: float, beta: float, h: LinkFn
 ) -> float:
-    """Out-edge probability of a node of weight w under a link transform.
+    """Out-edge probability of a node of weight w under a strictly increasing link h.
 
-    The inner spherical integral reduces to a cap fraction in h^{-1};
-    the outer weight integral is adaptive quadrature with the integrand's
-    kinks (where theta/(w^a (w')^b) crosses h(1) and h(-1)) as panel
-    boundaries.  Only strictly increasing links are supported.
+    The dot product of two uniform directions on S^2 is uniform on [-1, 1], so
+    with y = theta / (w^alpha w0^beta) and k = a / beta,
+        P = (1 - s*) / 2 + 1/2 * integral over [s0, s*] of (h(s) / y)^k ds,
+    with s0 where h becomes positive and s* = h^-1(y) clamped to [s0, 1].  Past
+    s* = 1 the integrand's top (h(1) / y)^k is taken out from logs, so quad sees
+    values in [0, 1] that reach 1 however small P is.
     """
     from scipy import integrate
 
@@ -268,56 +269,24 @@ def p_edge_given_weight_linkfn(
     _check_weight(w, pareto)
     _check_exponents(alpha, beta)
     if not h.strictly_increasing:
-        raise UnsupportedAnalyticsError(
-            "closed-form and quadrature analytics require a strictly increasing link"
-        )
-    a, w0 = pareto.a, pareto.w0
-    q, r = h.hi, h.lo
-
-    def cap_fraction(t: float) -> float:
-        if t > q:
-            return 0.0
-        if t < r:
-            return 1.0
-        return 0.5 * (1.0 - h.inverse(t))
-
-    if theta == 0.0:
-        return cap_fraction(0.0)
-    if q <= 0.0:
-        return 0.0
-
-    def integrand(wp: float) -> float:
-        t = theta / (w ** alpha * wp ** beta)
-        return a * w0 ** a * wp ** -(a + 1.0) * cap_fraction(t)
-
-    w_q = (theta / (w ** alpha * q)) ** (1.0 / beta)  # below: cap is empty
-    lo = max(w0, w_q)
-    total = 0.0
+        raise UnsupportedAnalyticsError(f"analytics need a strictly increasing link, got {h.spec()}")
+    k = pareto.a / beta
+    log_y = math.log(theta) - alpha * math.log(w) - beta * math.log(pareto.w0) if theta > 0.0 else -math.inf
+    y = math.exp(log_y) if log_y < _LOG_POW_MAX else math.inf
+    s0 = -1.0 if h.lo >= 0.0 else h.inverse(0.0) if h.hi > 0.0 else 1.0
+    s_star = max(s0, -1.0 if y <= h.lo else 1.0 if y >= h.hi else h.inverse(y))
+    head = 1.0 - s_star  # the integral is at most s* - s0; past s* every partner links
+    if s_star - s0 <= _QUAD_REL_TOL * head:
+        return 0.5 * head
+    top, scale = min(y, h.hi), math.exp(min(0.0, k * (math.log(h.hi) - log_y)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            if r > 0.0:
-                w_r = (theta / (w ** alpha * r)) ** (1.0 / beta)  # above: full sphere
-                hi_lim = max(lo, w_r)
-                if hi_lim > lo:
-                    val, err = integrate.quad(integrand, lo, hi_lim, epsabs=1e-15, epsrel=_QUAD_REL_TOL * 1e-2, limit=200)
-                    total += val
-                    _require_quad_tol(val, err)
-                total += pareto.survival(hi_lim)
-            else:
-                val, err = integrate.quad(integrand, lo, np.inf, epsabs=1e-15, epsrel=_QUAD_REL_TOL * 1e-2, limit=200)
-                total += val
-                _require_quad_tol(val, err)
+            body = integrate.quad(lambda s: (max(h(s), 0.0) / top) ** k, s0, s_star,
+                                  epsabs=_QUAD_REL_TOL * head, epsrel=_QUAD_REL_TOL, limit=200)[0]
         except integrate.IntegrationWarning as exc:
             raise NumericError(f"link-function quadrature did not converge: {exc}") from exc
-    return float(total)
-
-
-def _require_quad_tol(value: float, abserr: float) -> None:
-    if abserr > max(abs(value) * _QUAD_REL_TOL, 1e-13):
-        raise NumericError(
-            f"quadrature error estimate {abserr} exceeds tolerance for value {value}"
-        )
+    return 0.5 * (head + scale * body)
 
 
 @dataclass(frozen=True)

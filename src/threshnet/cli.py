@@ -23,7 +23,7 @@ from .errors import (
     ThreshnetError,
     UnsupportedAnalyticsError,
 )
-from .generator import generate
+from .generator import DEFAULT_MAX_EDGES, generate
 from .model import EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
 
 
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--D", type=float, default=None)
     _add_variant_args(g)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--max-edges", type=int, default=None, dest="max_edges")
+    g.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES, dest="max_edges")
     g.add_argument("--out-dir", default=".", dest="out_dir")
     g.set_defaults(func=cmd_generate)
 

@@ -9,7 +9,6 @@ contiguous slice of the sorted nodes, decided in one vectorized step.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,6 @@ from .errors import ResourceLimitError
 from .model import EdgeRule, ModelConfig, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
-
-
-def _max_edges_guard(override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("FTM_MAX_EDGES")
-    return int(env) if env else DEFAULT_MAX_EDGES
 
 
 @dataclass
@@ -122,21 +114,19 @@ def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int
         n_edges += sum(map(len, row))
         if n_edges > guard:
             raise ResourceLimitError(
-                f"edge count {n_edges} exceeds guard {guard}; raise FTM_MAX_EDGES if intended"
+                f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended"
             )
     return np.concatenate(keys), n_cand
 
 
-def generate(config: ModelConfig, max_edges: int | None = None) -> Graph:
+def generate(config: ModelConfig, max_edges: int = DEFAULT_MAX_EDGES) -> Graph:
     """Materialize the graph for `config`.
 
     Deterministic in (config.seed, config).  Raises ResourceLimitError as
-    soon as the running edge count exceeds the guard (default 1e8,
-    overridable via argument or the FTM_MAX_EDGES env var).
+    soon as the running edge count exceeds `max_edges`.
     """
-    guard = _max_edges_guard(max_edges)
     weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
-    keys, n_cand = _edge_keys(weights, dirs, config.rule, guard)
+    keys, n_cand = _edge_keys(weights, dirs, config.rule, max_edges)
     return Graph(
         weights=weights,
         directions=dirs,

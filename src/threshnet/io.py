@@ -63,27 +63,6 @@ def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
             fh.write(row * (stop - start) % tuple(values))
 
 
-def read_nodes_tsv(path) -> tuple[np.ndarray, np.ndarray]:
-    weights = []
-    dirs = []
-    with _read_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 3:
-                raise SeriesFormatError(f"{path}:{lineno}: expected id, weight, coordinates")
-            try:
-                idx = int(parts[0])
-                weights.append(float(parts[1]))
-                dirs.append([float(c) for c in parts[2:]])
-            except ValueError as exc:
-                raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
-            if idx != lineno - 1:
-                raise SeriesFormatError(f"{path}:{lineno}: ids must be consecutive from 0")
-    if not weights:
-        raise SeriesFormatError(f"{path}: empty node table")
-    return np.array(weights), np.array(dirs)
-
-
 def write_edges_tsv(path, edges: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for start in range(0, len(edges), _CHUNK_ROWS):
@@ -170,8 +149,3 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_json(path) -> dict:
-    with _read_text(path) as fh:
-        return json.load(fh)

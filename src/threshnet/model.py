@@ -32,11 +32,6 @@ class ParetoParams:
         if not (self.w0 > 0):
             raise DomainError(f"Pareto scale must be positive, got w0={self.w0}")
 
-    def survival(self, t) -> np.ndarray:
-        """P(weight > t) = (w0/t)^a for t >= w0."""
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= self.w0, 1.0, (self.w0 / t) ** self.a)
-
 
 class LinkKind(str, Enum):
     IDENTITY = "identity"
@@ -233,26 +228,24 @@ def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[
     """
     if d < 2:
         raise DimensionError(f"direction dimension must be >= 2, got {d}")
-    if d == 3:
-        # One block of ids at a time, written straight into the output columns,
-        # so no n-sized temporary exists besides the two outputs.
-        weights = np.empty(n)
-        dirs = np.empty((n, 3))
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            u = substream_uniforms(seed, np.arange(lo, hi), 3)
-            weights[lo:hi] = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+    if d != 3:
+        from scipy.special import ndtri  # not at module level: d = 3 never loads scipy
+    # One block of ids at a time, written straight into the output rows,
+    # so no n-sized temporary exists besides the two outputs.
+    weights = np.empty(n)
+    dirs = np.empty((n, d))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        u = substream_uniforms(seed, np.arange(lo, hi), 3 if d == 3 else 1 + d)
+        weights[lo:hi] = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+        if d == 3:
             z = 2.0 * u[:, 1] - 1.0
             phi = 2.0 * np.pi * u[:, 2]
             s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
             np.multiply(s, np.cos(phi), out=dirs[lo:hi, 0])
             np.multiply(s, np.sin(phi), out=dirs[lo:hi, 1])
             dirs[lo:hi, 2] = z
-    else:
-        from scipy.special import ndtri  # not at module level: d = 3 never loads scipy
-
-        u = substream_uniforms(seed, np.arange(n), 1 + d)
-        weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
-        g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))  # ndtri(0) is -inf
-        dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        else:
+            g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))  # ndtri(0) is -inf
+            np.divide(g, np.linalg.norm(g, axis=1, keepdims=True), out=dirs[lo:hi])
     return weights, dirs

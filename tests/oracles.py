@@ -16,13 +16,21 @@ that runs it, so the tests can compare the two:
   and `p_wedge_paper` are the paper's formulas, taken as printed, against
   `p_edge_given_weight` and `p_edge` at alpha = beta = 1 and against
   `p_wedge`, which are written so that no power overflows;
+- the link-function P_e(w): `p_edge_given_weight_linkfn_weight_space`
+  integrates over the partner's weight, `p_edge_given_weight_linkfn_exp` is
+  the closed form for h = exp, both against the dot-product integral of
+  `p_edge_given_weight_linkfn`;
 - the exponent fit: `mle_alpha` minimizes with scipy's `minimize_scalar`,
   against the port of its bounded method in `statfit`;
 - the bootstrap: `gof_pvalue` builds every replicate in full and refits
-  with `mle_alpha`.
+  with `mle_alpha`;
+- the files `generate` writes: `read_nodes_tsv` and `read_json` read them
+  back, with the package's UTF-8 check.
 """
 
+import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,12 +43,15 @@ from threshnet import (
     Graph,
     LinkFn,
     ModelConfig,
+    NumericError,
     ParetoParams,
+    SeriesFormatError,
     Variant,
     ccdf,
     sample_node_table,
 )
 from threshnet.generator import _canonical, _partner_cutoffs, _weight_order
+from threshnet.io import _read_text
 from threshnet.statfit import _ALPHA_MAX, _INT64_TOP_FLOAT, _TABLE_SPAN, FitResult, GofResult, _zeta_cdf
 from threshnet.streams import _mix_inplace
 
@@ -65,6 +76,36 @@ def degree_pmf_reference(k, exponent: float):
 
 def with_p_value(fit: FitResult, gof: GofResult) -> FitResult:
     return replace(fit, p_value=gof.p_value)
+
+
+# --- readers of the files `generate` writes ----------------------------------
+
+
+def read_nodes_tsv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and directions of a `nodes.tsv`, checked line by line."""
+    weights = []
+    dirs = []
+    with _read_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) < 3:
+                raise SeriesFormatError(f"{path}:{lineno}: expected id, weight, coordinates")
+            try:
+                idx = int(parts[0])
+                weights.append(float(parts[1]))
+                dirs.append([float(c) for c in parts[2:]])
+            except ValueError as exc:
+                raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
+            if idx != lineno - 1:
+                raise SeriesFormatError(f"{path}:{lineno}: ids must be consecutive from 0")
+    if not weights:
+        raise SeriesFormatError(f"{path}: empty node table")
+    return np.array(weights), np.array(dirs)
+
+
+def read_json(path) -> dict:
+    with _read_text(path) as fh:
+        return json.load(fh)
 
 
 # --- node sampling, one draw at a time ---------------------------------------
@@ -266,6 +307,69 @@ def p_edge_given_weight_directed_printed(w: float, pareto: ParetoParams, theta: 
     if w > (theta / w0 ** alpha) ** (1.0 / beta):
         return 0.5 * (1.0 - a * theta / (w ** alpha * (a + beta) * w0 ** beta))
     return w ** (a * alpha / beta) * w0 ** a / (2.0 * theta ** (a / beta)) * beta / (a + beta)
+
+
+def p_edge_given_weight_linkfn_weight_space(
+    w: float, pareto: ParetoParams, theta: float, alpha: float, beta: float, h: LinkFn
+) -> float:
+    """P_e(w) under a link transform as an integral over the partner's weight.
+
+    A partner of weight w' links with the cap fraction P(h(D) >= t) in h^{-1},
+    t = theta / (w^alpha w'^beta).  The partner's weight is integrated as its
+    survival u = (w0/w')^a, uniform on (0, 1], so w'^beta = w0^beta u^(-beta/a):
+    from the survival u_q of the weight below which the cap is empty down to
+    the survival u_r of the weight above which it is the whole sphere, plus
+    u_r itself.  Integrated over w' on [w_q, inf) instead, quad missed most of
+    the mass at some inputs with no warning (4.2e-16 for 2.8e-8 at
+    a = w = w0 = 1, theta = 8886110.52, identity link).  Raises NumericError
+    where quad reports no convergence or an error estimate over 1e-8
+    relative (1e-13 absolute).
+    """
+    from scipy import integrate
+
+    q, r = h.hi, h.lo
+
+    def cap_fraction(t: float) -> float:
+        if t > q:
+            return 0.0
+        if t < r:
+            return 1.0
+        return 0.5 * (1.0 - h.inverse(t))
+
+    if theta == 0.0:
+        return cap_fraction(0.0)
+    if q <= 0.0:
+        return 0.0
+    k = pareto.a / beta
+    y = theta / (w ** alpha * pareto.w0 ** beta)
+    u_q = (q / y) ** k if q < y else 1.0
+    u_r = 0.0 if r <= 0.0 else (r / y) ** k if r < y else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            val, err = integrate.quad(lambda u: cap_fraction(y * u ** (1.0 / k)), u_r, u_q, epsabs=1e-15, epsrel=1e-10, limit=200)
+        except integrate.IntegrationWarning as exc:
+            raise NumericError(f"link-function quadrature did not converge: {exc}") from exc
+    if err > max(abs(val) * 1e-8, 1e-13):
+        raise NumericError(f"quadrature error estimate {err} exceeds tolerance for value {val}")
+    return val + u_r
+
+
+def p_edge_given_weight_linkfn_exp(w: float, pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
+    """P_e(w) under the link h = exp in closed form.
+
+    With y = theta / (w^alpha w0^beta), k = a / beta and s* = ln y clamped to
+    [-1, 1]: P = (1 - s*)/2 + e^{k(s* - ln y)} (1 - e^{-k(s* + 1)}) / (2k),
+    which is 1 at s* = -1.
+    """
+    if theta == 0.0:
+        return 1.0
+    k = pareto.a / beta
+    log_y = math.log(theta) - alpha * math.log(w) - beta * math.log(pareto.w0)
+    if log_y <= -1.0:
+        return 1.0  # h(D) >= e^-1 >= y for every direction
+    s = min(1.0, log_y)
+    return 0.5 * (1.0 - s) - math.exp(k * (s - log_y)) * math.expm1(-k * (s + 1.0)) / (2.0 * k)
 
 
 # --- Monte Carlo over fresh random nodes --------------------------------------

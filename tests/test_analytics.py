@@ -37,6 +37,8 @@ from oracles import (
     hurwitz_zeta,
     mc_estimate,
     p_edge_given_weight_directed_printed,
+    p_edge_given_weight_linkfn_exp,
+    p_edge_given_weight_linkfn_weight_space,
     p_edge_given_weight_undirected,
     p_edge_undirected,
     p_wedge_paper,
@@ -346,10 +348,13 @@ def test_p_edge_given_weight_and_p_wedge_are_probabilities_at_any_threshold(a, w
     log10_theta=st.floats(min_value=-3.0, max_value=308.0),
 )
 @example(a=4.4, w0=8.7, alpha=2.2, beta=2.3, log10_w=5.0, log10_theta=15.2)  # P_e(w) from logs: off by 9.8e-15
+@example(a=5.0, w0=1.6, alpha=2.2, beta=0.8, log10_w=5.4, log10_theta=31.8)  # lower branch from logs: off by 1.1e-13
 def test_closed_forms_agree_with_paper_forms_where_those_are_finite(a, w0, alpha, beta, log10_w, log10_theta):
     # the log forms agree with the printed powers of theta to 1e-13 wherever
     # the printed forms neither overflow nor leave the normal doubles; below
-    # 1e-150 rounding the exponent alone comes close to 1e-13
+    # 1e-150 rounding the exponent alone comes close to 1e-13.  The lower
+    # branch of P_e(w) is a power of a quotient, as printed, and its bound is
+    # mostly the printed form's own rounding of the exponent a * alpha / beta
     pareto = ParetoParams(a, w0)
     w, theta = w0 * 10.0 ** log10_w, 10.0 ** log10_theta
     try:
@@ -365,15 +370,20 @@ def test_closed_forms_agree_with_paper_forms_where_those_are_finite(a, w0, alpha
         if w > max(switches) * (1.0 + 1e-11):
             want = pytest.approx(printed, rel=4e-16, abs=0.0)
         else:
-            want = pytest.approx(printed, rel=1e-13)
+            want = pytest.approx(printed, rel=8e-14, abs=0.0)
         assert p_edge_given_weight(w, pareto, theta, alpha, beta) == want
     try:
         paper = p_wedge_paper(pareto, theta)
     except OverflowError:
         paper = None
-    # the printed form's w0^(4a) / theta^(2a) goes subnormal past this point
-    if paper is not None and 2.0 * a * math.log(theta / w0 ** 2) < 690.0:
-        assert p_wedge(pareto, theta) == pytest.approx(paper, rel=1e-13)
+    # the printed form's w0^(4a) / theta^(2a) goes subnormal past the first bound,
+    # and its theta^(2a) * (a+1)^2 overflows to inf past the second
+    if (
+        paper is not None
+        and 2.0 * a * math.log(theta / w0 ** 2) < 690.0
+        and 2.0 * a * math.log(theta) + 2.0 * math.log(a + 1.0) < 709.0
+    ):
+        assert p_wedge(pareto, theta) == pytest.approx(paper, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,7 +433,86 @@ def test_linkfn_identity_matches_directed(pareto3):
     ]:
         quad = p_edge_given_weight_linkfn(w, pareto3, theta, alpha, beta, ident)
         closed = p_edge_given_weight(w, pareto3, theta, alpha, beta)
-        assert quad == pytest.approx(closed, rel=1e-7, abs=1e-10)
+        assert quad == pytest.approx(closed, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("a,w0,theta,w,alpha,beta,h,want", [
+    # the former quadrature over the partner's weight reported no convergence here
+    (0.7899186294481133, 1.4752528699133929, 331.4539296886381, 2.8239480785454942,
+     0.33129734790014237, 0.5531134602406815, "oddpow:1:-0.2", 2.7641835437172504e-05),
+    # and printed 1.38e-16 here, its absolute tolerance above the value
+    (2.151030458473796, 0.8011247319714176, 243.11135646097387, 1.1870426263745695,
+     0.49138626067767166, 0.4936205222736615, "oddpow:1:-0.2", 3.7392598454181e-13),
+    # slivers [s0, s*] of width 4e-10 and 6e-12, where h(s) = s^(2m+1) + c cancels: with tolerances
+    # relative to the integral alone quad reports no convergence
+    (4.581690606366381, 1.6062666219482873, 0.0013406964440686783, 241147.34553801236,
+     1.1262853393460799, 0.47484462871136135, "oddpow:1:0.687508", 0.94129525341322481472),
+    (0.7589437261350619, 0.21361922767516073, 43.142272088950364, 1802210.981849792,
+     2.2854352932749813, 2.8715548958493997, "oddpow:3:-0.375891", 0.065224998355827583109),
+])
+def test_linkfn_matches_high_precision_values(a, w0, theta, w, alpha, beta, h, want):
+    # want: the dot-space integral in 40-digit mpmath
+    got = p_edge_given_weight_linkfn(w, ParetoParams(a, w0), theta, alpha, beta, LinkFn.parse(h))
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+_LINKS = st.one_of(
+    st.just(LinkFn.identity()),
+    st.just(LinkFn.exp()),
+    st.builds(LinkFn.odd_power_plus_c, st.integers(min_value=1, max_value=3), st.floats(min_value=-1.5, max_value=1.5)),
+)
+
+
+def _linkfn_args(a, log_w0, log_w_over_w0, log_theta, alpha, beta):
+    w0 = math.exp(log_w0)
+    theta = 0.0 if log_theta is None else math.exp(log_theta)
+    return w0 * math.exp(log_w_over_w0), ParetoParams(a, w0), theta, alpha, beta
+
+
+_LINKFN_ARGS = dict(
+    a=st.floats(min_value=0.5, max_value=8.0),
+    log_w0=st.floats(min_value=-3.0, max_value=3.0),
+    log_w_over_w0=st.floats(min_value=0.0, max_value=20.0),
+    log_theta=st.none() | st.floats(min_value=-8.0, max_value=60.0),
+    alpha=st.floats(min_value=0.2, max_value=4.0),
+    beta=st.floats(min_value=0.2, max_value=4.0),
+)
+
+
+def _assert_close(got, want):
+    # below the normal doubles neither side keeps relative precision
+    if want >= sys.float_info.min:
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    else:
+        assert got < 2.0 * sys.float_info.min
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_LINKFN_ARGS)
+# y = theta / (w^alpha w0^beta) beyond the largest double, P about 8e-40
+@example(a=0.5, log_w0=-1.0, log_w_over_w0=0.0, log_theta=709.0, alpha=1.0, beta=4.0)
+def test_linkfn_identity_matches_closed_form(**kw):
+    args = _linkfn_args(**kw)
+    _assert_close(p_edge_given_weight_linkfn(*args, LinkFn.identity()), p_edge_given_weight(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_LINKFN_ARGS)
+def test_linkfn_exp_matches_closed_form(**kw):
+    args = _linkfn_args(**kw)
+    _assert_close(p_edge_given_weight_linkfn(*args, LinkFn.exp()), p_edge_given_weight_linkfn_exp(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_LINKS, **_LINKFN_ARGS)
+def test_linkfn_matches_weight_space_integral(h, **kw):
+    args = _linkfn_args(**kw)
+    got = p_edge_given_weight_linkfn(*args, h)  # must not raise, whether or not the reference converges
+    try:
+        want = p_edge_given_weight_linkfn_weight_space(*args, h)
+    except NumericError:
+        return
+    assert abs(got - want) <= 1e-7 * got + 1e-12
 
 
 def test_linkfn_exp_matches_monte_carlo(pareto3):

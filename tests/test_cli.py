@@ -12,6 +12,8 @@ from threshnet import ParetoParams, expected_edges, io as tio, p_edge, variance_
 from threshnet.cli import MAX_ANALYZE_NODES, main
 from threshnet.errors import SeriesFormatError
 
+from oracles import read_json, read_nodes_tsv
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -26,10 +28,10 @@ def test_generate_writes_artifacts(tmp_path, capsys):
         "--seed", "7", "--out-dir", str(tmp_path / "run1"),
     )
     assert code == 0
-    manifest = tio.read_json(tmp_path / "run1" / "manifest.json")
+    manifest = read_json(tmp_path / "run1" / "manifest.json")
     assert manifest["config"]["n"] == 1000
     assert manifest["config"]["theta"] == 10.0
-    weights, dirs = tio.read_nodes_tsv(tmp_path / "run1" / "nodes.tsv")
+    weights, dirs = read_nodes_tsv(tmp_path / "run1" / "nodes.tsv")
     assert len(weights) == 1000
     assert dirs.shape == (1000, 3)
     edges = tio.read_edges_tsv(tmp_path / "run1" / "edges.tsv")
@@ -42,7 +44,7 @@ def test_generate_writes_artifacts(tmp_path, capsys):
         "--seed", "7", "--out-dir", str(tmp_path / "run2"),
     )
     assert code == 0
-    manifest2 = tio.read_json(tmp_path / "run2" / "manifest.json")
+    manifest2 = read_json(tmp_path / "run2" / "manifest.json")
     assert manifest["outputs"] == manifest2["outputs"]
 
 
@@ -54,7 +56,7 @@ def test_generate_edge_count_in_band(tmp_path, capsys):
         "--out-dir", str(tmp_path),
     )
     assert code == 0
-    manifest = tio.read_json(tmp_path / "manifest.json")
+    manifest = read_json(tmp_path / "manifest.json")
     pareto = ParetoParams(3, 1)
     theta = manifest["config"]["theta"]
     em = expected_edges(30000, pareto, theta)
@@ -153,7 +155,7 @@ def test_calibrate_round_trip_with_oracle(capsys, tmp_path):
     assert code == 0
     theta = float(out.splitlines()[0])
     assert theta == pytest.approx(8.0 / 9.0, rel=1e-10)
-    saved = tio.read_json(tmp_path / "calibration.json")
+    saved = read_json(tmp_path / "calibration.json")
     assert saved["theta"] == theta
 
     code, out, _ = run(
@@ -189,6 +191,15 @@ def test_calibration_without_finite_bracket_exits_one(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 1
     assert err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_generate_past_max_edges_exits_one(tmp_path, capsys):
+    # theta = 0 links half of the 124750 pairs; the guard stops the run before any file is written
+    code, _, err = run(capsys, "generate", "--n", "500", "--a", "3", "--theta", "0", "--max-edges", "100",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: ") and "exceeds guard 100; raise --max-edges" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -250,7 +261,7 @@ def test_analyze_degree_file(tmp_path, capsys):
         "--out-dir", str(tmp_path),
     )
     assert code == 0
-    fit = tio.read_json(tmp_path / "fit.json")
+    fit = read_json(tmp_path / "fit.json")
     assert abs(fit["alpha_hat"] - 2.5) < 0.06
     ccdf_lines = (tmp_path / "ccdf.csv").read_text(encoding="utf-8").splitlines()
     assert ccdf_lines[0] == "k,ccdf"
@@ -427,7 +438,7 @@ def test_cli_analyze_loads_no_scipy_optimize_and_calibrate_does(tmp_path, capsys
     assert code == 0
     for name in ("fit.json", "ccdf.csv"):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
-    assert tio.read_json(tmp_path / "here" / "fit.json")["p_value"] is not None
+    assert read_json(tmp_path / "here" / "fit.json")["p_value"] is not None
 
 
 def test_growth_sweep_and_fit(tmp_path, capsys):
@@ -477,7 +488,7 @@ def test_nodes_tsv_round_trip_exact(tmp_path, pareto3):
     weights, dirs = sample_node_table(50, 9, pareto3, 4)
     path = tmp_path / "nodes.tsv"
     tio.write_nodes_tsv(path, weights, dirs)
-    w2, d2 = tio.read_nodes_tsv(path)
+    w2, d2 = read_nodes_tsv(path)
     assert np.array_equal(weights, w2)
     assert np.array_equal(dirs, d2)
 
@@ -486,7 +497,7 @@ def test_nodes_tsv_rejects_gaps(tmp_path):
     path = tmp_path / "nodes.tsv"
     path.write_text("0\t1.5\t0\t0\t1\n2\t1.5\t0\t0\t1\n", encoding="utf-8")
     with pytest.raises(SeriesFormatError):
-        tio.read_nodes_tsv(path)
+        read_nodes_tsv(path)
 
 
 def test_edges_tsv_round_trip(tmp_path):

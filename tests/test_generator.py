@@ -259,12 +259,6 @@ def test_max_edge_guard_raises():
         generate(_config(500, 0.0), max_edges=100)
 
 
-def test_max_edge_guard_env(monkeypatch):
-    monkeypatch.setenv("FTM_MAX_EDGES", "100")
-    with pytest.raises(ResourceLimitError):
-        generate(_config(500, 0.0))
-
-
 def test_naive_rejects_large_n():
     from threshnet.errors import DomainError
 

@@ -12,7 +12,7 @@ from threshnet import (
     Variant,
     sample_node_table,
 )
-from threshnet.streams import _BLOCK
+from threshnet.streams import _BLOCK, substream_uniforms
 
 from oracles import Node, SubStream, edge_exists, sample_direction, sample_weight
 
@@ -143,6 +143,25 @@ def test_blocked_table_matches_oracle_at_block_edges(pareto3, n):
 @example(seed=2 ** 64 - 1)
 def test_blocked_table_matches_oracle_for_any_seed(seed):
     _assert_block_edges_match_oracle(_BLOCK + 1, seed, ParetoParams(2.5, 1.7))
+
+
+def _unblocked_table(n, seed, pareto, d):
+    """The d != 3 node table from one (n, 1 + d) array of uniforms, as it was drawn before blocking."""
+    from scipy.special import ndtri
+
+    u = substream_uniforms(seed, np.arange(n), 1 + d)
+    weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+    g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))
+    return weights, g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [2, 5, 11])
+def test_blocked_table_matches_unblocked_form(d):
+    n, pareto = 3 * _BLOCK + 7, ParetoParams(2.5, 1.7)
+    weights, dirs = sample_node_table(n, 99, pareto, d)
+    want_w, want_x = _unblocked_table(n, 99, pareto, d)
+    assert np.array_equal(weights.view(np.int64), want_w.view(np.int64))
+    assert np.array_equal(dirs.view(np.int64), want_x.view(np.int64))
 
 
 def test_node_independent_of_population(pareto3):
