@@ -5,10 +5,29 @@ significant digits so a round trip is bit-exact for 64-bit values.  Edge
 list TSV: two node ids per line; undirected pairs are written once with the
 smaller id first, directed arcs as (source, target).
 
-The table writers format `_CHUNK_ROWS` rows at a time with a single
-`%`-format over Python values (`'%.17g' % x` is the same string as
-`format(x, '.17g')`), so their bytes equal a row-by-row write while the
-transient strings stay bounded.  An edge file in exactly the form
+The node writer builds its lines (the id, then each float as `'%.17g'`)
+in numpy, `_CHUNK_ROWS` rows at a time, few enough that a chunk's arrays
+stay in cache.  `'%.17g'` writes |x| in [1e-4, 1e17) in fixed notation: with
+k = floor(log10 |x|), its digits are those of the 17-digit integer
+D = round-half-even(|x| 10^(16-k)); the '.' follows digit k + 1 (or "0." and
+-k - 1 zeros precede D when k < 0), and trailing zeros after the '.' are
+dropped.  These are computed exactly in doubles:
+- 10^q is an exact double for q <= 22, and Dekker's two-product (numpy never
+  fuses a multiply-add) gives |x| 10^q = p + err exactly;
+- k, first taken from `log10`, is corrected by testing p + err against 10^16
+  and 10^17;
+- p >= 10^16 is an even integer, so D = p + rint(err) rounds ties to even;
+- no double below a power of ten rounds up to it at 17 digits, so D never
+  carries to 10^17.
+A 10000-entry table of 4-digit ASCII words gives the digits, and a second one
+their trailing zeros.  Every other value (zeros, subnormals, |x| < 1e-4 or
+>= 1e17, inf, nan) is formatted by Python's `'%.17g'`, in one `%` per column
+and chunk.  Each field is padded with NUL bytes to a fixed width in a
+byte matrix of the chunk's lines, and deleting the NULs leaves the text.
+
+The edge writer formats `_CHUNK_ROWS` rows at a time with a single
+`%`-format over Python values, so its bytes equal a row-by-row write while
+the transient strings stay bounded.  An edge file in exactly the form
 `write_edges_tsv` emits is parsed in one pass; every other input is parsed
 line by line, which reports a malformed line as `path:line`.  Bytes that are
 not UTF-8 are reported as `path`.
@@ -26,8 +45,21 @@ import numpy as np
 from .errors import SeriesFormatError
 
 _FLOAT_FMT = ".17g"
-# Rows formatted per write: bounds the transient value tuple and string.
-_CHUNK_ROWS = 1 << 16
+# Rows formatted per write: bounds the transient byte matrices and strings.
+_CHUNK_ROWS = 1 << 12
+# Bytes of a float field: the longest '%.17g' is -2.2250738585072014e-308.
+_FIELD = 24
+_Q = np.arange(10000)
+# '%04d' of 0..9999 as the ASCII bytes of a little-endian word, and its trailing zeros.
+_DIGITS4 = (
+    (np.stack([_Q // 1000, _Q // 100 % 10, _Q // 10 % 10, _Q % 10], axis=1) + ord("0"))
+    .astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+)
+_ZEROS4 = np.select([_Q % 10 != 0, _Q % 100 != 0, _Q % 1000 != 0, _Q != 0], [0, 1, 2, 3], 4)
+# Exact doubles 10^q, q = 0..20.
+_POW10 = np.array([float(10**q) for q in range(21)])
+_SPLIT = 134217729.0  # 2^27 + 1
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # Lines as `write_edges_tsv` emits them for non-negative ids: no sign, no
 # leading zero, at most 18 digits (so inside int64), one tab, and "\n".
@@ -48,19 +80,150 @@ def _read_text(path, newline=None):
         raise SeriesFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo, each half with at most 26 significant bits."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(mag: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p, err with p = fl(mag 10^q) and p + err = mag 10^q exactly (Dekker's two-product)."""
+    p = mag * _POW10[q]
+    hi, lo = _split(mag)
+    p_hi, p_lo = _POW10_HI[q], _POW10_LO[q]
+    return p, ((hi * p_hi - p) + hi * p_lo + lo * p_hi) + lo * p_lo
+
+
+def _groups(values: np.ndarray, count: int) -> list[np.ndarray]:
+    """The `count` 4-digit groups of int64 `values` in [0, 10^(4 count)), most significant first."""
+    groups = []
+    for _ in range(count - 1):
+        quotient = values // 10000
+        groups.append(values - quotient * 10000)
+        values = quotient
+    return [values, *groups[::-1]]
+
+
+def _layout() -> tuple[list, list, list]:
+    """Where each byte of a fixed-notation field comes from, by (k, significant digits, sign).
+
+    A field is built from Z = "00000" + the 17 digits of D (lead digit at byte
+    5, units digit at byte 5 + k) and from Z shifted right by one byte.  It
+    takes Z from its first character through the units digit, then '.' and the
+    shifted Z up to the last significant digit, with '-' before a negative
+    value; every other byte is NUL.  Returns the byte masks of Z and of the
+    shifted Z and the '-' and '.' bytes, each as three tables of uint64 words.
+    """
+    k = np.arange(-4, 17)[:, None, None, None]
+    digits = np.arange(1, 18)[None, :, None, None]
+    negative = np.arange(2)[None, None, :, None] == 1
+    b = np.arange(_FIELD)
+    units, first = 5 + k, 5 + np.minimum(k, 0)
+    fraction = digits > k + 1
+    end = np.where(fraction, 6 + digits, 6 + k)
+    from_z = (first <= b) & (b <= units)
+    from_shifted = fraction & (units + 2 <= b) & (b < end)
+    marks = np.where(negative & (b == first - 1), ord("-"), 0) + np.where(fraction & (b == units + 1), ord("."), 0)
+
+    def words(a):
+        a = np.broadcast_to(a, (21, 17, 2, _FIELD)).astype(np.uint8).reshape(-1, _FIELD).view("<u8")
+        return [a[:, j].copy() for j in range(3)]
+
+    return words(from_z * 255), words(from_shifted * 255), words(marks)
+
+
+_FROM_Z, _FROM_SHIFTED, _MARKS = _layout()
+# Shifts by 1, 2, 6 and 7 bytes, as uint64 so that the words keep their dtype.
+_B1, _B2, _B6, _B7 = (np.uint64(8 * b) for b in (1, 2, 6, 7))
+
+
+def _fixed_fields(x: np.ndarray) -> np.ndarray:
+    """'%.17g' of each x with 1e-4 <= |x| < 1e17, as NUL-padded (n, _FIELD) bytes."""
+    mag = np.abs(x)
+    k = np.clip(np.floor(np.log10(mag)), -4, 16).astype(np.intp)
+    p, err = _times_pow10(mag, 16 - k)
+    # log10 may round across a power of ten: move k until 10^16 <= mag 10^(16-k) < 10^17
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    if low.any() or high.any():
+        k += high
+        k -= low
+        p, err = _times_pow10(mag, 16 - k)
+    # p >= 10^16 is an even integer, so an err of exactly +-0.5 keeps p: ties go to even
+    g = _groups(p.astype(np.int64) + np.rint(err).astype(np.int64), 5)  # g[0] is the lead digit
+    zeros = _ZEROS4[g[4]]  # trailing zeros of D
+    for j in (3, 2, 1):
+        rows = np.flatnonzero(zeros == 4 * (4 - j))  # the groups after g[j] are all zero
+        if not len(rows):
+            break
+        zeros[rows] += _ZEROS4[g[j][rows]]
+    form = ((k + 4) * 17 + 16 - zeros) * 2 + (x < 0)  # the row of the _layout tables
+    # Z = "00" + "000" and the lead digit (t[0]) + the other 16 digits, as three words
+    t = [_DIGITS4[group] for group in g]
+    z = [
+        np.uint64(0x3030) | t[0] << _B2 | t[1] << _B6,
+        t[1] >> _B2 | t[2] << _B2 | t[3] << _B6,
+        t[3] >> _B2 | t[4] << _B2,
+    ]
+    field = np.empty((len(x), 3), "<u8")
+    for j in range(3):
+        shifted = z[j] << _B1
+        if j:
+            shifted |= z[j - 1] >> _B7
+        field[:, j] = (z[j] & _FROM_Z[j][form]) | (shifted & _FROM_SHIFTED[j][form]) | _MARKS[j][form]
+    return field.view(np.uint8)
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """'%.17g' of each x, as NUL-padded (n, _FIELD) bytes."""
+    x = np.asarray(x, dtype=np.float64)
+    mag = np.abs(x)
+    fixed = (mag >= 1e-4) & (mag < 1e17)
+    if fixed.all():
+        return _fixed_fields(x)
+    other = np.flatnonzero(~fixed)
+    # each value left-aligned in _FIELD characters, its padding turned to NUL
+    text = (f"%-{_FIELD}.17g" * len(other) % tuple(x[other].tolist())).encode().translate(_SPACE_TO_NUL)
+    formatted = np.frombuffer(text, np.uint8).reshape(len(other), _FIELD)
+    if len(other) == len(x):
+        return formatted
+    field = np.empty((len(x), _FIELD), np.uint8)
+    field[other] = formatted
+    rows = np.flatnonzero(fixed)
+    field[rows] = _fixed_fields(x[rows])
+    return field
+
+
+def _node_lines(start: int, columns: list, id_width: int) -> bytes:
+    """The bytes of `'%d' + '\\t%.17g' * len(columns) + '\\n'` for rows start, start + 1, ..."""
+    n = len(columns[0])
+    text = np.empty((n, id_width + len(columns) * (1 + _FIELD) + 1), np.uint8)
+    ids = np.arange(start, start + n, dtype=np.int64)
+    groups = -(-id_width // 4)
+    digits = np.stack([_DIGITS4[g] for g in _groups(ids, groups)], axis=1).astype("<u4")
+    text[:, :id_width] = digits.view(np.uint8)[:, 4 * groups - id_width :]
+    for j in range(1, id_width):  # ids ascend, so those below 10^j are the first rows
+        text[: np.searchsorted(ids, 10**j), id_width - 1 - j] = 0
+    col = id_width
+    for x in columns:
+        text[:, col] = ord("\t")
+        text[:, col + 1 : col + 1 + _FIELD] = _float_fields(x)
+        col += 1 + _FIELD
+    text[:, col] = ord("\n")
+    return text.tobytes().translate(None, b"\0")
+
+
 def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
-    n, d = len(weights), directions.shape[1]
-    cols = d + 2
-    row = "%d\t%.17g" + "\t%.17g" * d + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    n = len(weights)
+    id_width = len(str(max(n - 1, 0)))
+    with open(path, "wb") as fh:
         for start in range(0, n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, n)
-            values = [None] * ((stop - start) * cols)
-            values[0::cols] = range(start, stop)
-            values[1::cols] = weights[start:stop].tolist()
-            for c in range(d):
-                values[2 + c :: cols] = directions[start:stop, c].tolist()
-            fh.write(row * (stop - start) % tuple(values))
+            fh.write(_node_lines(start, [weights[start:stop], *directions[start:stop].T], id_width))
 
 
 def write_edges_tsv(path, edges: np.ndarray) -> None:

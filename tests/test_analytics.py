@@ -47,23 +47,23 @@ from oracles import (
 
 def test_p_edge_given_weight_known_points(pareto3):
     assert p_edge_given_weight(5.0, pareto3, 0.0) == 0.5
-    assert p_edge_given_weight(2.0, pareto3, 10.0) == pytest.approx(0.001, rel=1e-12)
-    assert p_edge_given_weight(20.0, pareto3, 10.0) == pytest.approx(0.3125, rel=1e-12)
+    assert p_edge_given_weight(2.0, pareto3, 10.0) == pytest.approx(0.001, rel=1e-12, abs=0.0)
+    assert p_edge_given_weight(20.0, pareto3, 10.0) == pytest.approx(0.3125, rel=1e-12, abs=0.0)
     # both branches meet at w = theta / w0
-    assert p_edge_given_weight(10.0, pareto3, 10.0) == pytest.approx(0.125, rel=1e-12)
+    assert p_edge_given_weight(10.0, pareto3, 10.0) == pytest.approx(0.125, rel=1e-12, abs=0.0)
 
 
 def test_p_edge_known_points(pareto3):
     assert p_edge(pareto3, 0.0) == 0.5
     assert p_edge(pareto3, 10.0) == pytest.approx(1.0822194e-3, rel=1e-6)
     # branch point theta = w0^2
-    assert p_edge(pareto3, 1.0) == pytest.approx(0.21875, rel=1e-12)
+    assert p_edge(pareto3, 1.0) == pytest.approx(0.21875, rel=1e-12, abs=0.0)
 
 
 def test_p_wedge_known_points(pareto3):
     assert p_wedge(pareto3, 0.0) == 0.25
     assert p_wedge(pareto3, 0.5) == pytest.approx(0.13046875, rel=1e-10)
-    assert p_wedge(pareto3, 10.0) == pytest.approx(6.8734375e-5, rel=1e-9)
+    assert p_wedge(pareto3, 10.0) == pytest.approx(6.8734375e-5, rel=1e-9, abs=0.0)
 
 
 def test_domain_errors(pareto3):
@@ -109,9 +109,9 @@ def test_expected_edges_trivial(pareto3):
 
 def test_variance_trivial(pareto3):
     # independent pairs at theta = 0: 3 pairs, each Bernoulli(1/2)
-    assert variance_edges(3, pareto3, 0.0) == pytest.approx(0.75, rel=1e-12)
+    assert variance_edges(3, pareto3, 0.0) == pytest.approx(0.75, rel=1e-12, abs=0.0)
     pe = p_edge(pareto3, 4.0)
-    assert variance_edges(2, pareto3, 4.0) == pytest.approx(pe * (1 - pe), rel=1e-12)
+    assert variance_edges(2, pareto3, 4.0) == pytest.approx(pe * (1 - pe), rel=1e-12, abs=0.0)
     with pytest.raises(DomainError):
         variance_edges(1, pareto3, 1.0)
 
@@ -132,8 +132,8 @@ def test_calibrate_closed_form_branch(pareto3):
     n = 100
     pairs = n * (n - 1) / 2
     theta = calibrate_theta(n, pareto3, pairs * 0.25)
-    assert theta == pytest.approx(8.0 / 9.0, rel=1e-12)
-    assert p_edge(pareto3, theta) == pytest.approx(0.25, rel=1e-12)
+    assert theta == pytest.approx(8.0 / 9.0, rel=1e-12, abs=0.0)
+    assert p_edge(pareto3, theta) == pytest.approx(0.25, rel=1e-12, abs=0.0)
 
 
 def test_calibrate_round_trip_high_branch(pareto3):
@@ -207,9 +207,9 @@ def test_directed_reduces_to_undirected(a, w0, log10_w, log10_theta):
     theta = w0 ** 2 * 10.0 ** log10_theta
     assert p_edge(pareto, 0.0) == p_edge_undirected(pareto, 0.0) == 0.5
     assert p_edge_given_weight(w, pareto, 0.0) == p_edge_given_weight_undirected(w, pareto, 0.0) == 0.5
-    assert p_edge(pareto, theta) == pytest.approx(p_edge_undirected(pareto, theta), rel=1e-12)
+    assert p_edge(pareto, theta) == pytest.approx(p_edge_undirected(pareto, theta), rel=1e-12, abs=0.0)
     assert p_edge_given_weight(w, pareto, theta) == pytest.approx(
-        p_edge_given_weight_undirected(w, pareto, theta), rel=1e-12
+        p_edge_given_weight_undirected(w, pareto, theta), rel=1e-12, abs=0.0
     )
 
 
@@ -243,7 +243,7 @@ def test_printed_boundary_diverges_when_asymmetric(pareto3):
     assert abs(default - printed) > 0.01
     same = p_edge_given_weight_directed_printed(w, pareto3, 10.0, 1.5, 1.5)
     # the printed powers of theta and the log form round differently
-    assert same == pytest.approx(p_edge_given_weight(w, pareto3, 10.0, 1.5, 1.5), rel=1e-13)
+    assert same == pytest.approx(p_edge_given_weight(w, pareto3, 10.0, 1.5, 1.5), rel=1e-13, abs=0.0)
 
 
 def test_directed_p_edge_matches_monte_carlo(pareto3):
@@ -298,7 +298,7 @@ def test_calibration_root_far_below_one_round_trips():
     pareto = ParetoParams(3.0, 0.5)
     target = expected_arcs_directed(1000, pareto, 1e-20, 50.0, 50.0)
     theta = calibrate_theta_directed(1000, pareto, target, 50.0, 50.0)
-    assert theta == pytest.approx(1e-20, rel=1e-12)
+    assert theta == pytest.approx(1e-20, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=500, deadline=None)
@@ -537,7 +537,7 @@ def test_linkfn_rejects_even_power(pareto3):
 
 
 def test_degree_pmf_reference_values():
-    assert degree_pmf_reference(1, 2.0) == pytest.approx(6.0 / math.pi ** 2, rel=1e-12)
+    assert degree_pmf_reference(1, 2.0) == pytest.approx(6.0 / math.pi ** 2, rel=1e-12, abs=0.0)
     ks = np.arange(1, 10 ** 6)
     total = degree_pmf_reference(ks, 2.0).sum() + 1.0 / (math.pi ** 2 / 6.0) / ks[-1]
     assert total == pytest.approx(1.0, abs=1e-5)
@@ -550,7 +550,7 @@ def test_degree_pmf_reference_values():
 
 def test_hurwitz_zeta_values():
     assert hurwitz_zeta(2.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-12)
-    assert hurwitz_zeta(2.0, 2.0) == pytest.approx(math.pi ** 2 / 6.0 - 1.0, rel=1e-12)
+    assert hurwitz_zeta(2.0, 2.0) == pytest.approx(math.pi ** 2 / 6.0 - 1.0, rel=1e-12, abs=0.0)
     with pytest.raises(DomainError):
         hurwitz_zeta(1.0)
 

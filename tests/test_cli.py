@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -192,6 +193,27 @@ def test_calibration_without_finite_bracket_exits_one(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+# sha256 of the nodes.tsv and edges.tsv that `generate --n 100000 --a 3 --theta 20
+# --seed 1` writes, by --d: the bytes are part of the output contract.
+PINNED_OUTPUTS = {
+    2: ("9a7967712a377e6640d1691b8d6736de37aef089161491c44e44a01c8b1af5c5",
+        "cbcde51fbc1aecacf9189c164e1bc4fad2aa8026ad1b714f6b75482fae7e5f85"),
+    3: ("c597dec60c14df7fda3a3cf1701aea825a4b4a76983425a6e7c8109fe9eef4f1",
+        "ec4f3dc5adbe20b3584af5d841f5e56e6de940fa5debe51759d0aa213c0a077d"),
+    5: ("aaed1be981af38207d7c9186a5324c92b692bdb29291cbeb71717c590571bf54",
+        "c355be54fce808b03dd372fd30f30f58a02e74e036259b42479020eba70c1d0f"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_OUTPUTS))
+def test_generate_output_bytes_are_pinned(tmp_path, capsys, d):
+    code, _, _ = run(capsys, "generate", "--n", "100000", "--a", "3", "--theta", "20", "--d", str(d),
+                     "--seed", "1", "--out-dir", str(tmp_path))
+    assert code == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("nodes.tsv", "edges.tsv"))
+    assert digests == PINNED_OUTPUTS[d]
 
 
 def test_generate_past_max_edges_exits_one(tmp_path, capsys):

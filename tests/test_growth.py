@@ -114,7 +114,7 @@ def test_fit_on_generated_sweep(pareto3):
     ]
     fit = fit_growth_curve(mean_points)
     lead = linlog_leading_coefficient(1.0, pareto3)
-    assert lead == pytest.approx(1.0 / 16.0, rel=1e-12)
+    assert lead == pytest.approx(1.0 / 16.0, rel=1e-12, abs=0.0)
     assert abs(fit.c1 - lead) / lead < 0.25
     # the noiseless expectation series pins the coefficient much tighter
     em_fit = fit_growth_curve([(n, sweep[0].points[i].em) for i, n in enumerate(ns)])

@@ -1,13 +1,16 @@
 """The chunked TSV writers and the edge reader against row-by-row oracles.
 
 The oracles are the row-by-row writers and the line-by-line edge parser the
-package had before its writers were chunked and its reader got an int64
-range check and a one-pass parse of canonical files; the new code must give
-the same bytes, the same arrays and the same error messages, except that an
-id beyond int64 is now a format error.
+package had before its writers were chunked, its node writer built the
+'%.17g' digits in numpy, and its reader got an int64 range check and a
+one-pass parse of canonical files; the new code must give the same bytes,
+the same arrays and the same error messages, except that an id beyond int64
+is now a format error.
 """
 
+import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -106,6 +109,67 @@ def test_write_nodes_matches_oracle(tmp_path, table, chunk):
         tio.write_nodes_tsv(tmp_path / "got.tsv", weights, directions)
     oracle_write_nodes(tmp_path / "want.tsv", weights, directions)
     assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+def _near_power(m, steps):
+    """The double `steps` doubles above 10^m (below it for negative steps)."""
+    value = float(f"1e{m}")
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else 0.0)
+    return value
+
+
+# '%.17g' is fixed notation for 1e-4 <= |x| < 1e17, where the writer builds the
+# digits itself: values spread over that range by decimal exponent, ...
+log_uniform = st.floats(min_value=-4.0, max_value=17.0, exclude_max=True).map(lambda e: 10.0 ** e)
+# ... the doubles next to each power of ten, where log10 may round across it, ...
+power_neighbours = st.builds(
+    _near_power, st.integers(min_value=-5, max_value=18), st.integers(min_value=-3, max_value=3)
+)
+
+
+def _ties(k):
+    """Doubles c 2^-j in [10^k, 10^(k+1)) with c odd and j = 17 - k.
+
+    Their decimal expansion has exactly 18 significant digits, the last a 5, so
+    at 17 digits each is a tie that rounds to the even neighbour.
+    """
+    j = 17 - k
+    scaled = [Fraction(10) ** e * 2**j for e in (k, k + 1)]
+    lo, hi = math.ceil(scaled[0]), min(math.floor(scaled[1]), 2**53)
+    return st.integers(min_value=lo // 2, max_value=(hi - 1) // 2).map(lambda c: math.ldexp(2 * c + 1, -j))
+
+
+# ... exact ties (k = 16 has none: there the doubles are even integers), ...
+ties = st.integers(min_value=-4, max_value=15).flatmap(_ties)
+fixed_floats = st.one_of(log_uniform, power_neighbours, ties)
+field_floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.builds(lambda value, negative: -value if negative else value, fixed_floats, st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(field_floats, min_size=1, max_size=60))
+@example(values=[100000000000000.125, 100000000000000.375, -0.500003814697265625, 1.0000000000000002e-4])
+@example(values=[999.99999999999989, 1000.0, 1000.0000000000001, 9.9999999999999991e-05, 1e-4, 1e17,
+                 99999999999999984.0])
+def test_write_nodes_fields_match_percent_format(tmp_path, values):
+    weights = np.array(values)
+    tio.write_nodes_tsv(tmp_path / "got.tsv", weights, weights[::-1, None])
+    oracle_write_nodes(tmp_path / "want.tsv", weights, weights[::-1, None])
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("m", range(-3, 18))
+def test_no_double_below_a_power_of_ten_rounds_up_to_it(m):
+    # so the 17-digit integer D of a value in [1e-4, 1e17) never carries to 10^17
+    power = Fraction(10) ** m
+    below = float(power)
+    if Fraction(below) >= power:
+        below = math.nextafter(below, 0.0)
+    assert power - Fraction(below) > Fraction(10) ** (m - 17) / 2
+    assert Fraction("%.17g" % below) < power
 
 
 @settings_tmp

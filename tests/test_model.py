@@ -34,7 +34,7 @@ def test_weight_at_u_zero_is_scale():
 
 def test_weight_median_shape_one():
     # median of the a=1 law is twice the scale
-    assert sample_weight(FixedStream([0.5]), ParetoParams(1, 5)) == pytest.approx(10.0, rel=1e-15)
+    assert sample_weight(FixedStream([0.5]), ParetoParams(1, 5)) == pytest.approx(10.0, rel=1e-15, abs=0.0)
 
 
 def test_pareto_survival_grid(pareto3):
@@ -105,7 +105,7 @@ def test_table_matches_scalar_sampler(pareto3):
             # the stream-based samplers share the substream but not the
             # vectorized arithmetic; allow an ulp of drift
             stream = SubStream(77, i)
-            assert sample_weight(stream, pareto3) == pytest.approx(weights[i], rel=1e-14)
+            assert sample_weight(stream, pareto3) == pytest.approx(weights[i], rel=1e-14, abs=0.0)
             assert np.allclose(sample_direction(stream, d), dirs[i], atol=1e-12)
 
 
@@ -129,7 +129,7 @@ def _assert_block_edges_match_oracle(n, seed, pareto):
     for i in ids[-2:]:
         # the one-value-at-a-time samplers use the math module; allow an ulp of drift
         stream = SubStream(seed, i)
-        assert sample_weight(stream, pareto) == pytest.approx(weights[i], rel=1e-14)
+        assert sample_weight(stream, pareto) == pytest.approx(weights[i], rel=1e-14, abs=0.0)
         assert np.allclose(sample_direction(stream, 3), dirs[i], atol=1e-12)
 
 
