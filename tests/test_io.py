@@ -181,8 +181,14 @@ def test_write_edges_matches_oracle(tmp_path, edges, chunk):
     assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
-@pytest.mark.parametrize("n", [tio._CHUNK_ROWS - 1, tio._CHUNK_ROWS, 2 * tio._CHUNK_ROWS + 1])
+@pytest.mark.parametrize(
+    "n",
+    # one row short of, exactly at, and one row past a chunk boundary: the
+    # first boundary, and the boundaries near 2^16 rows
+    [tio._CHUNK_ROWS - 1, tio._CHUNK_ROWS, 2 * tio._CHUNK_ROWS + 1, 65535, 65536, 131073],
+)
 def test_writers_match_oracle_across_real_chunk_size(tmp_path, n):
+    assert (n + 1) % tio._CHUNK_ROWS <= 2  # n sits next to a chunk boundary
     rng = np.random.default_rng(n)
     weights = 1.0 / rng.random(n) ** 0.5
     directions = rng.standard_normal((n, 2))
