@@ -35,7 +35,6 @@ class GrowthPoint:
 @dataclass
 class GrowthSeries:
     points: list[GrowthPoint] = field(default_factory=list)
-    provenance: str = "generated"  # generated | ingested
 
     def __post_init__(self):
         ns = [p.n for p in self.points]
@@ -96,7 +95,7 @@ def run_growth_sweep(
                     theta=theta,
                 )
             )
-        out[seed] = GrowthSeries(points=points, provenance="generated")
+        out[seed] = GrowthSeries(points=points)
     return out
 
 
@@ -197,6 +196,6 @@ def ingest_edge_count_series(path) -> GrowthSeries:
     if not points:
         raise SeriesFormatError(f"{path}: no data rows")
     try:
-        return GrowthSeries(points=points, provenance="ingested")
+        return GrowthSeries(points=points)
     except SeriesFormatError as exc:
         raise SeriesFormatError(f"{path}: {exc}") from None

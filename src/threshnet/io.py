@@ -284,7 +284,9 @@ def read_degree_file(path) -> np.ndarray:
                 value = int(line)
             except ValueError as exc:
                 raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
-            if not (_INT64_MIN <= value <= _INT64_MAX):
+            if value < 0:
+                raise SeriesFormatError(f"{path}:{lineno}: degree {value} is negative")
+            if value > _INT64_MAX:
                 raise SeriesFormatError(f"{path}:{lineno}: degree {value} outside the int64 range")
             values.append(value)
     if not values:

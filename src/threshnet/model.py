@@ -16,7 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .streams import _BLOCK, substream_uniforms
+from .streams import substream_uniforms
+
+_BLOCK = 1 << 15  # node ids per pass of `sample_node_table`
 
 
 @dataclass(frozen=True)
@@ -230,8 +232,11 @@ def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[
         raise DimensionError(f"direction dimension must be >= 2, got {d}")
     if d != 3:
         from scipy.special import ndtri  # not at module level: d = 3 never loads scipy
-    # One block of ids at a time, written straight into the output rows,
-    # so no n-sized temporary exists besides the two outputs.
+    # One block of _BLOCK ids at a time, written straight into the output rows,
+    # so no n-sized temporary exists besides the two outputs.  A block's
+    # per-node temporaries (keys, z, phi, ...) are 256 KiB each and stay in
+    # the L2 cache, where n-sized ones would stream through memory once per
+    # operation of the mix and the direction arithmetic.
     weights = np.empty(n)
     dirs = np.empty((n, d))
     for lo in range(0, n, _BLOCK):

@@ -53,7 +53,6 @@ class GofResult:
     p_value: float
     stderr: float
     n_bootstrap: int
-    ks_observed: float
 
 
 def ccdf(degrees) -> tuple[np.ndarray, np.ndarray]:
@@ -269,18 +268,16 @@ def _draw_discrete_powerlaw(
     return out.astype(np.int64)
 
 
-def sample_discrete_powerlaw(
-    rng: np.random.Generator, alpha: float, x_min: int, size: int, table_span: int = _TABLE_SPAN
-) -> np.ndarray:
+def sample_discrete_powerlaw(rng: np.random.Generator, alpha: float, x_min: int, size: int) -> np.ndarray:
     """Inverse-CDF draws from the zeta-normalized discrete power law.
 
-    Exact within a precomputed table of `table_span` values; the residual
+    Exact within a precomputed table of `_TABLE_SPAN` values; the residual
     tail beyond it (mass ~1e-7 at typical exponents) falls back to the
     continuous Pareto approximation, clipped below 2**63.
     """
     if not (alpha > 1):
         raise DomainError(f"exponent must exceed 1, got {alpha}")
-    cdf = _zeta_cdf(alpha, x_min, table_span)
+    cdf = _zeta_cdf(alpha, x_min, _TABLE_SPAN)
     return _draw_discrete_powerlaw(rng, cdf, _guide(cdf), alpha, x_min, size)
 
 
@@ -331,5 +328,5 @@ def gof_pvalue(
             exceed += 1
     p = exceed / n_bootstrap
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))
-    return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap, ks_observed=fit.ks_stat)
+    return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap)
 

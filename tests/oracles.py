@@ -540,4 +540,4 @@ def gof_pvalue(samples, fit: FitResult, n_bootstrap: int = 1000, seed: int = 0) 
             exceed += 1
     p = exceed / n_bootstrap
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))
-    return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap, ks_observed=fit.ks_stat)
+    return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap)

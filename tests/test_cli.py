@@ -355,6 +355,18 @@ def test_analyze_degree_beyond_int64_exits_one(tmp_path, capsys):
     assert f"{bad}:2" in err and "99999999999999999999999" in err
 
 
+def test_analyze_negative_degree_exits_one_before_fitting(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "deg.txt"
+    bad.write_text("3\n-3\n5\n", encoding="utf-8")
+    fits = []
+    monkeypatch.setattr(threshnet.statfit, "fit_powerlaw_discrete", lambda *a, **k: fits.append(a))
+    code, _, err = run(capsys, "analyze", "--degrees", str(bad), "--bootstrap", "100", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert f"{bad}:2: degree -3 is negative" in err
+    assert fits == []
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_analyze_rejects_n_below_one(tmp_path, capsys, n):
     edges = tmp_path / "edges.tsv"

@@ -34,7 +34,6 @@ def test_sweep_tracks_expected_edges(pareto3):
     sweep = run_growth_sweep(PowerLawSchedule(D=1.0), [200, 400, 800], pareto3, seeds=[0, 1, 2])
     assert set(sweep) == {0, 1, 2}
     for series in sweep.values():
-        assert series.provenance == "generated"
         for p in series.points:
             assert abs(p.m - p.em) <= 3 * np.sqrt(p.var)
             assert p.theta == pytest.approx(p.n ** (1 / 3), rel=1e-12)
@@ -135,7 +134,6 @@ def test_csv_round_trip(tmp_path, pareto3):
     path = tmp_path / "series.csv"
     write_series_csv(path, sweep[3])
     back = ingest_edge_count_series(path)
-    assert back.provenance == "ingested"
     for orig, rt in zip(sweep[3].points, back.points):
         assert rt.n == orig.n
         assert rt.m == orig.m

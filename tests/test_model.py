@@ -12,7 +12,8 @@ from threshnet import (
     Variant,
     sample_node_table,
 )
-from threshnet.streams import _BLOCK, substream_uniforms
+from threshnet.model import _BLOCK
+from threshnet.streams import substream_uniforms
 
 from oracles import Node, SubStream, edge_exists, sample_direction, sample_weight
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threshnet.streams import _BLOCK, substream_key, substream_uniforms
+from threshnet.model import _BLOCK
+from threshnet.streams import _mix_inplace, substream_key, substream_uniforms
 
 from oracles import SubStream, mix64, splitmix64
 
@@ -63,7 +64,7 @@ def test_seed_changes_stream():
     ids_seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_substream_uniforms_match_scalar_oracle(seed, count, length, ids_seed):
-    # row blocks of _BLOCK // count rows; lengths at and around one block edge
+    # lengths at and around _BLOCK // count rows, that is _BLOCK draws
     rows = _BLOCK // count
     size = {"one": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1, "two-blocks+1": 2 * rows + 1}[length]
     ids = np.random.default_rng(ids_seed).integers(0, 2 ** 63, size)  # not contiguous, nor sorted
@@ -95,3 +96,10 @@ def test_mix64_leaves_its_input_alone():
     x = np.arange(5, dtype=np.uint64)
     mix64(x)
     assert np.array_equal(x, np.arange(5))
+
+
+def test_mix_inplace_mixes_a_transposed_view():
+    x = np.arange(12, dtype=np.uint64).reshape(3, 4).T
+    want = mix64(np.ascontiguousarray(x))
+    assert _mix_inplace(x) is x
+    assert np.array_equal(x, want)
