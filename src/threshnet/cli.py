@@ -214,6 +214,10 @@ def _analyze_one(degrees: np.ndarray, label: str, args, out: Path) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    if not (0 <= args.seed < 2 ** 64):
+        raise DomainError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if args.bootstrap and args.bootstrap < 100:
+        raise DomainError(f"--bootstrap must be 0 or at least 100, got {args.bootstrap}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.degrees:

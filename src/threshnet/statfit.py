@@ -21,9 +21,19 @@ from .errors import DomainError, FitDegenerateError
 _ALPHA_MAX = 25.0
 _MIN_TAIL = 50
 _TABLE_SPAN = 10 ** 6
-# Equal bins of [0, 1) in the inverse-CDF guide (two 32 KB index arrays that
-# stay in cache).  A power of two, so floor(u * bins) is exact.
-_GUIDE_BINS = 4096
+# Equal bins of [0, 1) in the inverse-CDF guide (a 256 KB int32 index array
+# and a 64 KB bool array): at R1's fit about 1.7% of draws land in a bin that
+# holds a table value and search the table.  A power of two, so
+# floor(u * bins) is exact.
+_GUIDE_BINS = 1 << 16
+# Bootstrap replicates fitted in lockstep at once: bounds the bootstrap's
+# memory whatever the replicate count.
+_LANES = 256
+# Tail values per KS block of the x_min scan.  A candidate's tail holds every
+# distinct value from it up, so R1's 343 distinct values make blocks of 23
+# candidates; blocks of 256 were no faster and raised analyze's peak RSS by
+# 3.5 MB.
+_SCAN_VALUES = 1 << 13
 # Largest float below 2**63: Pareto tail draws are clipped to it before the
 # int64 cast, which would otherwise wrap them to a negative value.
 _INT64_TOP_FLOAT = float(np.nextafter(2.0 ** 63, 0.0))
@@ -72,97 +82,93 @@ def ccdf(degrees) -> tuple[np.ndarray, np.ndarray]:
     return values, frac_ge
 
 
-def _mle_alpha(tail: np.ndarray, x_min: int) -> float:
+def _mle_alphas(n: np.ndarray, log_sums: np.ndarray, x_mins: np.ndarray) -> np.ndarray:
+    """Exponent of each tail of n[i] samples whose logs sum to log_sums[i], one lane per tail."""
     from scipy.special import zeta as hzeta
 
-    n = len(tail)
-    s = float(np.log(tail).sum())
-    # minus the tail log-likelihood
-    return _fminbound(lambda alpha: n * np.log(hzeta(alpha, x_min)) + alpha * s, 1.0 + 1e-7, _ALPHA_MAX, 1e-8)
+    def minus_loglik(alpha, i):
+        return n[i] * np.log(hzeta(alpha, x_mins[i])) + alpha * log_sums[i]
+
+    return _fminbound(minus_loglik, np.full(len(n), 1.0 + 1e-7), np.full(len(n), _ALPHA_MAX), 1e-8)
 
 
-def _fminbound(func, a: float, b: float, xatol: float) -> float:
-    """Minimizer of `func` on [a, b] by Brent's bounded method (Forsythe, Malcolm and Moler's fmin).
+def _fminbound(func, a: np.ndarray, b: np.ndarray, xatol: float) -> np.ndarray:
+    """Minimizer of each lane's objective on [a[i], b[i]] by Brent's bounded method (Forsythe, Malcolm and Moler's fmin).
 
-    A plain-float port of scipy 1.17's `optimize._optimize._minimize_scalar_bounded`
+    A lockstep port of scipy 1.17's `optimize._optimize._minimize_scalar_bounded`
     (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy
-    Developers), step for step, so it returns the same bits as
-    `minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol}).x`
-    without loading scipy.optimize.  A sign from `>= 0` equals scipy's
-    `np.sign(r) + (r == 0)` for every r that is not NaN.
+    Developers): every lane takes that function's float steps, so lane i
+    returns the same bits as `minimize_scalar(f_i, bounds=(a[i], b[i]),
+    method="bounded", options={"xatol": xatol}).x` without loading
+    scipy.optimize.  `func(x, lanes)` returns f_lanes[k](x[k]) for each k.  A
+    lane leaves the active set on its own tolerance; all lanes stop at scipy's
+    500 evaluations.  A sign from `>= 0` equals scipy's `np.sign(r) + (r == 0)`
+    for every r that is not NaN.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    lanes = np.arange(len(a))
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
+    rat = e = np.zeros(len(a))
+    fx = func(xf, lanes)
     ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
+    out = np.empty(len(a))
+    for _ in range(499):  # scipy's default maxiter caps function evaluations at 500
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= 500:  # scipy's default maxiter, which caps function evaluations
-            break
-    return xf
+        go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+        if not go.all():
+            out[lanes[~go]] = xf[~go]
+            state = (lanes, a, b, fulc, nfc, xf, rat, e, fx, ffulc, fnfc, xm, tol1, tol2)
+            lanes, a, b, fulc, nfc, xf, rat, e, fx, ffulc, fnfc, xm, tol1, tol2 = (v[go] for v in state)
+        if not lanes.size:
+            return out
+        # a parabolic step where |e| > tol1 and the parabola is acceptable, else a golden-section one
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e)) & (q * (a - xf) < p) & (p < q * (b - xf))
+        with np.errstate(all="ignore"):  # lanes that take a golden step may divide by 0
+            step = (p + 0.0) / q
+        x = xf + step
+        step = np.where((x - a < tol2) | (b - x < tol2), np.where(xm - xf >= 0.0, tol1, -tol1), step)
+        e_golden = np.where(xf >= xm, a, b) - xf
+        e, rat = np.where(parabolic, rat, e_golden), np.where(parabolic, step, golden_mean * e_golden)
+        x = xf + np.where(rat >= 0.0, 1.0, -1.0) * np.maximum(np.abs(rat), tol1)
+        fu = func(x, lanes)
+        better = fu <= fx
+        move_a = np.where(better, x >= xf, x < xf)
+        bound = np.where(better, xf, x)
+        a, b = np.where(move_a, bound, a), np.where(move_a, b, bound)
+        shift = better | (fu <= fnfc) | (nfc == xf)  # nfc moves down to fulc
+        third = ~shift & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))  # x replaces fulc
+        fulc, ffulc = np.where(shift, nfc, np.where(third, x, fulc)), np.where(shift, fnfc, np.where(third, fu, ffulc))
+        nfc, fnfc = np.where(better, xf, np.where(shift, x, nfc)), np.where(better, fx, np.where(shift, fu, fnfc))
+        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+    out[lanes] = xf
+    return out
 
 
-def _ks_stat(values: np.ndarray, counts: np.ndarray, alpha: float, x_min: int) -> float:
-    """KS distance of the tail given as `np.unique(tail, return_counts=True)`."""
+def _ks_stats(values: np.ndarray, counts: np.ndarray, starts: np.ndarray, alphas: np.ndarray, x_mins: np.ndarray) -> np.ndarray:
+    """KS distance of each tail, given as consecutive `np.unique(tail, return_counts=True)` segments.
+
+    Tail i is values[starts[i]:starts[i + 1]] with its counts.  Integer
+    cumsums and a maximum per segment give each tail the bits of its own
+    `np.cumsum` and `max`.
+    """
     from scipy.special import zeta as hzeta
 
+    sizes = np.diff(starts, append=len(values))
     cum = np.cumsum(counts)
-    emp_cdf = cum / cum[-1]
-    z = hzeta(alpha, x_min)
-    model_cdf = 1.0 - hzeta(alpha, values + 1) / z
-    return float(np.abs(emp_cdf - model_cdf).max())
+    cum -= np.repeat(cum[starts] - counts[starts], sizes)  # running count within each tail
+    emp_cdf = cum / np.repeat(cum[starts + sizes - 1], sizes)
+    model_cdf = 1.0 - hzeta(np.repeat(alphas, sizes), values + 1) / np.repeat(hzeta(alphas, x_mins), sizes)
+    return np.maximum.reduceat(np.abs(emp_cdf - model_cdf), starts)
 
 
 def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MIN_TAIL) -> FitResult:
@@ -170,52 +176,64 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
 
     With x_min given, only the exponent is estimated.  Otherwise every
     distinct value that keeps at least `min_tail` tail samples is tried and
-    the one minimizing the KS distance wins.  Zero (and negative) samples
-    are excluded from the fit and reported in the result.
+    the one minimizing the KS distance wins (the smallest, on a tie).  Zero
+    (and negative) samples are excluded from the fit and reported in the
+    result.  Every candidate's tail is a suffix of one `np.unique` of the
+    samples, and the candidates are fitted as lanes.
     """
     x = np.asarray(samples, dtype=np.int64)
     n_zero = int((x <= 0).sum())
     x = x[x > 0]
     if len(x) < min_tail:
         raise FitDegenerateError(f"need at least {min_tail} positive samples, got {len(x)}")
-    if np.unique(x).size < 2:
+    values, counts = np.unique(x, return_counts=True)
+    if values.size < 2:
         raise FitDegenerateError("all samples equal; no power-law fit possible")
+    at_or_above = np.cumsum(counts[::-1])[::-1]
 
     if x_min is not None:
         if x_min < 1:
             raise DomainError(f"x_min must be >= 1, got {x_min}")
-        if (x >= x_min).sum() < min_tail:
+        firsts = np.searchsorted(values, [x_min])
+        if firsts[0] == len(values) or at_or_above[firsts[0]] < min_tail:
             raise FitDegenerateError(f"fewer than {min_tail} samples at or above x_min={x_min}")
-        candidates = [int(x_min)]
+        x_mins = np.array([x_min], dtype=np.int64)
     else:
-        candidates = _xmin_candidates(x, min_tail)
-        if not candidates:
+        firsts = _xmin_candidates(at_or_above, min_tail)
+        if not firsts.size:
             raise FitDegenerateError("no x_min candidate keeps enough tail samples")
-    best = None
-    for xm in candidates:
-        tail = x[x >= xm]
-        alpha_c = _mle_alpha(tail, xm)
-        ks_c = _ks_stat(*np.unique(tail, return_counts=True), alpha_c, xm)
-        if best is None or ks_c < best[1]:
-            best = (alpha_c, ks_c, tail, xm)
-    alpha, ks, tail, chosen = best
+        x_mins = values[firsts]
+    logx = np.log(x)
+    log_sums = np.array([logx[x >= xm].sum() for xm in x_mins.tolist()])  # in sample order, as np.log(tail).sum()
+    alphas = _mle_alphas(at_or_above[firsts], log_sums, x_mins)
+    ks = np.empty(len(firsts))
+    step = max(1, _SCAN_VALUES // len(values))
+    for lo in range(0, len(firsts), step):
+        block = slice(lo, lo + step)
+        sizes = len(values) - firsts[block]
+        suffixes = np.concatenate([np.arange(j, len(values)) for j in firsts[block].tolist()])
+        ks[block] = _ks_stats(values[suffixes], counts[suffixes], np.cumsum(sizes) - sizes, alphas[block], x_mins[block])
+    best = int(np.argmin(ks))  # the first of equal distances
+    chosen = int(x_mins[best])
+    tail = x[x >= chosen]
 
     alpha_cont = 1.0 + len(tail) / float(np.log(tail / (chosen - 0.5)).sum())
     return FitResult(
-        alpha_hat=alpha,
+        alpha_hat=float(alphas[best]),
         x_min=chosen,
-        ks_stat=ks,
+        ks_stat=float(ks[best]),
         n_tail=len(tail),
         alpha_continuous=alpha_cont,
         n_zero=n_zero,
     )
 
 
-def _xmin_candidates(x: np.ndarray, min_tail: int) -> list[int]:
-    """Distinct values of `x` with at least `min_tail` samples at or above, bar the largest."""
-    values, counts = np.unique(x, return_counts=True)
-    at_or_above = np.cumsum(counts[::-1])[::-1]
-    return values[:-1][at_or_above[:-1] >= min_tail].tolist()
+def _xmin_candidates(at_or_above: np.ndarray, min_tail: int) -> np.ndarray:
+    """Indices of the distinct values with at least `min_tail` samples at or above, bar the largest.
+
+    `at_or_above[i]` counts the samples at or above the i-th distinct value.
+    """
+    return np.flatnonzero(at_or_above[:-1] >= min_tail)
 
 
 def _zeta_cdf(alpha: float, x_min: int, table_span: int) -> np.ndarray:
@@ -228,14 +246,16 @@ def _zeta_cdf(alpha: float, x_min: int, table_span: int) -> np.ndarray:
 
 
 def _guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on the inverse of the non-decreasing `cdf` per bin of [0, 1).
+    """Inverse of the non-decreasing `cdf` per bin of [0, 1), where the bin decides it.
 
-    A uniform u in bin j = floor(u * _GUIDE_BINS) has at least lo[j] and at
-    most hi[j] table values at or below it: lo[j] counts the values <= the
-    bin's lower edge, hi[j] those below its upper edge.
+    A uniform u in bin j = floor(u * _GUIDE_BINS) has first[j] table values
+    at or below it unless holds[j]: first[j] counts the values <= the bin's
+    lower edge, and holds[j] says whether a value lies above that edge and
+    below the upper one.
     """
     edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS
-    return np.searchsorted(cdf, edges[:-1], side="right"), np.searchsorted(cdf, edges[1:], side="left")
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    return first.astype(np.int32), first != np.searchsorted(cdf, edges[1:], side="left")
 
 
 def _draw_discrete_powerlaw(
@@ -253,10 +273,10 @@ def _draw_discrete_powerlaw(
     same result as `np.searchsorted(cdf, u, side="right")`.
     """
     u = rng.random(size)
-    lo, hi = guide
+    first, holds = guide
     bins = (u * _GUIDE_BINS).astype(np.intp)
-    idx = lo[bins]
-    unsure = idx != hi[bins]
+    idx = first[bins].astype(np.int64)
+    unsure = holds[bins]
     idx[unsure] = np.searchsorted(cdf, u[unsure], side="right")
     out = x_min + idx
     over = idx >= len(cdf)
@@ -265,7 +285,7 @@ def _draw_discrete_powerlaw(
         ccdf_max = max(1.0 - cdf[-1], 1e-300)
         tail = k_max * (ccdf_max / (1.0 - u[over])) ** (1.0 / (alpha - 1.0))
         out[over] = np.floor(np.minimum(tail, _INT64_TOP_FLOAT)).astype(np.int64)
-    return out.astype(np.int64)
+    return out
 
 
 def sample_discrete_powerlaw(rng: np.random.Generator, alpha: float, x_min: int, size: int) -> np.ndarray:
@@ -304,6 +324,8 @@ def gof_pvalue(
     """
     if n_bootstrap < 100:
         raise DomainError(f"need at least 100 bootstrap replicates, got {n_bootstrap}")
+    if not (0 <= seed < 2 ** 64):
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     x = np.asarray(samples, dtype=np.int64)
     x = x[x > 0]
     n_tail = int(np.count_nonzero(x >= fit.x_min))
@@ -314,18 +336,24 @@ def gof_pvalue(
     cdf = _zeta_cdf(fit.alpha_hat, fit.x_min, _TABLE_SPAN)
     guide = _guide(cdf)
     exceed = 0
-    for rep in range(n_bootstrap):
-        rng = np.random.default_rng([seed, rep])
-        take_tail = rng.random(n) < tail_frac
-        n_tail_syn = int(np.count_nonzero(take_tail))
-        tail_syn = _draw_discrete_powerlaw(rng, cdf, guide, fit.alpha_hat, fit.x_min, n_tail_syn)
-        values, counts = np.unique(tail_syn, return_counts=True)
-        if values.size < 2:
-            exceed += 1  # degenerate replicate cannot beat the observed fit
-            continue
-        alpha_syn = _mle_alpha(tail_syn, fit.x_min)
-        if _ks_stat(values, counts, alpha_syn, fit.x_min) >= fit.ks_stat:
-            exceed += 1
+    for block in range(0, n_bootstrap, _LANES):
+        tails = []  # (values, counts, size, log-sum) of each replicate tail with two or more values
+        for rep in range(block, min(block + _LANES, n_bootstrap)):
+            rng = np.random.default_rng([seed, rep])
+            take_tail = rng.random(n) < tail_frac
+            tail_syn = _draw_discrete_powerlaw(rng, cdf, guide, fit.alpha_hat, fit.x_min, int(np.count_nonzero(take_tail)))
+            values, counts = np.unique(tail_syn, return_counts=True)
+            if values.size < 2:
+                exceed += 1  # degenerate replicate cannot beat the observed fit
+                continue
+            tails.append((values, counts, len(tail_syn), np.log(tail_syn).sum()))
+        if tails:
+            values, counts, n_syn, log_sums = zip(*tails)
+            sizes = np.array([len(v) for v in values])
+            x_mins = np.full(len(tails), fit.x_min, dtype=np.int64)
+            alphas = _mle_alphas(np.array(n_syn), np.array(log_sums), x_mins)
+            ks = _ks_stats(np.concatenate(values), np.concatenate(counts), np.cumsum(sizes) - sizes, alphas, x_mins)
+            exceed += int(np.count_nonzero(ks >= fit.ks_stat))
     p = exceed / n_bootstrap
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))
     return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap)

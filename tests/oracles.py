@@ -20,8 +20,12 @@ that runs it, so the tests can compare the two:
   integrates over the partner's weight, `p_edge_given_weight_linkfn_exp` is
   the closed form for h = exp, both against the dot-product integral of
   `p_edge_given_weight_linkfn`;
-- the exponent fit: `mle_alpha` minimizes with scipy's `minimize_scalar`,
-  against the port of its bounded method in `statfit`;
+- the exponent fit: `fminbound` and `mle_alpha` minimize with scipy's
+  `minimize_scalar`, against each lane of the lockstep port of its bounded
+  method in `statfit`;
+- the x_min scan: `fit_powerlaw_discrete` fits one candidate at a time, each
+  tail with its own `np.unique`, `mle_alpha` and `ks_stat`, against the
+  candidates that `statfit` fits as lanes;
 - the bootstrap: `gof_pvalue` builds every replicate in full and refits
   with `mle_alpha`;
 - the files `generate` writes: `read_nodes_tsv` and `read_json` read them
@@ -40,6 +44,7 @@ from threshnet import (
     DimensionError,
     DomainError,
     EdgeRule,
+    FitDegenerateError,
     Graph,
     LinkFn,
     ModelConfig,
@@ -485,27 +490,68 @@ def draw_discrete_powerlaw(rng, cdf, alpha, x_min, size):
     return out.astype(np.int64)
 
 
-def mle_alpha(tail: np.ndarray, x_min: int) -> float:
-    """The tail's exponent by scipy's bounded minimizer, as `statfit._mle_alpha` found it before its own port."""
+def fminbound(func, a: float, b: float, xatol: float):
+    """scipy's bounded minimizer of `func` on [a, b]: its result, with `x` and `nfev`."""
     from scipy.optimize import minimize_scalar
 
+    return minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
+
+
+def mle_result(tail: np.ndarray, x_min: int):
+    """The `fminbound` result for the tail's exponent, as `statfit` found it before its own port."""
     n = len(tail)
     s = float(np.log(tail).sum())
-    res = minimize_scalar(
-        lambda alpha: n * np.log(zeta(alpha, x_min)) + alpha * s,  # minus the tail log-likelihood
-        bounds=(1.0 + 1e-7, _ALPHA_MAX),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x)
+    # minus the tail log-likelihood
+    return fminbound(lambda alpha: n * np.log(zeta(alpha, x_min)) + alpha * s, 1.0 + 1e-7, _ALPHA_MAX, 1e-8)
 
 
-def _ks_stat(tail, alpha, x_min):
+def mle_alpha(tail: np.ndarray, x_min: int) -> float:
+    """The tail's exponent by scipy's bounded minimizer."""
+    return float(mle_result(tail, x_min).x)
+
+
+def ks_stat(tail, alpha, x_min):
     values, counts = np.unique(tail, return_counts=True)
     emp_cdf = np.cumsum(counts) / len(tail)
     z = zeta(alpha, x_min)
     model_cdf = 1.0 - zeta(alpha, values + 1) / z
     return float(np.abs(emp_cdf - model_cdf).max())
+
+
+def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = 50) -> FitResult:
+    """The discrete fit one x_min candidate at a time; the first of equal KS distances wins."""
+    x = np.asarray(samples, dtype=np.int64)
+    n_zero = int((x <= 0).sum())
+    x = x[x > 0]
+    if len(x) < min_tail or np.unique(x).size < 2:
+        raise FitDegenerateError("too few samples or too few distinct values")
+    if x_min is not None:
+        if x_min < 1:
+            raise DomainError(f"x_min must be >= 1, got {x_min}")
+        if (x >= x_min).sum() < min_tail:
+            raise FitDegenerateError(f"fewer than {min_tail} samples at or above x_min={x_min}")
+        candidates = [int(x_min)]
+    else:
+        candidates = [int(v) for v in np.unique(x)[:-1] if (x >= v).sum() >= min_tail]
+        if not candidates:
+            raise FitDegenerateError("no x_min candidate keeps enough tail samples")
+    best = None
+    for xm in candidates:
+        tail = x[x >= xm]
+        alpha = mle_alpha(tail, xm)
+        ks = ks_stat(tail, alpha, xm)
+        if best is None or ks < best[1]:
+            best = (alpha, ks, xm)
+    alpha, ks, xm = best
+    tail = x[x >= xm]
+    return FitResult(
+        alpha_hat=alpha,
+        x_min=xm,
+        ks_stat=ks,
+        n_tail=len(tail),
+        alpha_continuous=1.0 + len(tail) / float(np.log(tail / (xm - 0.5)).sum()),
+        n_zero=n_zero,
+    )
 
 
 def gof_pvalue(samples, fit: FitResult, n_bootstrap: int = 1000, seed: int = 0) -> GofResult:
@@ -536,7 +582,7 @@ def gof_pvalue(samples, fit: FitResult, n_bootstrap: int = 1000, seed: int = 0) 
             exceed += 1  # degenerate replicate cannot beat the observed fit
             continue
         alpha_syn = mle_alpha(tail_syn, fit.x_min)
-        if _ks_stat(tail_syn, alpha_syn, fit.x_min) >= fit.ks_stat:
+        if ks_stat(tail_syn, alpha_syn, fit.x_min) >= fit.ks_stat:
             exceed += 1
     p = exceed / n_bootstrap
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))

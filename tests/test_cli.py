@@ -367,6 +367,28 @@ def test_analyze_negative_degree_exits_one_before_fitting(tmp_path, capsys, monk
     assert fits == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1", "--bootstrap", "100"], "--seed must be in [0, 2^64), got -1"),
+        (["--seed", str(2 ** 64), "--bootstrap", "100"], f"--seed must be in [0, 2^64), got {2 ** 64}"),
+        (["--bootstrap", "50"], "--bootstrap must be 0 or at least 100, got 50"),
+        (["--bootstrap", "-100"], "--bootstrap must be 0 or at least 100, got -100"),
+    ],
+    ids=["seed-negative", "seed-2^64", "bootstrap-50", "bootstrap-negative"],
+)
+def test_analyze_bad_seed_or_bootstrap_exits_one_before_reading(tmp_path, capsys, monkeypatch, flags, message):
+    degrees = tmp_path / "deg.txt"
+    degrees.write_text("\n".join(["3", "5", "8"] * 40) + "\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(threshnet.io, "read_degree_file", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(threshnet.statfit, "fit_powerlaw_discrete", lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, "analyze", "--degrees", str(degrees), *flags, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_analyze_rejects_n_below_one(tmp_path, capsys, n):
     edges = tmp_path / "edges.tsv"

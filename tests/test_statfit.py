@@ -80,6 +80,12 @@ def test_fit_scans_xmin(rng):
     assert abs(fit.alpha_hat - 2.5) < 0.1
 
 
+def test_fit_result_holds_plain_floats(rng):
+    fit = fit_powerlaw_discrete(sample_discrete_powerlaw(rng, 2.5, 1, 2000))
+    assert type(fit.alpha_hat) is float and type(fit.ks_stat) is float
+    assert "np.float64" not in repr(fit)
+
+
 def test_fit_reports_zeros(rng):
     samples = np.concatenate([sample_discrete_powerlaw(rng, 2.0, 1, 5000), np.zeros(100, dtype=int)])
     fit = fit_powerlaw_discrete(samples, x_min=1)
@@ -136,6 +142,14 @@ def test_gof_requires_enough_replicates(rng):
     fit = fit_powerlaw_discrete(samples, x_min=1)
     with pytest.raises(DomainError):
         gof_pvalue(samples, fit, n_bootstrap=50)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_gof_rejects_seed_outside_64_bits(rng, seed):
+    samples = sample_discrete_powerlaw(rng, 2.5, 1, 1000)
+    fit = fit_powerlaw_discrete(samples, x_min=1)
+    with pytest.raises(DomainError, match="seed must be a 64-bit unsigned integer"):
+        gof_pvalue(samples, fit, n_bootstrap=100, seed=seed)
 
 
 def test_mc_estimate_trivial_hemisphere(pareto3):

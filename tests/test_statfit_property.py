@@ -1,10 +1,22 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 from scipy.special import zeta as hzeta
 
-from threshnet import DomainError, FitDegenerateError, fit_powerlaw_discrete, gof_pvalue, sample_discrete_powerlaw
-from threshnet.statfit import _GUIDE_BINS, _draw_discrete_powerlaw, _guide, _mle_alpha, _xmin_candidates, _zeta_cdf
+from threshnet import DomainError, FitDegenerateError, fit_powerlaw_discrete, gof_pvalue, sample_discrete_powerlaw, statfit
+from threshnet.statfit import (
+    _ALPHA_MAX,
+    _GUIDE_BINS,
+    _draw_discrete_powerlaw,
+    _fminbound,
+    _guide,
+    _ks_stats,
+    _mle_alphas,
+    _xmin_candidates,
+    _zeta_cdf,
+)
 
 import oracles
 
@@ -50,6 +62,13 @@ def test_sampler_draws_equal_one_table_search(alpha, x_min, table_span, size, se
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _lane_alphas(tails, x_mins) -> list[float]:
+    """`_mle_alphas` of the tails, one lane each."""
+    n = np.array([len(t) for t in tails])
+    log_sums = np.array([np.log(t).sum() for t in tails])
+    return _mle_alphas(n, log_sums, np.array(x_mins, dtype=np.int64)).tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     alpha=st.floats(min_value=1.1, max_value=6.0),
@@ -59,7 +78,11 @@ def test_sampler_draws_equal_one_table_search(alpha, x_min, table_span, size, se
 )
 def test_mle_alpha_equals_minimize_scalar_bit_for_bit(alpha, x_min, size, seed):
     tail = sample_discrete_powerlaw(np.random.default_rng(seed), alpha, x_min, size)
-    assert _mle_alpha(tail, x_min) == oracles.mle_alpha(tail, x_min)
+    assert _lane_alphas([tail], [x_min]) == [oracles.mle_alpha(tail, x_min)]
+
+
+def _two_value_tail(x_min, gap, n_low, n_high):
+    return np.repeat(np.array([x_min, x_min + gap], dtype=np.int64), [n_low, n_high])
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,8 +96,171 @@ def test_mle_alpha_equals_minimize_scalar_bit_for_bit(alpha, x_min, size, seed):
 @example(x_min=1, gap=10 ** 6, n_low=1, n_high=5000)  # and near the lower one
 def test_mle_alpha_equals_minimize_scalar_on_two_value_tails(x_min, gap, n_low, n_high):
     # the fewest distinct values a refit sees; a skewed split or a wide gap pushes the optimum toward a bound
-    tail = np.repeat(np.array([x_min, x_min + gap], dtype=np.int64), [n_low, n_high])
-    assert _mle_alpha(tail, x_min) == oracles.mle_alpha(tail, x_min)
+    tail = _two_value_tail(x_min, gap, n_low, n_high)
+    assert _lane_alphas([tail], [x_min]) == [oracles.mle_alpha(tail, x_min)]
+
+
+_POWERLAW_TAIL = st.builds(
+    lambda alpha, x_min, size, seed: (sample_discrete_powerlaw(np.random.default_rng(seed), alpha, x_min, size), x_min),
+    st.floats(min_value=1.1, max_value=6.0),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=2, max_value=3000),
+    st.integers(min_value=0, max_value=2 ** 63 - 1),
+)
+_TWO_VALUE_TAIL = st.builds(
+    lambda x_min, gap, n_low, n_high: (_two_value_tail(x_min, gap, n_low, n_high), x_min),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=10 ** 6),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=1, max_value=5000),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lanes=st.lists(st.one_of(_POWERLAW_TAIL, _TWO_VALUE_TAIL), min_size=2, max_size=8))
+def test_mle_lanes_equal_minimize_scalar_bit_for_bit(lanes):
+    # tails of different sizes and shapes stop after different numbers of steps
+    tails, x_mins = zip(*lanes)
+    assert _lane_alphas(tails, x_mins) == [oracles.mle_alpha(t, xm) for t, xm in zip(tails, x_mins)]
+
+
+def test_mle_lanes_stop_apart_and_reach_both_bounds():
+    lanes = [
+        (_two_value_tail(50, 1, 5000, 1), 50),  # optimum at the upper bound
+        (_two_value_tail(1, 10 ** 6, 1, 5000), 1),  # near the lower one
+        (sample_discrete_powerlaw(np.random.default_rng(3), 2.5, 1, 1000), 1),
+    ]
+    want = [oracles.mle_result(t, xm) for t, xm in lanes]
+    assert len({r.nfev for r in want}) == 3
+    assert want[0].x > _ALPHA_MAX - 1e-6 and want[1].x < 1.1
+    tails, x_mins = zip(*lanes)
+    assert _lane_alphas(tails, x_mins) == [float(r.x) for r in want]
+
+
+def _test_objective(c, s, t, d):
+    """Lane i minimizes s_i (x - c_i)^2 + t_i |x - d_i|, in operations rounded the same for arrays and scalars."""
+    c, s, t, d = (np.array(v, dtype=float) for v in (c, s, t, d))
+    return lambda x, i: s[i] * (x - c[i]) * (x - c[i]) + t[i] * np.abs(x - d[i])
+
+
+_OBJECTIVE_LANE = st.tuples(
+    st.floats(min_value=-1e3, max_value=1e3),  # lower bound
+    st.floats(min_value=1e-6, max_value=1e6),  # width
+    st.floats(min_value=-2e3, max_value=2e3),  # c
+    st.floats(min_value=0.0, max_value=10.0),  # s
+    st.floats(min_value=-10.0, max_value=10.0),  # t
+    st.floats(min_value=-2e3, max_value=2e3),  # d
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.lists(_OBJECTIVE_LANE, min_size=1, max_size=6), xatol=st.sampled_from([1e-8, 1e-5, 1e-2]))
+@example(lanes=[(0.0, 1e100, 0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.5, 1.0, 0.0, 0.0)], xatol=1e-200)  # lane 0 hits the cap
+def test_fminbound_lanes_equal_minimize_scalar(lanes, xatol):
+    lo, width, c, s, t, d = (np.array(v) for v in zip(*lanes))
+    hi = lo + width
+    got = _fminbound(_test_objective(c, s, t, d), lo, hi, xatol)
+    for i in range(len(lanes)):
+        f = _test_objective(c[i:i + 1], s[i:i + 1], t[i:i + 1], d[i:i + 1])
+        want = oracles.fminbound(lambda x: f(np.array([x]), [0])[0], lo[i], hi[i], xatol)
+        assert got[i] == want.x
+
+
+def test_fminbound_lane_at_the_evaluation_cap():
+    # f(x) = x on [0, 1e100] takes golden steps toward 0 that a tolerance of 1e-200 never ends
+    f = _test_objective([0.0, 1.5], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0])
+    got = _fminbound(f, np.array([0.0, 1.0]), np.array([1e100, 2.0]), 1e-200)
+    capped = oracles.fminbound(lambda x: abs(x), 0.0, 1e100, 1e-200)
+    quick = oracles.fminbound(lambda x: (x - 1.5) * (x - 1.5), 1.0, 2.0, 1e-200)
+    assert capped.nfev == 500 and quick.nfev < 500
+    assert got.tolist() == [capped.x, quick.x]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=200),
+            st.floats(min_value=1.01, max_value=8.0),
+            st.integers(min_value=0, max_value=5),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_ks_segments_equal_per_tail_ks(lanes):
+    tails = [np.array(t, dtype=np.int64) for t, _, _ in lanes]
+    alphas = np.array([a for _, a, _ in lanes])
+    x_mins = np.array([max(1, int(t.min()) - below) for t, (_, _, below) in zip(tails, lanes)])
+    values, counts = zip(*(np.unique(t, return_counts=True) for t in tails))
+    sizes = np.array([len(v) for v in values])
+    got = _ks_stats(np.concatenate(values), np.concatenate(counts), np.cumsum(sizes) - sizes, alphas, x_mins)
+    assert got.tolist() == [oracles.ks_stat(t, a, xm) for t, a, xm in zip(tails, alphas.tolist(), x_mins.tolist())]
+
+
+_SCAN_SAMPLE = dict(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    n_body=st.integers(min_value=0, max_value=400),
+    n_tail=st.integers(min_value=2, max_value=400),
+    alpha=st.floats(min_value=1.5, max_value=3.5),
+    x_min=st.integers(min_value=1, max_value=12),
+    n_zero=st.integers(min_value=0, max_value=20),
+    min_tail=st.integers(min_value=1, max_value=80),
+    scan_values=st.sampled_from([1, 50, 1 << 13]),  # 1 and 50 split the scan into blocks
+)
+
+
+def _scan_sample(seed, n_body, n_tail, alpha, x_min, n_zero):
+    return np.concatenate([_bootstrap_sample(seed, n_body, n_tail, alpha, x_min), np.zeros(n_zero, dtype=np.int64)])
+
+
+def _assert_fit_matches_oracle(samples, **kw):
+    try:
+        want = oracles.fit_powerlaw_discrete(samples, **kw)
+    except FitDegenerateError:
+        with pytest.raises(FitDegenerateError):
+            fit_powerlaw_discrete(samples, **kw)
+        return
+    got = fit_powerlaw_discrete(samples, **kw)
+    assert got == want
+    assert type(got.alpha_hat) is float and type(got.ks_stat) is float
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_SCAN_SAMPLE)
+def test_fit_scan_equals_per_candidate_oracle(seed, n_body, n_tail, alpha, x_min, n_zero, min_tail, scan_values):
+    samples = _scan_sample(seed, n_body, n_tail, alpha, x_min, n_zero)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statfit, "_SCAN_VALUES", scan_values)
+        _assert_fit_matches_oracle(samples, min_tail=min_tail)
+        _assert_fit_matches_oracle(samples, x_min=x_min, min_tail=min_tail)
+
+
+@contextmanager
+def _ks_rounded_to_one_decimal():
+    # KS distances of different tails did not tie in a search of 25,000 small
+    # samples, so both scans see them rounded to one decimal, where many tie
+    ks_stats, ks_stat = statfit._ks_stats, oracles.ks_stat
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statfit, "_ks_stats", lambda *a: np.round(ks_stats(*a), 1))
+        mp.setattr(oracles, "ks_stat", lambda *a: round(ks_stat(*a), 1))
+        yield
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_SCAN_SAMPLE)
+def test_fit_scan_keeps_the_first_of_tied_candidates(seed, n_body, n_tail, alpha, x_min, n_zero, min_tail, scan_values):
+    with _ks_rounded_to_one_decimal(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statfit, "_SCAN_VALUES", scan_values)
+        _assert_fit_matches_oracle(_scan_sample(seed, n_body, n_tail, alpha, x_min, n_zero), min_tail=min_tail)
+
+
+def test_fit_scan_tie_goes_to_the_smallest_x_min():
+    samples = _scan_sample(0, 300, 300, 2.5, 4, 0)
+    with _ks_rounded_to_one_decimal():
+        # the rounded distances are 0.0 at x_min 5, 6 and 9 and larger elsewhere
+        assert fit_powerlaw_discrete(samples, min_tail=20).x_min == 5
+        _assert_fit_matches_oracle(samples, min_tail=20)
 
 
 class _Replay:
@@ -127,8 +313,11 @@ def _fit_or_reject(samples, **kw):
 
 
 def _assert_gof_matches_full_replicates(samples, fit, boot_seed):
-    got = gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed)
-    assert got == oracles.gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed)
+    want = oracles.gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed)
+    assert gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statfit, "_LANES", 7)  # blocks that end mid-way and hold degenerate replicates
+        assert gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed) == want
 
 
 @settings(max_examples=8, deadline=None)
@@ -165,10 +354,11 @@ def test_gof_pvalue_rejects_fit_of_other_samples(seed, n_body, n_tail, alpha, x_
 )
 def test_xmin_candidates_match_per_value_scan(x, min_tail):
     x = np.asarray(x, dtype=np.int64)
+    values, counts = np.unique(x, return_counts=True)
     x_sorted = np.sort(x)
     candidates = [
         int(v)
         for v in np.unique(x_sorted)
         if (x_sorted >= v).sum() >= min_tail and np.unique(x_sorted[x_sorted >= v]).size >= 2
     ]
-    assert _xmin_candidates(x, min_tail) == candidates
+    assert values[_xmin_candidates(np.cumsum(counts[::-1])[::-1], min_tail)].tolist() == candidates
