@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
     UnsupportedAnalyticsError,
 )
-from .model import LinkFn, ParetoParams
+from .model import LinkFn, ParetoParams, _check_exponents, _check_theta
 
 _CALIBRATION_REL_TOL = 1e-10
 # Quadrature tolerance, relative to the whole probability it contributes to.
@@ -34,19 +34,9 @@ _QUAD_REL_TOL = 1e-12
 _LOG_POW_MAX = 709.0
 
 
-def _check_theta(theta: float) -> None:
-    if not (theta >= 0):
-        raise DomainError(f"threshold must be non-negative, got theta={theta}")
-
-
 def _check_weight(w: float, pareto: ParetoParams) -> None:
     if not (w >= pareto.w0):
         raise DomainError(f"weight {w} below Pareto scale w0={pareto.w0}")
-
-
-def _check_exponents(alpha: float, beta: float) -> None:
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
 
 
 def p_edge_given_weight(
@@ -113,17 +103,20 @@ def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float =
 
 
 def expected_edges(n: int, pareto: ParetoParams, theta: float) -> float:
-    if n < 1:
-        raise DomainError(f"node count must be >= 1, got {n}")
-    return n * (n - 1) / 2.0 * p_edge(pareto, theta)
+    return _expected_count(n, n * (n - 1) / 2.0, pareto, theta, 1.0, 1.0)
 
 
 def expected_arcs_directed(
     n: int, pareto: ParetoParams, theta: float, alpha: float, beta: float
 ) -> float:
+    return _expected_count(n, float(n) * (n - 1), pareto, theta, alpha, beta)
+
+
+def _expected_count(n: int, pairs: float, pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
+    """Expected links among the `pairs` pairs (unordered, or ordered for arcs) that n nodes decide."""
     if n < 1:
         raise DomainError(f"node count must be >= 1, got {n}")
-    return n * (n - 1) * p_edge(pareto, theta, alpha, beta)
+    return pairs * p_edge(pareto, theta, alpha, beta)
 
 
 def p_wedge(pareto: ParetoParams, theta: float) -> float:
@@ -161,27 +154,26 @@ def calibrate_theta(n: int, pareto: ParetoParams, target_edges: float) -> float:
     probability spans (0, 1/2], so any sub-quadratic growth target is
     reachable for large enough n.
     """
-    pairs = n * (n - 1) / 2.0
-    if not (0.0 < target_edges < pairs / 2.0):
-        raise FeasibilityError(
-            f"target {target_edges} infeasible for n={n}: must lie in (0, {pairs / 2.0})"
-        )
-    theta = _solve_theta(pareto, target_edges / pairs, 1.0, 1.0)
-    _check_calibrated(expected_edges(n, pareto, theta), target_edges)
-    return theta
+    return _calibrate(n, n * (n - 1) / 2.0, pareto, target_edges, 1.0, 1.0)
 
 
 def calibrate_theta_directed(
     n: int, pareto: ParetoParams, target_arcs: float, alpha: float, beta: float
 ) -> float:
     """Threshold with expected arc count = target_arcs in the directed model."""
-    ordered_pairs = float(n) * (n - 1)
-    if not (0.0 < target_arcs < ordered_pairs / 2.0):
+    return _calibrate(n, float(n) * (n - 1), pareto, target_arcs, alpha, beta)
+
+
+def _calibrate(n: int, pairs: float, pareto: ParetoParams, target: float, alpha: float, beta: float) -> float:
+    """The threshold at which `_expected_count` of the same arguments is `target`."""
+    if not (0.0 < target < pairs / 2.0):
         raise FeasibilityError(
-            f"target {target_arcs} infeasible for n={n}: must lie in (0, {ordered_pairs / 2.0})"
+            f"target {target} infeasible for n={n}: must lie in (0, {pairs / 2.0})"
         )
-    theta = _solve_theta(pareto, target_arcs / ordered_pairs, alpha, beta)
-    _check_calibrated(expected_arcs_directed(n, pareto, theta, alpha, beta), target_arcs)
+    theta = _solve_theta(pareto, target / pairs, alpha, beta)
+    achieved = _expected_count(n, pairs, pareto, theta, alpha, beta)
+    if abs(achieved - target) / target > _CALIBRATION_REL_TOL:
+        raise NumericError(f"calibration missed target: achieved {achieved}, wanted {target}")
     return theta
 
 
@@ -206,11 +198,6 @@ def _solve_theta(pareto: ParetoParams, p: float, alpha: float, beta: float) -> f
     return optimize.brentq(
         lambda t: p_edge(pareto, t, alpha, beta) - p, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200
     )
-
-
-def _check_calibrated(achieved: float, target: float) -> None:
-    if abs(achieved - target) / target > _CALIBRATION_REL_TOL:
-        raise NumericError(f"calibration missed target: achieved {achieved}, wanted {target}")
 
 
 def theta_powerlaw_schedule(n: int, D: float, a: float) -> float:

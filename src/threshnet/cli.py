@@ -23,7 +23,7 @@ from .errors import (
     ThreshnetError,
     UnsupportedAnalyticsError,
 )
-from .generator import DEFAULT_MAX_EDGES, generate
+from .generator import DEFAULT_MAX_EDGES, degree_sequence, generate
 from .model import EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
 
 
@@ -41,17 +41,16 @@ def _add_variant_args(p: argparse.ArgumentParser) -> None:
 
 def _build_rule(args, theta: float) -> EdgeRule:
     """The rule of the given flags; EdgeRule rejects a flag that its variant fixes otherwise."""
-    variant = Variant(args.variant)
-    fixed = 1.0 if variant is Variant.UNDIRECTED else None  # other variants need both flags
+    fixed = 1.0 if args.variant == Variant.UNDIRECTED else None  # other variants need both flags
     alpha = fixed if args.alpha is None else args.alpha
     beta = fixed if args.beta is None else args.beta
-    return EdgeRule(variant, theta, alpha, beta, LinkFn.parse(args.h or "identity"))
+    return EdgeRule(args.variant, theta, alpha, beta, LinkFn.parse(args.h or "identity"))
 
 
 def _calibrate(args, pareto: ParetoParams) -> tuple[float, float]:
     """The threshold that puts the expected edge (directed: arc) count at --target-edges, and that count."""
     rule = _build_rule(args, 0.0)  # checks alpha, beta and h before the solve
-    if rule.variant is Variant.LINKFN:
+    if rule.variant == Variant.LINKFN:
         raise UnsupportedAnalyticsError("no calibration closed form for link-function rules")
     if rule.is_directed:
         theta = analytics.calibrate_theta_directed(args.n, pareto, args.target_edges, rule.alpha, rule.beta)
@@ -87,7 +86,7 @@ def _config_payload(config: ModelConfig) -> dict:
     if rule.is_directed:
         payload["alpha"] = rule.alpha
         payload["beta"] = rule.beta
-    if rule.variant is Variant.LINKFN:
+    if rule.variant == Variant.LINKFN:
         payload["h"] = rule.h.spec()
     return payload
 
@@ -230,25 +229,19 @@ def cmd_analyze(args) -> int:
         raise ResourceLimitError(f"--n {args.n} exceeds the analyze limit of {MAX_ANALYZE_NODES}")
     edges = tio.read_edges_tsv(args.edges)
     n = args.n if args.n is not None else int(edges.max()) + 1
-    if args.directed:
-        out_deg = _degree_counts(edges[:, 0], n, args.edges)
-        in_deg = _degree_counts(edges[:, 1], n, args.edges)
-        _analyze_one(out_deg, "out", args, out)
-        _analyze_one(in_deg, "in", args, out)
-    else:
-        _analyze_one(_degree_counts(edges.ravel(), n, args.edges), "", args, out)
-    return 0
-
-
-def _degree_counts(ids: np.ndarray, n: int, path) -> np.ndarray:
-    """Occurrences of each node id 0..n-1 in `ids`, which were read from `path`."""
-    bad = ids[(ids < 0) | (ids >= n)]
+    bad = edges[(edges < 0) | (edges >= n)]
     if bad.size:
-        raise SeriesFormatError(f"{path}: node id {bad[0]} outside [0, {n})")
+        raise SeriesFormatError(f"{args.edges}: node id {bad[0]} outside [0, {n})")
     try:
-        return np.bincount(ids, minlength=n)
+        degrees = degree_sequence(edges, n, args.directed)
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
-        raise ResourceLimitError(f"{path}: degree counts of {n} nodes do not fit ({exc})") from None
+        raise ResourceLimitError(f"{args.edges}: degree counts of {n} nodes do not fit ({exc})") from None
+    if args.directed:
+        _analyze_one(degrees[0], "out", args, out)
+        _analyze_one(degrees[1], "in", args, out)
+    else:
+        _analyze_one(degrees, "", args, out)
+    return 0
 
 
 def cmd_growth_sweep(args) -> int:

@@ -27,7 +27,6 @@ class Graph:
     directions: np.ndarray
     edges: np.ndarray  # shape (E, 2), int64, lexicographically sorted
     directed: bool
-    config: ModelConfig
     n_candidates: int = 0
 
     @property
@@ -39,7 +38,7 @@ class Graph:
         return len(self.edges)
 
     def degree_sequence(self):
-        return degree_sequence(self)
+        return degree_sequence(self.edges, self.n, self.directed)
 
 
 def _partner_cutoffs(ws: np.ndarray, rule: EdgeRule) -> np.ndarray:
@@ -132,17 +131,15 @@ def generate(config: ModelConfig, max_edges: int = DEFAULT_MAX_EDGES) -> Graph:
         directions=dirs,
         edges=_canonical(keys, config.n),
         directed=config.rule.is_directed,
-        config=config,
         n_candidates=n_cand,
     )
 
 
-def degree_sequence(graph: Graph):
-    """Undirected: degree array.  Directed: (out_degrees, in_degrees)."""
-    n = graph.n
-    if graph.directed:
-        out_deg = np.bincount(graph.edges[:, 0], minlength=n)
-        in_deg = np.bincount(graph.edges[:, 1], minlength=n)
-        return out_deg, in_deg
-    both = graph.edges.ravel()
-    return np.bincount(both, minlength=n)
+def degree_sequence(edges: np.ndarray, n: int, directed: bool):
+    """Degrees of nodes 0..n-1 in an (E, 2) edge array of ids in [0, n).
+
+    Undirected: one degree array.  Directed: (out_degrees, in_degrees).
+    """
+    if directed:
+        return np.bincount(edges[:, 0], minlength=n), np.bincount(edges[:, 1], minlength=n)
+    return np.bincount(edges.ravel(), minlength=n)

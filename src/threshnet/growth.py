@@ -40,6 +40,8 @@ class GrowthSeries:
         ns = [p.n for p in self.points]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise SeriesFormatError("series n values must be strictly increasing")
+        if any(p.n < 1 for p in self.points):
+            raise SeriesFormatError("node counts must be at least 1")
         if any(p.m < 0 for p in self.points):
             raise SeriesFormatError("edge counts must be non-negative")
 
@@ -137,6 +139,8 @@ def fit_growth_curve(series) -> GrowthFit:
         pairs = [(int(n), float(m)) for n, m in series]
     ns = np.array([p[0] for p in pairs], dtype=float)
     ms = np.array([p[1] for p in pairs], dtype=float)
+    if np.any(ns < 1):
+        raise DomainError("growth fit needs node counts of at least 1")
     if np.unique(ns).size < 3:
         raise DomainError("growth fit needs at least 3 distinct n values")
     design = np.column_stack([ns * np.log(ns), ns])

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ResourceLimitError
 from .streams import substream_uniforms
 
 _BLOCK = 1 << 15  # node ids per pass of `sample_node_table`
@@ -35,58 +35,54 @@ class ParetoParams:
             raise DomainError(f"Pareto scale must be positive, got w0={self.w0}")
 
 
-class LinkKind(str, Enum):
-    IDENTITY = "identity"
-    EXP = "exp"
-    ODD_POWER_PLUS_C = "oddpow"
-    EVEN_POWER = "evenpow"
-
-
 @dataclass(frozen=True)
 class LinkFn:
     """Transform applied to the direction dot product, defined on [-1, 1].
 
-    Identity, Exp and OddPowerPlusC are continuous and strictly increasing,
-    so an inverse exists on [h(-1), h(1)].  EvenPower is supported for graph
-    generation only; analytic operations reject it.
+    `kind` is one of "identity", "exp", "oddpow" (t^(2m+1) + c) and
+    "evenpow" (t^(2m)).  The first three are continuous and strictly
+    increasing, so an inverse exists on [h(-1), h(1)].  "evenpow" is
+    supported for graph generation only; analytic operations reject it.
     """
 
-    kind: LinkKind
+    kind: str
     m: int = 1
     c: float = 0.0
 
     def __post_init__(self):
-        if self.kind in (LinkKind.ODD_POWER_PLUS_C, LinkKind.EVEN_POWER):
+        if self.kind not in ("identity", "exp", "oddpow", "evenpow"):
+            raise DomainError(f"unknown link function {self.kind!r}")
+        if self.kind in ("oddpow", "evenpow"):
             if not (isinstance(self.m, int) and self.m >= 1):
                 raise DomainError(f"power index m must be a positive integer, got {self.m}")
 
     @staticmethod
     def identity() -> "LinkFn":
-        return LinkFn(LinkKind.IDENTITY)
+        return LinkFn("identity")
 
     @staticmethod
     def exp() -> "LinkFn":
-        return LinkFn(LinkKind.EXP)
+        return LinkFn("exp")
 
     @staticmethod
     def odd_power_plus_c(m: int, c: float) -> "LinkFn":
-        return LinkFn(LinkKind.ODD_POWER_PLUS_C, m=m, c=c)
+        return LinkFn("oddpow", m=m, c=c)
 
     @staticmethod
     def even_power(m: int) -> "LinkFn":
-        return LinkFn(LinkKind.EVEN_POWER, m=m)
+        return LinkFn("evenpow", m=m)
 
     @property
     def strictly_increasing(self) -> bool:
-        return self.kind is not LinkKind.EVEN_POWER
+        return self.kind != "evenpow"
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind is LinkKind.IDENTITY:
+        if self.kind == "identity":
             out = t
-        elif self.kind is LinkKind.EXP:
+        elif self.kind == "exp":
             out = np.exp(t)
-        elif self.kind is LinkKind.ODD_POWER_PLUS_C:
+        elif self.kind == "oddpow":
             out = t ** (2 * self.m + 1) + self.c
         else:
             out = t ** (2 * self.m)
@@ -108,9 +104,9 @@ class LinkFn:
             raise DomainError("even-power links are not invertible on [-1, 1]")
         if not (self.lo <= y <= self.hi):
             raise DomainError(f"value {y} outside link range [{self.lo}, {self.hi}]")
-        if self.kind is LinkKind.IDENTITY:
+        if self.kind == "identity":
             t = float(y)
-        elif self.kind is LinkKind.EXP:
+        elif self.kind == "exp":
             t = math.log(y)
         else:
             s = y - self.c
@@ -120,34 +116,38 @@ class LinkFn:
 
     def spec(self) -> str:
         """Compact textual form, parseable by the CLI."""
-        if self.kind is LinkKind.IDENTITY:
-            return "identity"
-        if self.kind is LinkKind.EXP:
-            return "exp"
-        if self.kind is LinkKind.ODD_POWER_PLUS_C:
+        if self.kind == "oddpow":
             return f"oddpow:{self.m}:{self.c:g}"
-        return f"evenpow:{self.m}"
+        if self.kind == "evenpow":
+            return f"evenpow:{self.m}"
+        return self.kind
 
     @staticmethod
     def parse(text: str) -> "LinkFn":
         parts = text.split(":")
         name = parts[0]
-        if name == "identity":
-            return LinkFn.identity()
-        if name == "exp":
-            return LinkFn.exp()
+        if name not in ("oddpow", "evenpow"):
+            return LinkFn(name)  # an unknown name raises DomainError there
         try:
             if name == "oddpow":
                 if len(parts) != 3:
                     raise DomainError(f"expected oddpow:m:c, got {text!r}")
                 return LinkFn.odd_power_plus_c(int(parts[1]), float(parts[2]))
-            if name == "evenpow":
-                if len(parts) != 2:
-                    raise DomainError(f"expected evenpow:m, got {text!r}")
-                return LinkFn.even_power(int(parts[1]))
+            if len(parts) != 2:
+                raise DomainError(f"expected evenpow:m, got {text!r}")
+            return LinkFn.even_power(int(parts[1]))
         except ValueError:
             raise DomainError(f"link function {text!r}: m must be an integer and c a number") from None
-        raise DomainError(f"unknown link function {text!r}")
+
+
+def _check_theta(theta: float) -> None:
+    if not (theta >= 0):
+        raise DomainError(f"threshold must be non-negative, got theta={theta}")
+
+
+def _check_exponents(alpha: float, beta: float) -> None:
+    if not (alpha > 0 and beta > 0):
+        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
 
 
 class Variant(str, Enum):
@@ -174,17 +174,19 @@ class EdgeRule:
     h: LinkFn
 
     def __post_init__(self):
-        if not (self.theta >= 0):
-            raise DomainError(f"threshold must be non-negative, got theta={self.theta}")
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))  # a plain string becomes its member
+        except ValueError:
+            raise DomainError(f"unknown rule variant {self.variant!r}") from None
+        _check_theta(self.theta)
         if self.alpha is None or self.beta is None:
             raise DomainError(f"{self.variant.value} rule requires alpha and beta")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise DomainError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
+        _check_exponents(self.alpha, self.beta)
         if self.h is None:
             raise DomainError(f"{self.variant.value} rule requires a link function")
-        if self.variant is not Variant.LINKFN and self.h != LinkFn.identity():
+        if self.variant != Variant.LINKFN and self.h.kind != "identity":
             raise DomainError(f"{self.variant.value} rule takes the identity link, got {self.h.spec()}")
-        if self.variant is Variant.UNDIRECTED and (self.alpha, self.beta) != (1.0, 1.0):
+        if self.variant == Variant.UNDIRECTED and (self.alpha, self.beta) != (1.0, 1.0):
             raise DomainError(f"undirected rule takes alpha = beta = 1, got {self.alpha}, {self.beta}")
 
     @staticmethod
@@ -202,7 +204,7 @@ class EdgeRule:
     @property
     def is_directed(self) -> bool:
         """Whether the reverse arc v -> u is decided apart from u -> v."""
-        return self.variant is not Variant.UNDIRECTED
+        return self.variant != Variant.UNDIRECTED
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,11 @@ def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[
     # per-node temporaries (keys, z, phi, ...) are 256 KiB each and stay in
     # the L2 cache, where n-sized ones would stream through memory once per
     # operation of the mix and the direction arithmetic.
-    weights = np.empty(n)
-    dirs = np.empty((n, d))
+    try:
+        weights = np.empty(n)
+        dirs = np.empty((n, d))
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
+        raise ResourceLimitError(f"node table of {n} nodes in {d} dimensions does not fit ({exc})") from None
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         u = substream_uniforms(seed, np.arange(lo, hi), 3 if d == 3 else 1 + d)

@@ -47,7 +47,6 @@ class FitResult:
     n_tail: int
     alpha_continuous: float
     n_zero: int = 0
-    p_value: float | None = None
 
     def __post_init__(self):
         if not (self.alpha_hat > 1):
@@ -189,6 +188,8 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
     values, counts = np.unique(x, return_counts=True)
     if values.size < 2:
         raise FitDegenerateError("all samples equal; no power-law fit possible")
+    if values[-1] >= 2 ** 53:  # the fit works in float64, which holds every integer below 2**53 exactly
+        raise FitDegenerateError(f"sample {values[-1]} is 2^53 or more, which float64 cannot hold exactly")
     at_or_above = np.cumsum(counts[::-1])[::-1]
 
     if x_min is not None:

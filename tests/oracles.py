@@ -35,7 +35,7 @@ that runs it, so the tests can compare the two:
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri, zeta
@@ -77,10 +77,6 @@ def degree_pmf_reference(k, exponent: float):
         raise DomainError("degree values must be >= 1")
     out = k_arr.astype(float) ** -exponent / zeta(exponent, 1)
     return out if out.ndim else float(out)
-
-
-def with_p_value(fit: FitResult, gof: GofResult) -> FitResult:
-    return replace(fit, p_value=gof.p_value)
 
 
 # --- readers of the files `generate` writes ----------------------------------
@@ -228,7 +224,6 @@ def generate_naive(config: ModelConfig) -> Graph:
         directions=dirs,
         edges=_canonical(src.astype(np.int64) * n + dst, n),
         directed=rule.is_directed,
-        config=config,
         n_candidates=n * (n - 1) // 2,
     )
 

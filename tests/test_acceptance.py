@@ -33,8 +33,6 @@ from threshnet import (
     run_growth_sweep,
     variance_edges,
 )
-from threshnet.generator import degree_sequence
-
 from oracles import (
     ccdf_loglog_slope,
     directed_branch_boundary,
@@ -58,7 +56,7 @@ def figure_graphs():
             n=FIG_N, d=3, pareto=PARETO, rule=EdgeRule.undirected(FIG_THETA), seed=seed
         )
         g = generate(config)
-        out.append((g.n_edges, degree_sequence(g)))
+        out.append((g.n_edges, g.degree_sequence()))
     return out
 
 
@@ -172,7 +170,7 @@ def test_c04_directed_exponents_and_boundary_arbitration():
         n=FIG_N, d=3, pareto=PARETO, rule=EdgeRule.directed(theta, alpha, beta), seed=11
     )
     g = generate(config)
-    out_deg, in_deg = degree_sequence(g)
+    out_deg, in_deg = g.degree_sequence()
     fit_out = fit_powerlaw_discrete(out_deg)
     fit_in = fit_powerlaw_discrete(in_deg)
     # The heavy in side reaches its asymptote well before the finite-size

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import threshnet
-from threshnet import ParetoParams, expected_edges, io as tio, p_edge, variance_edges
+from threshnet import ParetoParams, expected_arcs_directed, expected_edges, io as tio, p_edge, variance_edges
 from threshnet.cli import MAX_ANALYZE_NODES, main
 from threshnet.errors import SeriesFormatError
 
@@ -163,6 +163,73 @@ def test_calibrate_round_trip_with_oracle(capsys, tmp_path):
         capsys, "oracle", "em", "--a", "3", "--w0", "1", "--theta", str(theta), "--n", "100"
     )
     assert float(out.splitlines()[0]) == pytest.approx(1237.5, rel=1e-9)
+
+
+_DIRECTED = ["--n", "2000", "--a", "3", "--variant", "directed", "--alpha", "1", "--beta", "2"]
+
+
+def test_calibrate_and_generate_directed_hit_the_target(capsys, tmp_path):
+    target = 20000.0
+    code, out, _ = run(capsys, "calibrate", *_DIRECTED, "--target-edges", repr(target))
+    assert code == 0
+    theta = float(out.splitlines()[0])
+    payload = json.loads(out.splitlines()[1])
+    assert payload["variant"] == "directed" and payload["theta"] == theta
+    assert payload["expected_edges"] == pytest.approx(target, rel=1e-10, abs=0.0)
+    assert expected_arcs_directed(2000, ParetoParams(3, 1), theta, 1.0, 2.0) == payload["expected_edges"]
+
+    code, _, _ = run(capsys, "generate", *_DIRECTED, "--target-edges", repr(target), "--seed", "2",
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    config = read_json(tmp_path / "manifest.json")["config"]
+    assert config["theta"] == theta
+    assert (config["variant"], config["alpha"], config["beta"]) == ("directed", 1.0, 2.0)
+
+
+def test_generate_linkfn_refuses_target_edges(capsys, tmp_path):
+    code, _, err = run(capsys, "generate", "--n", "100", "--a", "3", "--variant", "linkfn", "--alpha", "1",
+                       "--beta", "1", "--h", "exp", "--target-edges", "50", "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err == "error: no calibration closed form for link-function rules\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("h", ["exp", "oddpow:1:-0.2", "evenpow:2", "identity"])
+def test_generate_linkfn_manifest_names_the_link(capsys, tmp_path, h):
+    code, _, _ = run(capsys, "generate", "--n", "200", "--a", "3", "--variant", "linkfn", "--alpha", "1",
+                     "--beta", "2", "--h", h, "--theta", "2", "--out-dir", str(tmp_path))
+    assert code == 0
+    config = read_json(tmp_path / "manifest.json")["config"]
+    assert (config["variant"], config["h"], config["alpha"], config["beta"]) == ("linkfn", h, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "100", "--a", "3", "--schedule", "powerlaw"],
+        ["growth", "sweep", "--schedule", "powerlaw", "--a", "3", "--ns", "100,200"],
+    ],
+    ids=["generate", "sweep"],
+)
+def test_powerlaw_schedule_without_D_exits_one(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "error: --schedule powerlaw requires --D\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", str(2 ** 50)], ["--n", str(10 ** 20)], ["--n", "10", "--d", str(10 ** 20)]],
+    ids=["8-PiB", "n-beyond-int64", "d-beyond-int64"],
+)
+def test_generate_node_table_that_cannot_be_allocated_exits_one(capsys, tmp_path, flags):
+    # refused at allocation: 8 PiB exceeds any address space, and the others any array shape
+    code, _, err = run(capsys, "generate", "--a", "3", "--theta", "1", *flags, "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: node table of ") and "does not fit" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_calibrate_infeasible_exits_one(capsys):
@@ -355,6 +422,15 @@ def test_analyze_degree_beyond_int64_exits_one(tmp_path, capsys):
     assert f"{bad}:2" in err and "99999999999999999999999" in err
 
 
+def test_analyze_degrees_float64_cannot_hold_exits_one(tmp_path, capsys):
+    deg = tmp_path / "deg.txt"
+    deg.write_text("".join(f"{2 ** 60 + k}\n" for k in (0, 1, 2) for _ in range(30)), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--degrees", str(deg), "--bootstrap", "100", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and "2^53" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_analyze_negative_degree_exits_one_before_fitting(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "deg.txt"
     bad.write_text("3\n-3\n5\n", encoding="utf-8")
@@ -508,6 +584,40 @@ def test_growth_sweep_and_fit(tmp_path, capsys):
     assert (tmp_path / "series_seed0.csv").exists()
     assert (tmp_path / "growth_fit.json").exists()
     assert "mean_m" in out
+
+
+def test_growth_sweep_linear_schedule_puts_em_at_coeff_n(tmp_path, capsys):
+    code, _, _ = run(capsys, "growth", "sweep", "--schedule", "linear", "--coeff", "2", "--a", "3",
+                     "--ns", "200,400,800", "--out-dir", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "series_seed0.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "n,m,em,var,theta"
+    for row in rows[1:]:
+        n, _, em = row.split(",")[:3]
+        assert float(em) == pytest.approx(2 * int(n), rel=1e-10, abs=0.0)
+
+
+def test_growth_sweep_twenty_seeds_reports_concentration(tmp_path, capsys):
+    code, out, _ = run(capsys, "growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3",
+                       "--ns", "100,200", "--seeds", "20", "--out-dir", str(tmp_path))
+    assert code == 0
+    lines = [line for line in out.splitlines() if "predicted_var=" in line]
+    assert [line.split()[0] for line in lines] == ["n=100", "n=200"]
+    for line in lines:
+        fields = dict(f.split("=") for f in line.replace(" FLAGGED", "").split())
+        ratio = float(fields["sample_var"]) / float(fields["predicted_var"])
+        assert float(fields["ratio"]) == pytest.approx(ratio, rel=1e-2)
+        assert line.endswith(" FLAGGED") == (not 0.5 <= float(fields["ratio"]) <= 2.0)
+    assert len(list(tmp_path.glob("series_seed*.csv"))) == 20
+
+
+@pytest.mark.parametrize("row", ["0,0", "-5,0"])
+def test_growth_fit_node_count_below_one_exits_one(tmp_path, capsys, row):
+    path = tmp_path / "series.csv"
+    path.write_text(f"n,m\n{row}\n10,5\n100,90\n1000,1500\n", encoding="utf-8")
+    code, _, err = run(capsys, "growth", "fit", "--in", str(path))
+    assert code == 1
+    assert err == f"error: {path}: node counts must be at least 1\n"
 
 
 def test_growth_fit_from_csv(tmp_path, capsys):

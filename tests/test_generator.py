@@ -11,7 +11,6 @@ from threshnet import (
     ModelConfig,
     ParetoParams,
     ResourceLimitError,
-    degree_sequence,
     generate,
 )
 from threshnet.generator import _weight_order
@@ -225,6 +224,16 @@ def test_candidate_pairs_negative_max_link():
     assert candidate_pairs([5.0, 4.0, 3.0], rule) == set()
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_link_whose_maximum_is_zero_matches_naive(theta):
+    # h(1) = 1 - 1 = 0: no candidate can reach a positive threshold; at theta = 0 every pair is decided
+    rule = EdgeRule.link_function(theta, 1.0, 1.0, LinkFn.parse("oddpow:1:-1"))
+    config = _config(300, theta, seed=3, rule=rule)
+    g = generate(config)
+    assert np.array_equal(g.edges, generate_naive(config).edges)
+    assert g.n_candidates == (300 * 299 // 2 if theta == 0.0 else 0)
+
+
 def test_yielded_pairs_subquadratic():
     pareto = ParetoParams(3, 1)
     fracs = []
@@ -238,19 +247,19 @@ def test_yielded_pairs_subquadratic():
 def test_degree_sequence_trivial_cases():
     config = _config(3, 1.0)
     base = generate(config)
-    empty = Graph(base.weights, base.directions, np.empty((0, 2), dtype=np.int64), False, config)
-    assert np.array_equal(degree_sequence(empty), [0, 0, 0])
+    empty = Graph(base.weights, base.directions, np.empty((0, 2), dtype=np.int64), False)
+    assert np.array_equal(empty.degree_sequence(), [0, 0, 0])
     triangle_edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-    tri = Graph(base.weights, base.directions, triangle_edges, False, config)
-    assert np.array_equal(degree_sequence(tri), [2, 2, 2])
+    tri = Graph(base.weights, base.directions, triangle_edges, False)
+    assert np.array_equal(tri.degree_sequence(), [2, 2, 2])
 
 
 def test_handshake_identities():
     g = generate(_config(2000, 9.0, seed=7))
-    assert degree_sequence(g).sum() == 2 * g.n_edges
+    assert g.degree_sequence().sum() == 2 * g.n_edges
     rule = EdgeRule.directed(9.0, 1.0, 2.0)
     gd = generate(_config(2000, rule.theta, seed=7, rule=rule))
-    out_deg, in_deg = degree_sequence(gd)
+    out_deg, in_deg = gd.degree_sequence()
     assert out_deg.sum() == in_deg.sum() == gd.n_edges
 
 

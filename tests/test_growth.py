@@ -98,6 +98,12 @@ def test_fit_recovers_pure_linear():
     assert fit.c2 == pytest.approx(7.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_fit_rejects_node_counts_below_one(n):
+    with pytest.raises(DomainError, match="at least 1"):
+        fit_growth_curve([(n, 0.0), (10, 5.0), (100, 90.0), (1000, 1500.0)])
+
+
 def test_fit_needs_three_sizes():
     with pytest.raises(DomainError):
         fit_growth_curve([(10, 1.0), (20, 2.0)])
@@ -125,6 +131,9 @@ def test_series_validation():
         GrowthSeries(points=[GrowthPoint(n=10, m=1), GrowthPoint(n=10, m=2)])
     with pytest.raises(SeriesFormatError):
         GrowthSeries(points=[GrowthPoint(n=10, m=-1)])
+    for n in (0, -5):
+        with pytest.raises(SeriesFormatError, match="at least 1"):
+            GrowthSeries(points=[GrowthPoint(n=n, m=0), GrowthPoint(n=10, m=1)])
     with pytest.raises(DomainError):
         GrowthFit(c1=1.0, c2=0.0, residual=-1.0)
 

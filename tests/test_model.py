@@ -9,7 +9,9 @@ from threshnet import (
     LinkFn,
     ModelConfig,
     ParetoParams,
+    ResourceLimitError,
     Variant,
+    generate,
     sample_node_table,
 )
 from threshnet.model import _BLOCK
@@ -243,12 +245,35 @@ def test_edge_rule_validation():
         (Variant.UNDIRECTED, 1.0, 0.5, LinkFn.identity()),
         (Variant.UNDIRECTED, 1.0, 1.0, LinkFn.exp()),
         (Variant.DIRECTED, 1.0, 2.0, LinkFn.even_power(1)),
+        ("undirected", 2.0, 1.0, LinkFn.identity()),
+        ("undirected", None, 1.0, LinkFn.identity()),
+        ("directed", 1.0, 2.0, LinkFn("evenpow")),
+        ("bogus", 1.0, 1.0, LinkFn.identity()),
     ],
 )
 def test_rule_rejects_values_its_variant_fixes(variant, alpha, beta, h):
-    # undirected is alpha = beta = 1 with the identity link; directed is the identity link
+    # undirected is alpha = beta = 1 with the identity link; directed is the identity link;
+    # a variant named by a string is checked as its member, and an unknown name is refused
     with pytest.raises(DomainError):
         EdgeRule(variant, 1.0, alpha, beta, h)
+
+
+def test_rule_takes_its_variant_as_a_string():
+    # the variant is held as its member, so every comparison with it holds by value and by identity
+    rule = EdgeRule("directed", 1.0, 1.0, 2.0, LinkFn.identity())
+    assert rule == EdgeRule(Variant.DIRECTED, 1.0, 1.0, 2.0, LinkFn.identity()) == EdgeRule.directed(1.0, 1.0, 2.0)
+    assert rule.variant is Variant.DIRECTED and rule.is_directed
+    assert not EdgeRule("undirected", 1.0, 1.0, 1.0, LinkFn("identity")).is_directed
+
+
+def test_rule_built_from_strings_generates_the_same_graph(pareto3):
+    # a directed rule takes the identity link: a link named by its string must act as that link
+    ref = EdgeRule.directed(1.0, 1.0, 2.0)
+    rule = EdgeRule("directed", 1.0, 1.0, 2.0, LinkFn("identity"))
+    assert rule == ref
+    config = ModelConfig(n=300, d=3, pareto=pareto3, rule=rule, seed=1)
+    ref_config = ModelConfig(n=300, d=3, pareto=pareto3, rule=ref, seed=1)
+    assert np.array_equal(generate(config).edges, generate(ref_config).edges)
 
 
 def test_model_config_validation(pareto3):
@@ -324,6 +349,20 @@ def test_even_power_not_invertible():
         even.inverse(0.5)
 
 
+def test_linkfn_kind_is_checked_and_compared_by_value():
+    ident = LinkFn("identity")
+    assert ident == LinkFn.identity()
+    assert ident(0.5) == 0.5 and ident(-0.5) == -0.5
+    assert ident.spec() == "identity"
+    assert LinkFn("exp")(0.0) == 1.0
+    assert LinkFn("oddpow", m=1, c=-0.2)(0.5) == LinkFn.odd_power_plus_c(1, -0.2)(0.5)
+    assert LinkFn("evenpow", m=2)(-0.5) == 0.5 ** 4
+    assert [LinkFn.parse(f.spec()) for f in (ident, LinkFn("exp"))] == [LinkFn.identity(), LinkFn.exp()]
+    for kind in ("bogus", "Identity", ""):
+        with pytest.raises(DomainError):
+            LinkFn(kind)
+
+
 def test_linkfn_parse_roundtrip():
     for text in ("identity", "exp", "oddpow:2:0.5", "evenpow:3"):
         fn = LinkFn.parse(text)
@@ -335,3 +374,10 @@ def test_linkfn_parse_roundtrip():
     for text in ("oddpow:x:1", "oddpow:1:y", "oddpow:1.5:0", "evenpow:z"):
         with pytest.raises(DomainError):
             LinkFn.parse(text)
+
+
+@pytest.mark.parametrize(("n", "d"), [(2 ** 50, 3), (10 ** 20, 3), (10, 10 ** 20)])
+def test_node_table_that_cannot_be_allocated_is_refused(pareto3, n, d):
+    # 8 PiB and more than an array may hold: refused before a byte is written
+    with pytest.raises(ResourceLimitError, match="node table"):
+        sample_node_table(n, 0, pareto3, d)
