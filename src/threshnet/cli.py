@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedAnalyticsError,
 )
 from .generator import DEFAULT_MAX_EDGES, degree_sequence, generate
-from .model import EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
+from .model import _LINK_KINDS, EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
 
 
 def _add_pareto_args(p: argparse.ArgumentParser) -> None:
@@ -36,7 +36,7 @@ def _add_variant_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=[v.value for v in Variant], default="undirected")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--h", type=str, default=None, help="identity|exp|oddpow:m:c|evenpow:m")
+    p.add_argument("--h", type=str, default=None, help="|".join(":".join([kind, *params]) for kind, params in _LINK_KINDS.items()))
 
 
 def _build_rule(args, theta: float) -> EdgeRule:
@@ -253,8 +253,7 @@ def cmd_growth_sweep(args) -> int:
             raise ThreshnetError("--schedule powerlaw requires --D")
         schedule = analytics.PowerLawSchedule(D=args.D)
     else:
-        coeff = args.coeff if args.coeff is not None else 1.0
-        schedule = analytics.CalibratedSchedule(target=lambda n: coeff * n)
+        schedule = analytics.CalibratedSchedule(target=lambda n: args.coeff * n)
     seeds = list(range(args.seeds))
     sweep = growthmod.run_growth_sweep(schedule, args.ns, pareto, seeds)
     out = Path(args.out_dir)
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs = gr_sub.add_parser("sweep", help="regenerate at each n under a threshold schedule")
     gs.add_argument("--schedule", choices=["powerlaw", "linear"], required=True)
     gs.add_argument("--D", type=float, default=None)
-    gs.add_argument("--coeff", type=float, default=None, help="linear schedule: target m = coeff * n")
+    gs.add_argument("--coeff", type=float, default=1.0, help="linear schedule: target m = coeff * n (default 1)")
     _add_pareto_args(gs)
     gs.add_argument("--ns", type=_int_list, required=True, help="comma-separated node counts")
     gs.add_argument("--seeds", type=int, default=1)

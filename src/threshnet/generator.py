@@ -53,12 +53,10 @@ def _partner_cutoffs(ws: np.ndarray, rule: EdgeRule) -> np.ndarray:
     n = len(ws)
     e_hi, e_lo = max(rule.alpha, rule.beta), min(rule.alpha, rule.beta)
     h_max = rule.h.hi
-    if h_max < 0:
+    if h_max < 0 or (h_max == 0 and rule.theta > 0):
         return np.empty(0, dtype=np.int64)
     if rule.theta <= 0:
         return np.full(n, n, dtype=np.int64)
-    if h_max == 0:
-        return np.empty(0, dtype=np.int64)
     w_asc = ws[::-1]
     # inclusive at the boundary despite rounding: one ulp of slack only ever
     # admits extra candidates, never drops one
@@ -97,14 +95,16 @@ def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int
     order = _weight_order(weights)
     ws = weights[order]
     xs = np.take(dirs, order, axis=0)  # the rows of dirs[order], gathered about 3x faster
+    # at theta = 0, h(dot) >= 0 alone decides: powers of exactly 1 keep an underflowing weight product out of it
+    alpha, beta = (rule.alpha, rule.beta) if rule.theta > 0 else (0.0, 0.0)
     keys = [np.empty(0, dtype=np.int64)]
     n_cand = n_edges = 0
     for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
         u, vs, wq = order[p], order[p + 1 : cut], ws[p + 1 : cut]
         f = rule.h(xs[p + 1 : cut] @ xs[p])
-        hit = vs[ws[p] ** rule.alpha * wq ** rule.beta * f >= rule.theta]
+        hit = vs[ws[p] ** alpha * wq ** beta * f >= rule.theta]
         if rule.is_directed:
-            rev = vs[wq ** rule.alpha * ws[p] ** rule.beta * f >= rule.theta]
+            rev = vs[wq ** alpha * ws[p] ** beta * f >= rule.theta]
             row = [u * n + hit, rev * n + u]
         else:
             row = [np.minimum(u, hit) * n + np.maximum(u, hit)]

@@ -16,7 +16,7 @@ import numpy as np
 from . import analytics
 from .errors import DomainError, SeriesFormatError
 from .generator import generate
-from .io import _read_text
+from .io import _int64_fields, _read_text
 from .model import EdgeRule, ModelConfig, ParetoParams
 
 CSV_COLUMNS = ("n", "m", "em", "var", "theta")
@@ -112,6 +112,8 @@ def concentration_report(series_by_seed: dict[int, GrowthSeries]) -> list[Concen
             raise DomainError("all seeds must share the same sweep sizes")
     rows = []
     for i, n in enumerate(ns):
+        if n < 2:
+            continue  # one node has no pair: the sample and the predicted variance are both 0
         ms = np.array([s.points[i].m for s in all_series], dtype=float)
         predicted = all_series[0].points[i].var
         if predicted is None or predicted <= 0:
@@ -189,9 +191,8 @@ def ingest_edge_count_series(path) -> GrowthSeries:
                 continue
             if len(row) != len(header):
                 raise SeriesFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            n, m = _int64_fields(row[:2], CSV_COLUMNS[:2], f"{path}:{lineno}")
             try:
-                n = int(row[0])
-                m = int(row[1])
                 opt = [float(c) if c.strip() else None for c in row[2:]]
             except ValueError as exc:
                 raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None

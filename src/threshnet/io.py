@@ -80,6 +80,18 @@ def _read_text(path, newline=None):
         raise SeriesFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _int64_fields(fields, names, where: str) -> list[int]:
+    """The fields as ints; SeriesFormatError at `where` if one is not an integer, else if one is outside int64."""
+    try:
+        values = [int(field) for field in fields]
+    except ValueError as exc:
+        raise SeriesFormatError(f"{where}: {exc}") from None
+    for name, value in zip(names, values):
+        if not (_INT64_MIN <= value <= _INT64_MAX):
+            raise SeriesFormatError(f"{where}: {name} {value} outside the int64 range")
+    return values
+
+
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split: a = hi + lo, each half with at most 26 significant bits."""
     t = a * _SPLIT
@@ -260,14 +272,7 @@ def read_edges_tsv(path) -> np.ndarray:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise SeriesFormatError(f"{path}:{lineno}: expected two node ids")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
-            if not (_INT64_MIN <= i <= _INT64_MAX and _INT64_MIN <= j <= _INT64_MAX):
-                node = j if _INT64_MIN <= i <= _INT64_MAX else i
-                raise SeriesFormatError(f"{path}:{lineno}: node id {node} outside the int64 range")
-            rows.append((i, j))
+            rows.append(_int64_fields(parts, ("node id", "node id"), f"{path}:{lineno}"))
     if not rows:
         raise SeriesFormatError(f"{path}: empty edge list")
     return np.array(rows, dtype=np.int64)
@@ -280,14 +285,9 @@ def read_degree_file(path) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            try:
-                value = int(line)
-            except ValueError as exc:
-                raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
+            [value] = _int64_fields([line], ["degree"], f"{path}:{lineno}")
             if value < 0:
                 raise SeriesFormatError(f"{path}:{lineno}: degree {value} is negative")
-            if value > _INT64_MAX:
-                raise SeriesFormatError(f"{path}:{lineno}: degree {value} outside the int64 range")
             values.append(value)
     if not values:
         raise SeriesFormatError(f"{path}: empty degree file")

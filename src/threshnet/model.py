@@ -35,6 +35,11 @@ class ParetoParams:
             raise DomainError(f"Pareto scale must be positive, got w0={self.w0}")
 
 
+# Each link kind -> the parameters its spec writes after the kind, in order, with
+# the type each is read as.  A kind leaves every other parameter at its default.
+_LINK_KINDS = {"identity": {}, "exp": {}, "evenpow": {"m": int}, "oddpow": {"m": int, "c": float}}
+
+
 @dataclass(frozen=True)
 class LinkFn:
     """Transform applied to the direction dot product, defined on [-1, 1].
@@ -50,27 +55,15 @@ class LinkFn:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "exp", "oddpow", "evenpow"):
+        params = _LINK_KINDS.get(self.kind)
+        if params is None:
             raise DomainError(f"unknown link function {self.kind!r}")
-        if self.kind in ("oddpow", "evenpow"):
-            if not (isinstance(self.m, int) and self.m >= 1):
-                raise DomainError(f"power index m must be a positive integer, got {self.m}")
-
-    @staticmethod
-    def identity() -> "LinkFn":
-        return LinkFn("identity")
-
-    @staticmethod
-    def exp() -> "LinkFn":
-        return LinkFn("exp")
-
-    @staticmethod
-    def odd_power_plus_c(m: int, c: float) -> "LinkFn":
-        return LinkFn("oddpow", m=m, c=c)
-
-    @staticmethod
-    def even_power(m: int) -> "LinkFn":
-        return LinkFn("evenpow", m=m)
+        if "m" in params and not (isinstance(self.m, int) and self.m >= 1):
+            raise DomainError(f"power index m must be a positive integer, got {self.m}")
+        if not math.isfinite(self.c):
+            raise DomainError(f"link constant c must be finite, got {self.c}")
+        if any(getattr(self, p) != getattr(LinkFn, p) for p in ("m", "c") if p not in params):  # LinkFn.m is m's default
+            raise DomainError(f"{self.kind!r} links take {' and '.join(params) or 'no parameters'}, got m={self.m}, c={self.c}")
 
     @property
     def strictly_increasing(self) -> bool:
@@ -115,27 +108,18 @@ class LinkFn:
         return min(1.0, max(-1.0, t))
 
     def spec(self) -> str:
-        """Compact textual form, parseable by the CLI."""
-        if self.kind == "oddpow":
-            return f"oddpow:{self.m}:{self.c:g}"
-        if self.kind == "evenpow":
-            return f"evenpow:{self.m}"
-        return self.kind
+        """The kind and its parameters joined by ":", each as the shortest text that reads back to it."""
+        return ":".join([self.kind, *(repr(read(getattr(self, p))) for p, read in _LINK_KINDS[self.kind].items())])
 
     @staticmethod
     def parse(text: str) -> "LinkFn":
-        parts = text.split(":")
-        name = parts[0]
-        if name not in ("oddpow", "evenpow"):
-            return LinkFn(name)  # an unknown name raises DomainError there
+        """The link whose `spec()` is `text`."""
+        kind, *fields = text.split(":")
+        params = _LINK_KINDS.get(kind, {})  # an unknown kind is refused by the constructor
+        if kind in _LINK_KINDS and len(fields) != len(params):
+            raise DomainError(f"expected {':'.join([kind, *params])}, got {text!r}")
         try:
-            if name == "oddpow":
-                if len(parts) != 3:
-                    raise DomainError(f"expected oddpow:m:c, got {text!r}")
-                return LinkFn.odd_power_plus_c(int(parts[1]), float(parts[2]))
-            if len(parts) != 2:
-                raise DomainError(f"expected evenpow:m, got {text!r}")
-            return LinkFn.even_power(int(parts[1]))
+            return LinkFn(kind, *(read(field) for read, field in zip(params.values(), fields)))
         except ValueError:
             raise DomainError(f"link function {text!r}: m must be an integer and c a number") from None
 
@@ -191,11 +175,11 @@ class EdgeRule:
 
     @staticmethod
     def undirected(theta: float) -> "EdgeRule":
-        return EdgeRule(Variant.UNDIRECTED, theta, 1.0, 1.0, LinkFn.identity())
+        return EdgeRule(Variant.UNDIRECTED, theta, 1.0, 1.0, LinkFn("identity"))
 
     @staticmethod
     def directed(theta: float, alpha: float, beta: float) -> "EdgeRule":
-        return EdgeRule(Variant.DIRECTED, theta, alpha, beta, LinkFn.identity())
+        return EdgeRule(Variant.DIRECTED, theta, alpha, beta, LinkFn("identity"))
 
     @staticmethod
     def link_function(theta: float, alpha: float, beta: float, h: LinkFn) -> "EdgeRule":

@@ -201,20 +201,21 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
         x_mins = np.array([x_min], dtype=np.int64)
     else:
         firsts = _xmin_candidates(at_or_above, min_tail)
-        if not firsts.size:
-            raise FitDegenerateError("no x_min candidate keeps enough tail samples")
         x_mins = values[firsts]
     logx = np.log(x)
     log_sums = np.array([logx[x >= xm].sum() for xm in x_mins.tolist()])  # in sample order, as np.log(tail).sum()
-    alphas = _mle_alphas(at_or_above[firsts], log_sums, x_mins)
     ks = np.empty(len(firsts))
     step = max(1, _SCAN_VALUES // len(values))
-    for lo in range(0, len(firsts), step):
-        block = slice(lo, lo + step)
-        sizes = len(values) - firsts[block]
-        suffixes = np.concatenate([np.arange(j, len(values)) for j in firsts[block].tolist()])
-        ks[block] = _ks_stats(values[suffixes], counts[suffixes], np.cumsum(sizes) - sizes, alphas[block], x_mins[block])
-    best = int(np.argmin(ks))  # the first of equal distances
+    with np.errstate(divide="ignore", invalid="ignore"):  # a far-out tail underflows zeta(alpha, x_min) to 0
+        alphas = _mle_alphas(at_or_above[firsts], log_sums, x_mins)
+        for lo in range(0, len(firsts), step):
+            block = slice(lo, lo + step)
+            sizes = len(values) - firsts[block]
+            suffixes = np.concatenate([np.arange(j, len(values)) for j in firsts[block].tolist()])
+            ks[block] = _ks_stats(values[suffixes], counts[suffixes], np.cumsum(sizes) - sizes, alphas[block], x_mins[block])
+    if np.isnan(ks).all():
+        raise FitDegenerateError(f"no x_min at or above {x_mins[0]} gives a tail that float64 can fit")
+    best = int(np.nanargmin(ks))  # the first of equal distances; a NaN lane is not a candidate
     chosen = int(x_mins[best])
     tail = x[x >= chosen]
 

@@ -192,12 +192,13 @@ def edge_exists(u: Node, v: Node, rule: EdgeRule) -> bool:
     if u.direction.shape != v.direction.shape:
         raise DimensionError(f"direction dimensions differ: {u.direction.shape} vs {v.direction.shape}")
     dot = float(u.direction @ v.direction)
+    f = float(rule.h(dot)) if rule.variant is Variant.LINKFN else dot
+    if rule.theta == 0:
+        return f >= 0  # the weights drop out; their product could underflow to a -0.0 that passes
     if rule.variant is Variant.UNDIRECTED:
         lhs = u.weight * v.weight * dot
-    elif rule.variant is Variant.DIRECTED:
-        lhs = u.weight ** rule.alpha * v.weight ** rule.beta * dot
     else:
-        lhs = u.weight ** rule.alpha * v.weight ** rule.beta * float(rule.h(dot))
+        lhs = u.weight ** rule.alpha * v.weight ** rule.beta * f
     return lhs >= rule.theta
 
 
@@ -208,12 +209,12 @@ def generate_naive(config: ModelConfig) -> Graph:
     weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
     rule = config.rule
     dots = dirs @ dirs.T
+    f = rule.h(dots) if rule.variant is Variant.LINKFN else dots
     if rule.variant is Variant.UNDIRECTED:
         lhs = np.outer(weights, weights) * dots
     else:
-        f = dots if rule.variant is Variant.DIRECTED else rule.h(dots)
         lhs = np.outer(weights ** rule.alpha, weights ** rule.beta) * f
-    hit = lhs >= rule.theta
+    hit = lhs >= rule.theta if rule.theta > 0 else f >= 0  # at theta = 0 the weights drop out
     np.fill_diagonal(hit, False)
     if not rule.is_directed:
         hit = np.triu(hit)

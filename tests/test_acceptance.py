@@ -316,7 +316,7 @@ def test_c09_generator_equivalence():
     rules = {
         "undirected": EdgeRule.undirected(12.6),
         "directed": EdgeRule.directed(12.6, 1.0, 2.0),
-        "linkfn": EdgeRule.link_function(3.0, 1.0, 2.0, LinkFn.exp()),
+        "linkfn": EdgeRule.link_function(3.0, 1.0, 2.0, LinkFn("exp")),
     }
     for name, rule in rules.items():
         for seed in range(10):

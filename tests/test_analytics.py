@@ -163,6 +163,8 @@ def test_powerlaw_schedule_values():
     assert theta_powerlaw_schedule(300000, 1.0, 3.0) == pytest.approx(66.943, rel=1e-4)
     with pytest.raises(DomainError):
         theta_powerlaw_schedule(10, 0.0, 3.0)
+    with pytest.raises(DomainError, match="node count must be >= 1, got 0"):
+        theta_powerlaw_schedule(0, 1.0, 3.0)
 
 
 def test_linlog_formula_consistency():
@@ -190,6 +192,9 @@ def test_linlog_validity_region():
     pareto = ParetoParams(2.0, 3.0)  # needs n >= 3^4 / D^2
     with pytest.raises(DomainError):
         expected_edges_linlog(10, 1.0, pareto)
+    for D in (0.0, -1.0):
+        with pytest.raises(DomainError, match="schedule coefficient must be positive"):
+            expected_edges_linlog(10 ** 6, D, pareto)
 
 
 @settings(max_examples=300, deadline=None)
@@ -424,7 +429,7 @@ def test_calibration_round_trip_or_threshnet_error(n, a, log10_frac, directed, a
 
 
 def test_linkfn_identity_matches_directed(pareto3):
-    ident = LinkFn.identity()
+    ident = LinkFn("identity")
     for w, theta, alpha, beta in [
         (2.0, 10.0, 1.0, 2.0),
         (5.0, 3.0, 2.0, 1.0),
@@ -457,9 +462,9 @@ def test_linkfn_matches_high_precision_values(a, w0, theta, w, alpha, beta, h, w
 
 
 _LINKS = st.one_of(
-    st.just(LinkFn.identity()),
-    st.just(LinkFn.exp()),
-    st.builds(LinkFn.odd_power_plus_c, st.integers(min_value=1, max_value=3), st.floats(min_value=-1.5, max_value=1.5)),
+    st.just(LinkFn("identity")),
+    st.just(LinkFn("exp")),
+    st.builds(LinkFn, st.just("oddpow"), st.integers(min_value=1, max_value=3), st.floats(min_value=-1.5, max_value=1.5)),
 )
 
 
@@ -493,14 +498,14 @@ def _assert_close(got, want):
 @example(a=0.5, log_w0=-1.0, log_w_over_w0=0.0, log_theta=709.0, alpha=1.0, beta=4.0)
 def test_linkfn_identity_matches_closed_form(**kw):
     args = _linkfn_args(**kw)
-    _assert_close(p_edge_given_weight_linkfn(*args, LinkFn.identity()), p_edge_given_weight(*args))
+    _assert_close(p_edge_given_weight_linkfn(*args, LinkFn("identity")), p_edge_given_weight(*args))
 
 
 @settings(max_examples=300, deadline=None)
 @given(**_LINKFN_ARGS)
 def test_linkfn_exp_matches_closed_form(**kw):
     args = _linkfn_args(**kw)
-    _assert_close(p_edge_given_weight_linkfn(*args, LinkFn.exp()), p_edge_given_weight_linkfn_exp(*args))
+    _assert_close(p_edge_given_weight_linkfn(*args, LinkFn("exp")), p_edge_given_weight_linkfn_exp(*args))
 
 
 @settings(max_examples=300, deadline=None)
@@ -516,7 +521,7 @@ def test_linkfn_matches_weight_space_integral(h, **kw):
 
 
 def test_linkfn_exp_matches_monte_carlo(pareto3):
-    h = LinkFn.exp()
+    h = LinkFn("exp")
     got = p_edge_given_weight_linkfn(2.0, pareto3, 10.0, 1.0, 1.0, h)
     mc = mc_estimate(
         "linkfn_edge_given_weight", pareto3, 10.0, 10 ** 6, seed=21, w=2.0, alpha=1.0, beta=1.0, h=h
@@ -525,7 +530,7 @@ def test_linkfn_exp_matches_monte_carlo(pareto3):
 
 
 def test_linkfn_vanishes_at_large_theta(pareto3):
-    h = LinkFn.exp()
+    h = LinkFn("exp")
     vals = [p_edge_given_weight_linkfn(2.0, pareto3, t, 1.0, 1.0, h) for t in (10.0, 100.0, 1000.0)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-4
@@ -533,7 +538,7 @@ def test_linkfn_vanishes_at_large_theta(pareto3):
 
 def test_linkfn_rejects_even_power(pareto3):
     with pytest.raises(UnsupportedAnalyticsError):
-        p_edge_given_weight_linkfn(2.0, pareto3, 1.0, 1.0, 1.0, LinkFn.even_power(1))
+        p_edge_given_weight_linkfn(2.0, pareto3, 1.0, 1.0, 1.0, LinkFn("evenpow", 1))
 
 
 def test_degree_pmf_reference_values():

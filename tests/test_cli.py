@@ -203,6 +203,17 @@ def test_generate_linkfn_manifest_names_the_link(capsys, tmp_path, h):
     assert (config["variant"], config["h"], config["alpha"], config["beta"]) == ("linkfn", h, 1.0, 2.0)
 
 
+def test_generate_manifest_link_reruns_to_the_same_digest(capsys, tmp_path):
+    # the manifest records c in full, so a rerun from its h is the graph that ran
+    argv = ["generate", "--n", "2000", "--a", "3", "--variant", "linkfn", "--alpha", "1", "--beta", "1",
+            "--theta", "2", "--seed", "1"]
+    assert run(capsys, *argv, "--h", "oddpow:1:-0.20000049", "--out-dir", str(tmp_path / "a"))[0] == 0
+    manifest = read_json(tmp_path / "a" / "manifest.json")
+    assert manifest["config"]["h"] == "oddpow:1:-0.20000049"
+    assert run(capsys, *argv, "--h", manifest["config"]["h"], "--out-dir", str(tmp_path / "b"))[0] == 0
+    assert read_json(tmp_path / "b" / "manifest.json")["outputs"] == manifest["outputs"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -303,6 +314,11 @@ _SWEEP = ["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "
         (_LINKFN + ["--h", "oddpow:1:y"], 1),
         (["oracle", "pew-linkfn", "--a", "3", "--theta", "1", "--w", "2", "--alpha", "1", "--beta", "1",
           "--h", "evenpow:z"], 1),
+        (_LINKFN + ["--h", "oddpow:1:nan"], 1),
+        (_LINKFN + ["--h", "oddpow:1:inf"], 1),
+        (_LINKFN + ["--h", "exp:1"], 1),
+        (["oracle", "pew-linkfn", "--a", "3", "--theta", "1", "--w", "2", "--alpha", "1", "--beta", "1",
+          "--h", "oddpow:1:nan"], 1),
         (["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "--ns", "100,x"], 2),
         (["oracle", "pe", "--a", "3"], 1),
         (["oracle", "var", "--a", "3", "--n", "10"], 1),
@@ -319,7 +335,8 @@ _SWEEP = ["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "
           "--beta", "1", "--h", "exp"], 1),
     ],
     ids=[
-        "h-bad-m", "h-bad-c", "oracle-h-bad-m", "ns-not-integer", "pe-no-theta", "var-no-theta", "pew-no-w",
+        "h-bad-m", "h-bad-c", "oracle-h-bad-m", "h-nan-c", "h-inf-c", "h-extra-field", "oracle-h-nan-c",
+        "ns-not-integer", "pe-no-theta", "var-no-theta", "pew-no-w",
         "em-linlog-no-n", "pew-directed-no-alpha-beta", "pew-directed-no-beta",
         "generate-directed-target-no-alpha-beta", "calibrate-directed-no-alpha-beta", "sweep-zero-seeds",
         "sweep-negative-seeds", "undirected-alpha-and-h", "directed-h",
@@ -609,6 +626,23 @@ def test_growth_sweep_twenty_seeds_reports_concentration(tmp_path, capsys):
         assert float(fields["ratio"]) == pytest.approx(ratio, rel=1e-2)
         assert line.endswith(" FLAGGED") == (not 0.5 <= float(fields["ratio"]) <= 2.0)
     assert len(list(tmp_path.glob("series_seed*.csv"))) == 20
+
+
+def test_growth_sweep_concentration_leaves_out_one_node(tmp_path, capsys):
+    code, out, _ = run(capsys, "growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3",
+                       "--ns", "1,10,20", "--seeds", "20", "--out-dir", str(tmp_path))
+    assert code == 0
+    lines = [line for line in out.splitlines() if "predicted_var=" in line]
+    assert [line.split()[0] for line in lines] == ["n=10", "n=20"]
+    assert len(list(tmp_path.glob("series_seed*.csv"))) == 20
+
+
+def test_growth_fit_count_beyond_int64_exits_one(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text(f"n,m\n10,5\n100,{10 ** 400}\n1000,1500\n", encoding="utf-8")
+    code, _, err = run(capsys, "growth", "fit", "--in", str(path))
+    assert code == 1
+    assert err == f"error: {path}:3: m {10 ** 400} outside the int64 range\n"
 
 
 @pytest.mark.parametrize("row", ["0,0", "-5,0"])

@@ -43,9 +43,9 @@ def test_matches_naive_reference_spec_point():
     [
         EdgeRule.undirected(7.4),
         EdgeRule.directed(7.4, 1.0, 2.0),
-        EdgeRule.link_function(2.0, 1.0, 2.0, LinkFn.exp()),
-        EdgeRule.link_function(0.4, 0.5, 1.5, LinkFn.even_power(1)),
-        EdgeRule.link_function(1.0, 1.0, 1.0, LinkFn.odd_power_plus_c(1, -0.2)),
+        EdgeRule.link_function(2.0, 1.0, 2.0, LinkFn("exp")),
+        EdgeRule.link_function(0.4, 0.5, 1.5, LinkFn("evenpow", 1)),
+        EdgeRule.link_function(1.0, 1.0, 1.0, LinkFn("oddpow", 1, -0.2)),
     ],
     ids=["undirected", "directed", "exp", "evenpow", "oddpow"],
 )
@@ -57,11 +57,35 @@ def test_pruned_equals_naive(rule, seed):
     assert pruned.n_candidates <= naive.n_candidates
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        EdgeRule.undirected(0.0),
+        EdgeRule.directed(0.0, 1.0, 2.0),
+        EdgeRule.link_function(0.0, 0.5, 1.5, LinkFn("oddpow", 1, -0.2)),
+    ],
+    ids=["undirected", "directed", "oddpow"],
+)
+def test_theta_zero_edges_do_not_depend_on_w0(rule):
+    # at theta = 0 the weights drop out; w0 = 1e-200 underflows every weight
+    # product, which must not link a pair whose h(dot) is negative
+    tiny, unit = (_config(60, 0.0, seed=3, rule=rule, pareto=ParetoParams(3, w0)) for w0 in (1e-200, 1.0))
+    edges = generate(unit).edges
+    assert 0 < len(edges) < 60 * 59 // (1 if rule.is_directed else 2)
+    for config in (tiny, unit):
+        assert np.array_equal(generate(config).edges, edges)
+        assert np.array_equal(generate_naive(config).edges, edges)
+    weights, dirs = sample_node_table(60, 3, ParetoParams(3, 1e-200), 3)
+    nodes = [oracles.Node(i, w, x) for i, (w, x) in enumerate(zip(weights.tolist(), dirs))]
+    arcs = [(u.id, v.id) for u in nodes for v in nodes if u.id != v.id and oracles.edge_exists(u, v, rule)]
+    assert {tuple(e) for e in edges.tolist()} == {(i, j) for i, j in arcs if rule.is_directed or i < j}
+
+
 _LINKS = st.one_of(
-    st.just(LinkFn.identity()),
-    st.just(LinkFn.exp()),
-    st.builds(LinkFn.odd_power_plus_c, st.integers(1, 3), st.floats(-2.0, 2.0)),
-    st.builds(LinkFn.even_power, st.integers(1, 3)),
+    st.just(LinkFn("identity")),
+    st.just(LinkFn("exp")),
+    st.builds(LinkFn, st.just("oddpow"), st.integers(1, 3), st.floats(-2.0, 2.0)),
+    st.builds(LinkFn, st.just("evenpow"), st.integers(1, 3)),
 )
 
 
@@ -129,7 +153,7 @@ def test_tied_weights_give_naive_edges_and_tie_free_candidate_count(kind, a, sca
     elif kind == "directed":
         rule = EdgeRule.directed(scale, alpha, beta)
     else:
-        rule = EdgeRule.link_function(scale, alpha, beta, LinkFn.exp())
+        rule = EdgeRule.link_function(scale, alpha, beta, LinkFn("exp"))
     config = _config(n, rule.theta, seed=seed, rule=rule, pareto=ParetoParams(a, 1.0))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("threshnet.generator.sample_node_table", _tied_node_table)
@@ -156,7 +180,7 @@ def test_edge_guard_fires_while_deciding(monkeypatch):
     calls = []
     link = LinkFn.__call__
     monkeypatch.setattr(LinkFn, "__call__", lambda self, t: calls.append(t) or link(self, t))
-    rule = EdgeRule.link_function(0.0, 1.0, 1.0, LinkFn.identity())
+    rule = EdgeRule.link_function(0.0, 1.0, 1.0, LinkFn("identity"))
     with pytest.raises(ResourceLimitError):
         generate(_config(2000, 0.0, rule=rule), max_edges=1000)
     # the heaviest row alone yields about 2000 arcs; no other row is decided
@@ -220,7 +244,7 @@ def test_candidate_pairs_superset_of_edges():
 
 def test_candidate_pairs_negative_max_link():
     # max of h on [-1, 1] is negative: nothing can reach a positive threshold
-    rule = EdgeRule.link_function(1.0, 1.0, 1.0, LinkFn.odd_power_plus_c(1, -2.0))
+    rule = EdgeRule.link_function(1.0, 1.0, 1.0, LinkFn("oddpow", 1, -2.0))
     assert candidate_pairs([5.0, 4.0, 3.0], rule) == set()
 
 

@@ -179,3 +179,42 @@ def test_csv_parse_errors(tmp_path):
     non_monotone.write_text("n,m\n20,5\n10,3\n", encoding="utf-8")
     with pytest.raises(SeriesFormatError):
         ingest_edge_count_series(non_monotone)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n,m,bogus\n10,5,1\n", r"s\.csv:1: unexpected extra columns \['bogus'\]"),
+        ("n,m\n", r"s\.csv: no data rows"),
+        ("n,m\n,\n \t, \n", r"s\.csv: no data rows"),
+        (f"n,m\n10,5\n{2 ** 63},7\n", rf"s\.csv:3: n {2 ** 63} outside the int64 range"),
+        (f"n,m\n10,{10 ** 400}\n", rf"s\.csv:2: m {10 ** 400} outside the int64 range"),
+        (f"n,m\n10,{-2 ** 63 - 1}\n", rf"s\.csv:2: m {-2 ** 63 - 1} outside the int64 range"),
+    ],
+    ids=["extra-columns", "header-only", "blank-rows-only", "n-beyond-int64", "m-beyond-float", "m-below-int64"],
+)
+def test_csv_refusals_name_file_and_line(tmp_path, text, message):
+    # a count beyond int64 is refused as path:line, before the fit turns it into a float
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SeriesFormatError, match=message):
+        ingest_edge_count_series(path)
+
+
+def test_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("n,m\n10,5\n,\n\n20,11\n", encoding="utf-8")
+    assert [(p.n, p.m) for p in ingest_edge_count_series(path).points] == [(10, 5), (20, 11)]
+
+
+def test_concentration_leaves_out_sizes_below_two(pareto3):
+    # one node has no pair, so its sample and predicted variances are both 0
+    sweep = run_growth_sweep(FlatSchedule(0.0), [1, 10, 20], pareto3, seeds=list(range(20)))
+    assert [row.n for row in concentration_report(sweep)] == [10, 20]
+
+
+def test_concentration_needs_one_size_list(pareto3):
+    sweep = run_growth_sweep(FlatSchedule(0.0), [10, 20], pareto3, seeds=list(range(20)))
+    sweep[0] = run_growth_sweep(FlatSchedule(0.0), [10], pareto3, seeds=[0])[0]
+    with pytest.raises(DomainError, match="same sweep sizes"):
+        concentration_report(sweep)

@@ -361,3 +361,25 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path, read):
     bad.write_bytes(b"\xff\t1\n")
     with pytest.raises(SeriesFormatError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
         read(bad)
+
+
+def test_read_degree_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "degrees.txt"
+    path.write_text("3\n\n  \n0\n7\n", encoding="utf-8")
+    assert tio.read_degree_file(path).tolist() == [3, 0, 7]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n2.5\n", r"degrees\.txt:2: invalid literal for int\(\) with base 10: '2\.5'"),
+        ("", r"degrees\.txt: empty degree file"),
+        ("\n \n", r"degrees\.txt: empty degree file"),
+    ],
+    ids=["not-an-integer", "empty", "blank-lines-only"],
+)
+def test_read_degree_file_refusals_name_the_file(tmp_path, text, message):
+    path = tmp_path / "degrees.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SeriesFormatError, match=message):
+        tio.read_degree_file(path)

@@ -216,7 +216,7 @@ def test_directed_alpha_beta_one_matches_undirected(pareto3):
 
 def test_identity_link_matches_directed(pareto3):
     dir_rule = EdgeRule.directed(1.5, 2.0, 0.5)
-    link_rule = EdgeRule.link_function(1.5, 2.0, 0.5, LinkFn.identity())
+    link_rule = EdgeRule.link_function(1.5, 2.0, 0.5, LinkFn("identity"))
     for u, v in _node_pairs(2000, 4, pareto3):
         assert edge_exists(u, v, link_rule) == edge_exists(u, v, dir_rule)
 
@@ -241,14 +241,14 @@ def test_edge_rule_validation():
 @pytest.mark.parametrize(
     "variant, alpha, beta, h",
     [
-        (Variant.UNDIRECTED, 2.0, 1.0, LinkFn.identity()),
-        (Variant.UNDIRECTED, 1.0, 0.5, LinkFn.identity()),
-        (Variant.UNDIRECTED, 1.0, 1.0, LinkFn.exp()),
-        (Variant.DIRECTED, 1.0, 2.0, LinkFn.even_power(1)),
-        ("undirected", 2.0, 1.0, LinkFn.identity()),
-        ("undirected", None, 1.0, LinkFn.identity()),
+        (Variant.UNDIRECTED, 2.0, 1.0, LinkFn("identity")),
+        (Variant.UNDIRECTED, 1.0, 0.5, LinkFn("identity")),
+        (Variant.UNDIRECTED, 1.0, 1.0, LinkFn("exp")),
+        (Variant.DIRECTED, 1.0, 2.0, LinkFn("evenpow", 1)),
+        ("undirected", 2.0, 1.0, LinkFn("identity")),
+        ("undirected", None, 1.0, LinkFn("identity")),
         ("directed", 1.0, 2.0, LinkFn("evenpow")),
-        ("bogus", 1.0, 1.0, LinkFn.identity()),
+        ("bogus", 1.0, 1.0, LinkFn("identity")),
     ],
 )
 def test_rule_rejects_values_its_variant_fixes(variant, alpha, beta, h):
@@ -260,8 +260,8 @@ def test_rule_rejects_values_its_variant_fixes(variant, alpha, beta, h):
 
 def test_rule_takes_its_variant_as_a_string():
     # the variant is held as its member, so every comparison with it holds by value and by identity
-    rule = EdgeRule("directed", 1.0, 1.0, 2.0, LinkFn.identity())
-    assert rule == EdgeRule(Variant.DIRECTED, 1.0, 1.0, 2.0, LinkFn.identity()) == EdgeRule.directed(1.0, 1.0, 2.0)
+    rule = EdgeRule("directed", 1.0, 1.0, 2.0, LinkFn("identity"))
+    assert rule == EdgeRule(Variant.DIRECTED, 1.0, 1.0, 2.0, LinkFn("identity")) == EdgeRule.directed(1.0, 1.0, 2.0)
     assert rule.variant is Variant.DIRECTED and rule.is_directed
     assert not EdgeRule("undirected", 1.0, 1.0, 1.0, LinkFn("identity")).is_directed
 
@@ -287,12 +287,12 @@ def test_model_config_validation(pareto3):
 
 
 def test_linkfn_shapes_and_inverse():
-    ident = LinkFn.identity()
+    ident = LinkFn("identity")
     assert ident(0.25) == 0.25
-    e = LinkFn.exp()
+    e = LinkFn("exp")
     assert e.lo == pytest.approx(np.exp(-1))
     assert e.hi == pytest.approx(np.e)
-    odd = LinkFn.odd_power_plus_c(2, 0.3)
+    odd = LinkFn("oddpow", 2, 0.3)
     assert odd(0.5) == pytest.approx(0.5 ** 5 + 0.3)
     for fn in (ident, e, odd):
         for y in np.linspace(fn.lo + 1e-6, fn.hi - 1e-6, 7):
@@ -315,16 +315,16 @@ def _bisect_inverse(fn, y, tol=1e-12):
 @settings(max_examples=300, deadline=None)
 @given(
     fn=st.one_of(
-        st.just(LinkFn.identity()),
-        st.just(LinkFn.exp()),
-        st.builds(LinkFn.odd_power_plus_c, st.integers(1, 4), st.floats(-200.0, 200.0)),
+        st.just(LinkFn("identity")),
+        st.just(LinkFn("exp")),
+        st.builds(LinkFn, st.just("oddpow"), st.integers(1, 4), st.floats(-200.0, 200.0)),
     ),
     u=st.floats(0.0, 1.0),
 )
-@example(fn=LinkFn.exp(), u=0.0)
-@example(fn=LinkFn.odd_power_plus_c(1, -127.44488464465546), u=0.0)  # y - c is -1.0000000000000142
-@example(fn=LinkFn.odd_power_plus_c(2, 0.3), u=1.0)
-@example(fn=LinkFn.odd_power_plus_c(1, -0.2), u=0.4)
+@example(fn=LinkFn("exp"), u=0.0)
+@example(fn=LinkFn("oddpow", 1, -127.44488464465546), u=0.0)  # y - c is -1.0000000000000142
+@example(fn=LinkFn("oddpow", 2, 0.3), u=1.0)
+@example(fn=LinkFn("oddpow", 1, -0.2), u=0.4)
 def test_linkfn_inverse_round_trip(fn, u):
     y = min(fn.hi, fn.lo + u * (fn.hi - fn.lo))
     t = fn.inverse(y)
@@ -334,14 +334,14 @@ def test_linkfn_inverse_round_trip(fn, u):
 
 
 def test_linkfn_inverse_rejects_values_outside_range():
-    for fn in (LinkFn.identity(), LinkFn.exp(), LinkFn.odd_power_plus_c(1, 0.5)):
+    for fn in (LinkFn("identity"), LinkFn("exp"), LinkFn("oddpow", 1, 0.5)):
         for y in (np.nextafter(fn.lo, -np.inf), np.nextafter(fn.hi, np.inf)):
             with pytest.raises(DomainError):
                 fn.inverse(y)
 
 
 def test_even_power_not_invertible():
-    even = LinkFn.even_power(1)
+    even = LinkFn("evenpow", 1)
     assert even(-0.5) == even(0.5) == 0.25
     assert even.hi == 1.0
     assert not even.strictly_increasing
@@ -351,13 +351,12 @@ def test_even_power_not_invertible():
 
 def test_linkfn_kind_is_checked_and_compared_by_value():
     ident = LinkFn("identity")
-    assert ident == LinkFn.identity()
     assert ident(0.5) == 0.5 and ident(-0.5) == -0.5
     assert ident.spec() == "identity"
     assert LinkFn("exp")(0.0) == 1.0
-    assert LinkFn("oddpow", m=1, c=-0.2)(0.5) == LinkFn.odd_power_plus_c(1, -0.2)(0.5)
+    assert LinkFn("oddpow", m=1, c=-0.2)(0.5) == 0.5 ** 3 - 0.2
     assert LinkFn("evenpow", m=2)(-0.5) == 0.5 ** 4
-    assert [LinkFn.parse(f.spec()) for f in (ident, LinkFn("exp"))] == [LinkFn.identity(), LinkFn.exp()]
+    assert [LinkFn.parse(f.spec()) for f in (ident, LinkFn("exp"))] == [LinkFn("identity"), LinkFn("exp")]
     for kind in ("bogus", "Identity", ""):
         with pytest.raises(DomainError):
             LinkFn(kind)
@@ -374,6 +373,78 @@ def test_linkfn_parse_roundtrip():
     for text in ("oddpow:x:1", "oddpow:1:y", "oddpow:1.5:0", "evenpow:z"):
         with pytest.raises(DomainError):
             LinkFn.parse(text)
+
+
+def test_linkfn_spec_text():
+    # m as an integer, c as the shortest text that reads back to the same double
+    assert [LinkFn(kind).spec() for kind in ("identity", "exp")] == ["identity", "exp"]
+    assert LinkFn("evenpow", 3).spec() == "evenpow:3"
+    assert LinkFn("oddpow", 1, -0.2).spec() == "oddpow:1:-0.2"
+    assert LinkFn("oddpow", 1, 0).spec() == "oddpow:1:0.0"
+    assert LinkFn("oddpow", 2, -0.20000049).spec() == "oddpow:2:-0.20000049"
+
+
+_ANY_LINK = st.one_of(
+    st.just(LinkFn("identity")),
+    st.just(LinkFn("exp")),
+    st.builds(LinkFn, st.just("evenpow"), st.integers(1, 10)),
+    st.builds(LinkFn, st.just("oddpow"), st.integers(1, 10), st.floats(allow_nan=False, allow_infinity=False)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fn=_ANY_LINK)
+@example(fn=LinkFn("oddpow", 1, -0.20000049))  # a c that 6 significant digits do not hold
+@example(fn=LinkFn("oddpow", 1, -0.0))
+@example(fn=LinkFn("oddpow", 10, 5e-324))
+@example(fn=LinkFn("oddpow", 1, 1.7976931348623157e308))
+def test_linkfn_spec_reads_back_to_the_same_link(fn):
+    # the link a manifest records is the link that ran, down to the sign of a zero c
+    back = LinkFn.parse(fn.spec())
+    assert back == fn and repr(back) == repr(fn)
+
+
+@pytest.mark.parametrize(
+    "kind, m, c, message",
+    [
+        ("oddpow", 0, 0.0, "power index m must be a positive integer, got 0"),
+        ("evenpow", 1.5, 0.0, "power index m must be a positive integer, got 1.5"),
+        ("oddpow", 1, float("nan"), "link constant c must be finite, got nan"),
+        ("oddpow", 1, float("inf"), "link constant c must be finite, got inf"),
+        ("oddpow", 1, -float("inf"), "link constant c must be finite, got -inf"),
+        ("exp", 3, 0.0, "'exp' links take no parameters, got m=3, c=0.0"),
+        ("identity", 1, 0.5, "'identity' links take no parameters, got m=1, c=0.5"),
+        ("evenpow", 2, -0.1, "'evenpow' links take m, got m=2, c=-0.1"),
+    ],
+)
+def test_linkfn_refuses_values_its_kind_does_not_take(kind, m, c, message):
+    # a parameter the spec does not write stays at its default, so equal specs mean equal links
+    with pytest.raises(DomainError) as exc:
+        LinkFn(kind, m, c)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bogus", "unknown link function 'bogus'"),
+        ("bogus:1", "unknown link function 'bogus'"),
+        ("identity:3", "expected identity, got 'identity:3'"),
+        ("evenpow", "expected evenpow:m, got 'evenpow'"),
+        ("oddpow:2", "expected oddpow:m:c, got 'oddpow:2'"),
+        ("oddpow:1.5:0", "link function 'oddpow:1.5:0': m must be an integer and c a number"),
+        ("oddpow:1:nan", "link constant c must be finite, got nan"),
+    ],
+)
+def test_linkfn_parse_messages(text, message):
+    with pytest.raises(DomainError) as exc:
+        LinkFn.parse(text)
+    assert str(exc.value) == message
+
+
+def test_node_table_needs_two_dimensions(pareto3):
+    with pytest.raises(DimensionError):
+        sample_node_table(10, 1, pareto3, 1)
 
 
 @pytest.mark.parametrize(("n", "d"), [(2 ** 50, 3), (10 ** 20, 3), (10, 10 ** 20)])

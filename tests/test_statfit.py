@@ -116,6 +116,31 @@ def test_fit_refuses_one_sample_at_2_to_53(rng):
         fit_powerlaw_discrete(np.append(samples, 2 ** 53))
 
 
+def test_fit_leaves_out_x_min_candidates_float64_cannot_fit(recwarn):
+    # zeta(alpha, 2^46) underflows to 0, so those candidates' lanes end in NaN;
+    # they are left out, with no RuntimeWarning, and the fit comes from the rest
+    body = sample_discrete_powerlaw(np.random.default_rng(1), 2.5, 1, 5000)
+    samples = np.concatenate([body, 2 ** 46 + np.arange(60)])
+    fit = fit_powerlaw_discrete(samples)
+    assert fit.x_min == 1 and fit.n_tail == len(samples)
+    assert fit == fit_powerlaw_discrete(samples, x_min=1)
+    for x_min in (None, 2 ** 46):
+        with pytest.raises(FitDegenerateError, match=f"no x_min at or above {2 ** 46} gives a tail that float64 can fit"):
+            fit_powerlaw_discrete(samples[samples >= 2 ** 46], x_min=x_min)
+    assert not recwarn.list
+
+
+def test_fit_refuses_x_min_below_one():
+    with pytest.raises(DomainError, match="x_min must be >= 1, got 0"):
+        fit_powerlaw_discrete(np.arange(1, 200), x_min=0)
+
+
+def test_sampler_refuses_exponent_at_most_one(rng):
+    for alpha in (1.0, 0.5):
+        with pytest.raises(DomainError, match="exponent must exceed 1"):
+            sample_discrete_powerlaw(rng, alpha, 1, 10)
+
+
 def test_gof_accepts_true_powerlaw(rng):
     samples = sample_discrete_powerlaw(rng, 2.5, 1, 5000)
     fit = fit_powerlaw_discrete(samples, x_min=1)
