@@ -89,9 +89,11 @@ def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float =
     _check_exponents(alpha, beta)
     if theta == 0.0:
         return 0.5
+    if theta == math.inf:
+        return 0.0  # the limit, where the lower branch below would take 0 * inf
     a = pareto.a
     log_r = ((alpha + beta) * math.log(pareto.w0) - math.log(theta)) / alpha
-    c = a * a / ((a + alpha) * (a + beta))
+    c = (a / (a + alpha)) * (a / (a + beta))  # factors <= 1, so finite for any finite a
     if log_r >= 0.0:
         return 0.5 * (1.0 - c * math.exp(-alpha * log_r))
     upper = 0.5 * (1.0 - c) * math.exp(a * log_r)
@@ -127,13 +129,14 @@ def p_wedge(pareto: ParetoParams, theta: float) -> float:
     _check_theta(theta)
     a, w0 = pareto.a, pareto.w0
     r = a / (a + 1.0)
+    k = r ** 2 * a / (a + 2.0)  # a^3 / ((a+1)^2 (a+2)), finite for any finite a
     t = theta / w0 / w0  # quotients, not w0^2, so that nothing overflows
     if t < 1.0:
-        return 0.25 - 0.5 * r ** 2 * t + 0.25 * a ** 3 * t * t / ((a + 1.0) ** 2 * (a + 2.0))
+        return 0.25 - 0.5 * r ** 2 * t + 0.25 * k * t * t
     # s = (w0^2 / theta)^a <= 1, from logs so that no power overflows
     log_s = a * (2.0 * math.log(w0) - math.log(theta))
-    head = -math.expm1(log_s) / (a + 1.0) ** 2
-    tail = 1.0 - 2.0 * r ** 2 + a ** 3 / ((a + 1.0) ** 2 * (a + 2.0))
+    head = -math.expm1(log_s) / ((a + 1.0) * (a + 1.0))  # a float ** 2 would raise past the largest double
+    tail = 1.0 - 2.0 * r ** 2 + k
     return 0.25 * math.exp(log_s) * (head + tail)
 
 
@@ -200,10 +203,14 @@ def _solve_theta(pareto: ParetoParams, p: float, alpha: float, beta: float) -> f
     )
 
 
+def _check_coefficient(D: float) -> None:
+    if not (0.0 < D < math.inf):
+        raise DomainError(f"schedule coefficient must be positive and finite, got D={D}")
+
+
 def theta_powerlaw_schedule(n: int, D: float, a: float) -> float:
     """theta(n) = D * n^(1/a), the schedule that yields linearithmic growth."""
-    if not (D > 0):
-        raise DomainError(f"schedule coefficient must be positive, got D={D}")
+    _check_coefficient(D)
     if n < 1:
         raise DomainError(f"node count must be >= 1, got {n}")
     return D * n ** (1.0 / a)
@@ -217,9 +224,8 @@ def expected_edges_linlog(n: int, D: float, pareto: ParetoParams) -> float:
     w0^(2a) / D^a are taken from logs: inside the validity region they are
     at most n, outside it the check compares logs, so neither overflows.
     """
+    _check_coefficient(D)
     a, w0 = pareto.a, pareto.w0
-    if not (D > 0):
-        raise DomainError(f"schedule coefficient must be positive, got D={D}")
     log_scale = a * (2.0 * math.log(w0) - math.log(D))
     if n < 1 or math.log(n) < log_scale:
         raise DomainError(
@@ -283,8 +289,7 @@ class PowerLawSchedule:
     D: float
 
     def __post_init__(self):
-        if not (self.D > 0):
-            raise DomainError(f"schedule coefficient must be positive, got D={self.D}")
+        _check_coefficient(self.D)
 
     def theta_for(self, n: int, pareto: ParetoParams) -> float:
         return theta_powerlaw_schedule(n, self.D, pareto.a)

@@ -67,9 +67,16 @@ def _resolve_theta(args, pareto: ParetoParams) -> float:
         return args.theta
     if args.target_edges is not None:
         return _calibrate(args, pareto)[0]
+    return _schedule(args).theta_for(args.n, pareto)
+
+
+def _schedule(args):
+    """The threshold schedule of --schedule (linear: expected edges --coeff * n) and its flags."""
+    if args.schedule == "linear":
+        return analytics.CalibratedSchedule(target=lambda n: args.coeff * n)
     if args.D is None:
         raise ThreshnetError("--schedule powerlaw requires --D")
-    return analytics.theta_powerlaw_schedule(args.n, args.D, pareto.a)
+    return analytics.PowerLawSchedule(D=args.D)
 
 
 def _config_payload(config: ModelConfig) -> dict:
@@ -248,14 +255,10 @@ def cmd_growth_sweep(args) -> int:
     pareto = ParetoParams(a=args.a, w0=args.w0)
     if args.seeds < 1:
         raise DomainError(f"--seeds must be at least 1, got {args.seeds}")
-    if args.schedule == "powerlaw":
-        if args.D is None:
-            raise ThreshnetError("--schedule powerlaw requires --D")
-        schedule = analytics.PowerLawSchedule(D=args.D)
-    else:
-        schedule = analytics.CalibratedSchedule(target=lambda n: args.coeff * n)
+    if args.fit:
+        growthmod._check_fit_sizes(args.ns)  # before any graph is sampled
     seeds = list(range(args.seeds))
-    sweep = growthmod.run_growth_sweep(schedule, args.ns, pareto, seeds)
+    sweep = growthmod.run_growth_sweep(_schedule(args), args.ns, pareto, seeds)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seed, series in sweep.items():
@@ -284,7 +287,8 @@ def _growth_fit_payload(fit: growthmod.GrowthFit) -> dict:
 
 def cmd_growth_fit(args) -> int:
     series = growthmod.ingest_edge_count_series(args.infile)
-    print(json.dumps(_growth_fit_payload(growthmod.fit_growth_curve(series)), sort_keys=True))
+    fit = growthmod.fit_growth_curve([(p.n, p.m) for p in series.points])
+    print(json.dumps(_growth_fit_payload(fit), sort_keys=True))
     return 0
 
 

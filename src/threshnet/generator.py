@@ -99,22 +99,26 @@ def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int
     alpha, beta = (rule.alpha, rule.beta) if rule.theta > 0 else (0.0, 0.0)
     keys = [np.empty(0, dtype=np.int64)]
     n_cand = n_edges = 0
-    for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
-        u, vs, wq = order[p], order[p + 1 : cut], ws[p + 1 : cut]
-        f = rule.h(xs[p + 1 : cut] @ xs[p])
-        hit = vs[ws[p] ** alpha * wq ** beta * f >= rule.theta]
-        if rule.is_directed:
-            rev = vs[wq ** alpha * ws[p] ** beta * f >= rule.theta]
-            row = [u * n + hit, rev * n + u]
-        else:
-            row = [np.minimum(u, hit) * n + np.maximum(u, hit)]
-        keys += row
-        n_cand += len(vs)
-        n_edges += sum(map(len, row))
-        if n_edges > guard:
-            raise ResourceLimitError(
-                f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended"
-            )
+    # A weight power past the largest double is inf: inf * h(dot) keeps h's sign, and
+    # inf * 0 is NaN, which fails >= theta > 0 (theta = 0 takes powers 0).  So each pair
+    # gets the float predicate's decision, as in the pair-by-pair reference, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
+            u, vs, wq = order[p], order[p + 1 : cut], ws[p + 1 : cut]
+            f = rule.h(xs[p + 1 : cut] @ xs[p])
+            hit = vs[ws[p] ** alpha * wq ** beta * f >= rule.theta]
+            if rule.is_directed:
+                rev = vs[wq ** alpha * ws[p] ** beta * f >= rule.theta]
+                row = [u * n + hit, rev * n + u]
+            else:
+                row = [np.minimum(u, hit) * n + np.maximum(u, hit)]
+            keys += row
+            n_cand += len(vs)
+            n_edges += sum(map(len, row))
+            if n_edges > guard:
+                raise ResourceLimitError(
+                    f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended"
+                )
     return np.concatenate(keys), n_cand
 
 

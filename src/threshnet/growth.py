@@ -9,7 +9,7 @@ Growth-curve fits use the natural logarithm throughout.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,26 +77,22 @@ def run_growth_sweep(
 ) -> dict[int, GrowthSeries]:
     """One GrowthSeries per seed: regenerate at each n under schedule's theta(n).
 
-    Directions live on S^2 (d = 3), where the em and var analytics hold.
+    Each size's theta, em and var are solved once, before any graph is sampled,
+    on S^2 (d = 3), where the em and var analytics hold.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("sweep sizes must be strictly increasing")
+    sizes = []
+    for n in ns:
+        theta = schedule.theta_for(n, pareto)
+        var = analytics.variance_edges(n, pareto, theta) if n >= 2 else 0.0
+        sizes.append(GrowthPoint(n=n, m=0, em=analytics.expected_edges(n, pareto, theta), var=var, theta=theta))
     out: dict[int, GrowthSeries] = {}
     for seed in seeds:
         points = []
-        for n in ns:
-            theta = schedule.theta_for(n, pareto)
-            config = ModelConfig(n=n, d=3, pareto=pareto, rule=EdgeRule.undirected(theta), seed=seed)
-            m = generate(config).n_edges  # the graph is freed before the next n is sampled
-            points.append(
-                GrowthPoint(
-                    n=n,
-                    m=m,
-                    em=analytics.expected_edges(n, pareto, theta),
-                    var=analytics.variance_edges(n, pareto, theta) if n >= 2 else 0.0,
-                    theta=theta,
-                )
-            )
+        for size in sizes:  # the one edge count per (seed, size)
+            config = ModelConfig(n=size.n, d=3, pareto=pareto, rule=EdgeRule.undirected(size.theta), seed=seed)
+            points.append(replace(size, m=generate(config).n_edges))  # the graph is freed before the next n
         out[seed] = GrowthSeries(points=points)
     return out
 
@@ -112,12 +108,12 @@ def concentration_report(series_by_seed: dict[int, GrowthSeries]) -> list[Concen
             raise DomainError("all seeds must share the same sweep sizes")
     rows = []
     for i, n in enumerate(ns):
-        if n < 2:
-            continue  # one node has no pair: the sample and the predicted variance are both 0
-        ms = np.array([s.points[i].m for s in all_series], dtype=float)
         predicted = all_series[0].points[i].var
-        if predicted is None or predicted <= 0:
+        if predicted is None or predicted < 0:
             raise DomainError(f"no predicted variance available at n={n}")
+        if predicted == 0:
+            continue  # n < 2, or no pair can link: the edge count cannot vary
+        ms = np.array([s.points[i].m for s in all_series], dtype=float)
         sample_var = float(ms.var(ddof=1))
         ratio = sample_var / predicted
         rows.append(
@@ -133,18 +129,17 @@ def concentration_report(series_by_seed: dict[int, GrowthSeries]) -> list[Concen
     return rows
 
 
-def fit_growth_curve(series) -> GrowthFit:
-    """Least squares for m ~ c1 * n * ln(n) + c2 * n over (n, m) pairs."""
-    if isinstance(series, GrowthSeries):
-        pairs = [(p.n, p.m) for p in series.points]
-    else:
-        pairs = [(int(n), float(m)) for n, m in series]
-    ns = np.array([p[0] for p in pairs], dtype=float)
-    ms = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(ns < 1):
-        raise DomainError("growth fit needs node counts of at least 1")
+def _check_fit_sizes(ns) -> None:
     if np.unique(ns).size < 3:
         raise DomainError("growth fit needs at least 3 distinct n values")
+
+
+def fit_growth_curve(pairs) -> GrowthFit:
+    """Least squares for m ~ c1 * n * ln(n) + c2 * n over (n, m) pairs."""
+    ns, ms = np.array(list(pairs), dtype=float).reshape(-1, 2).T
+    if np.any(ns < 1):
+        raise DomainError("growth fit needs node counts of at least 1")
+    _check_fit_sizes(ns)
     design = np.column_stack([ns * np.log(ns), ns])
     if np.linalg.matrix_rank(design) < 2:
         raise DomainError("degenerate design: n values make n*ln(n) and n collinear")
@@ -154,21 +149,12 @@ def fit_growth_curve(series) -> GrowthFit:
 
 
 def write_series_csv(path, series: GrowthSeries) -> None:
-    """CSV with header n,m[,em,var,theta]; UTF-8, LF line endings."""
-    has_extra = any(p.em is not None for p in series.points)
-    cols = CSV_COLUMNS if has_extra else CSV_COLUMNS[:2]
+    """CSV with header n,m,em,var,theta, an unknown value as an empty field; UTF-8, LF line endings."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
+        writer.writerow(CSV_COLUMNS)
         for p in series.points:
-            row = [p.n, p.m]
-            if has_extra:
-                row += [_fmt(p.em), _fmt(p.var), _fmt(p.theta)]
-            writer.writerow(row)
-
-
-def _fmt(x) -> str:
-    return "" if x is None else format(x, ".17g")
+            writer.writerow([p.n, p.m, *("" if x is None else format(x, ".17g") for x in (p.em, p.var, p.theta))])
 
 
 def ingest_edge_count_series(path) -> GrowthSeries:
@@ -196,8 +182,7 @@ def ingest_edge_count_series(path) -> GrowthSeries:
                 opt = [float(c) if c.strip() else None for c in row[2:]]
             except ValueError as exc:
                 raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
-            kw = dict(zip(("em", "var", "theta"), opt))
-            points.append(GrowthPoint(n=n, m=m, **kw))
+            points.append(GrowthPoint(n, m, *opt))
     if not points:
         raise SeriesFormatError(f"{path}: no data rows")
     try:

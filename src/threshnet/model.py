@@ -23,16 +23,16 @@ _BLOCK = 1 << 15  # node ids per pass of `sample_node_table`
 
 @dataclass(frozen=True)
 class ParetoParams:
-    """Shape `a` and scale `w0` of the weight distribution (both positive)."""
+    """Shape `a` and scale `w0` of the weight distribution (both positive and finite)."""
 
     a: float
     w0: float
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise DomainError(f"Pareto shape must be positive, got a={self.a}")
-        if not (self.w0 > 0):
-            raise DomainError(f"Pareto scale must be positive, got w0={self.w0}")
+        if not (0.0 < self.a < math.inf):
+            raise DomainError(f"Pareto shape must be positive and finite, got a={self.a}")
+        if not (0.0 < self.w0 < math.inf):
+            raise DomainError(f"Pareto scale must be positive and finite, got w0={self.w0}")
 
 
 # Each link kind -> the parameters its spec writes after the kind, in order, with

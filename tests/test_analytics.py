@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -568,3 +569,46 @@ def test_schedules(pareto3):
     assert expected_edges(2000, pareto3, theta) == pytest.approx(10000.0, rel=1e-9)
     with pytest.raises(DomainError):
         PowerLawSchedule(D=0.0)
+
+
+def test_closed_forms_at_a_huge_shape():
+    # a = 1e300: a * a and a ** 3 would overflow, yet every limit is finite
+    huge = ParetoParams(1e300, 1.0)
+    assert p_edge(huge, 2.0) == 0.0
+    assert p_edge(huge, 0.5) == 0.25
+    assert p_wedge(huge, 0.5) == 0.0625
+    assert p_wedge(huge, 2.0) == 0.0
+    assert variance_edges(100, huge, 0.5) == pytest.approx(4950 * 0.25 * 0.75, rel=1e-12, abs=0.0)
+    assert calibrate_theta(100, huge, 10.0) == pytest.approx(1.0 - 20.0 / 4950.0, rel=1e-12, abs=0.0)
+
+
+def test_closed_forms_at_an_infinite_threshold(pareto3):
+    # r^a ln(1/r) -> 0 as theta -> inf; evaluated as written it is 0 * inf
+    assert p_edge(pareto3, math.inf) == 0.0
+    assert p_edge(pareto3, math.inf, 2.0, 0.5) == 0.0
+    assert p_wedge(pareto3, math.inf) == 0.0
+    assert variance_edges(100, pareto3, math.inf) == 0.0
+    assert p_edge_given_weight(2.0, pareto3, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("D", [math.inf, math.nan, 0.0, -1.0])
+def test_schedule_coefficient_must_be_positive_and_finite(pareto3, D):
+    for call in (
+        lambda: theta_powerlaw_schedule(100, D, 3.0),
+        lambda: expected_edges_linlog(100, D, pareto3),
+        lambda: PowerLawSchedule(D=D),
+    ):
+        with pytest.raises(DomainError, match="schedule coefficient must be positive and finite"):
+            call()
+
+
+def test_linkfn_quadrature_that_does_not_converge_raises(monkeypatch, pareto3):
+    from scipy import integrate
+
+    def quad(*args, **kwargs):
+        warnings.warn("maximum number of subdivisions reached", integrate.IntegrationWarning)
+        return 0.0, 1.0
+
+    monkeypatch.setattr(integrate, "quad", quad)
+    with pytest.raises(NumericError, match="link-function quadrature did not converge: maximum number"):
+        p_edge_given_weight_linkfn(2.0, pareto3, 1.0, 1.0, 1.0, LinkFn("identity"))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import threshnet
+import threshnet.growth
 from threshnet import ParetoParams, expected_arcs_directed, expected_edges, io as tio, p_edge, variance_edges
 from threshnet.cli import MAX_ANALYZE_NODES, main
 from threshnet.errors import SeriesFormatError
@@ -712,3 +713,80 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "threshnet" in capsys.readouterr().out
+
+
+def test_growth_sweep_fit_needs_three_sizes_before_sampling(tmp_path, capsys, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(threshnet.growth, "generate", lambda *args, **kwargs: sampled.append(args))
+    code, out, err = run(capsys, "growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3",
+                         "--ns", "10,20", "--seeds", "2", "--fit", "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", "error: growth fit needs at least 3 distinct n values\n")
+    assert sampled == []
+    assert not any(tmp_path.iterdir())
+
+
+def test_growth_sweep_with_no_predicted_variance_exits_zero(tmp_path, capsys):
+    # theta = 1e300 * n^(1/3) links no pair, so there is no concentration row to print
+    code, out, err = run(capsys, "growth", "sweep", "--schedule", "powerlaw", "--D", "1e300", "--a", "3",
+                         "--ns", "10,20", "--seeds", "20", "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()] == ["n=10", "n=20"]
+    assert "predicted_var=" not in out
+    assert len(list(tmp_path.glob("series_seed*.csv"))) == 20
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--theta", "1"], ["--theta", "1", "--variant", "directed", "--alpha", "2", "--beta", "1"]],
+    ids=["undirected", "directed"],
+)
+def test_generate_with_overflowing_weights_prints_no_warning(tmp_path, flags):
+    # in a fresh interpreter: pytest would collect a warning raised in this process
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "threshnet.cli", "generate", "--n", "50", "--a", "3", "--w0", "1e200", *flags,
+            "--out-dir", str(tmp_path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("n=50 edges=")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["oracle", "pe", "--a", "1e300", "--theta", "2"], 0.0),
+        (["oracle", "pe", "--a", "1e300", "--theta", "0.5"], 0.25),
+        (["oracle", "pwedge", "--a", "1e300", "--theta", "0.5"], 0.0625),
+        (["oracle", "pwedge", "--a", "1e300", "--theta", "2"], 0.0),
+        # p_wedge = p_edge^2 there, which leaves the Bernoulli term 4950 * 0.25 * 0.75
+        (["oracle", "var", "--a", "1e300", "--n", "100", "--theta", "0.5"], 928.125),
+        # p_edge = (1 - theta) / 2 below theta = 1 at a = 1e300, so 4950 * p_edge = 10 at 1 - 20/4950
+        (["calibrate", "--n", "100", "--a", "1e300", "--target-edges", "10"], 1.0 - 20.0 / 4950.0),
+        (["oracle", "pe", "--a", "3", "--theta", "inf"], 0.0),
+        (["oracle", "var", "--a", "3", "--n", "100", "--theta", "inf"], 0.0),
+        (["oracle", "pe", "--a", "inf", "--theta", "2"], "error: Pareto shape must be positive and finite, got a=inf"),
+        (["calibrate", "--n", "100", "--a", "inf", "--target-edges", "10"],
+         "error: Pareto shape must be positive and finite, got a=inf"),
+        (["oracle", "pe", "--a", "3", "--w0", "inf", "--theta", "2"],
+         "error: Pareto scale must be positive and finite, got w0=inf"),
+        (["oracle", "em-linlog", "--a", "3", "--n", "100", "--D", "inf"],
+         "error: schedule coefficient must be positive and finite, got D=inf"),
+        (["generate", "--n", "100", "--a", "3", "--schedule", "powerlaw", "--D", "inf"],
+         "error: schedule coefficient must be positive and finite, got D=inf"),
+    ],
+    ids=[
+        "pe-huge-a-low", "pe-huge-a-high", "pwedge-huge-a-low", "pwedge-huge-a-high", "var-huge-a",
+        "calibrate-huge-a", "pe-inf-theta", "var-inf-theta", "pe-inf-a", "calibrate-inf-a", "pe-inf-w0",
+        "em-linlog-inf-D", "generate-inf-D",
+    ],
+)
+def test_closed_forms_at_the_edges_of_their_domain(tmp_path, capsys, monkeypatch, argv, want):
+    # a finite value, or one error line with exit 1: never NaN or a traceback
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    if isinstance(want, str):
+        assert (code, out, err) == (1, "", want + "\n")
+        assert not any(tmp_path.iterdir())
+        return
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[0]) == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,22 @@ def test_theta_zero_edges_do_not_depend_on_w0(rule):
     nodes = [oracles.Node(i, w, x) for i, (w, x) in enumerate(zip(weights.tolist(), dirs))]
     arcs = [(u.id, v.id) for u in nodes for v in nodes if u.id != v.id and oracles.edge_exists(u, v, rule)]
     assert {tuple(e) for e in edges.tolist()} == {(i, j) for i, j in arcs if rule.is_directed or i < j}
+
+
+@pytest.mark.parametrize(
+    "rule, n_edges",
+    [(EdgeRule.undirected(1.0), 614), (EdgeRule.directed(1.0, 2.0, 1.0), 1228)],
+    ids=["undirected", "directed"],
+)
+def test_overflowing_weight_powers_decide_as_naive_without_warnings(rule, n_edges):
+    # w0 = 1e200 takes every weight product past the largest double
+    config = _config(50, 1.0, rule=rule, pareto=ParetoParams(3, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = generate(config).edges
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(edges, generate_naive(config).edges)
+    assert len(edges) == n_edges
 
 
 _LINKS = st.one_of(

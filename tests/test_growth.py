@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+import threshnet.analytics
+import threshnet.growth
 from threshnet import (
     CalibratedSchedule,
     DomainError,
+    EdgeRule,
     GrowthFit,
     GrowthPoint,
     GrowthSeries,
+    ModelConfig,
     ParetoParams,
     PowerLawSchedule,
     SeriesFormatError,
     concentration_report,
     fit_growth_curve,
     ingest_edge_count_series,
+    generate,
     run_growth_sweep,
     write_series_csv,
 )
@@ -218,3 +223,78 @@ def test_concentration_needs_one_size_list(pareto3):
     sweep[0] = run_growth_sweep(FlatSchedule(0.0), [10], pareto3, seeds=[0])[0]
     with pytest.raises(DomainError, match="same sweep sizes"):
         concentration_report(sweep)
+
+
+def test_sweep_solves_each_size_once_before_sampling(monkeypatch, pareto3):
+    calls = []
+
+    class CountingSchedule(PowerLawSchedule):
+        def theta_for(self, n, pareto):
+            calls.append(("theta_for", n))
+            return super().theta_for(n, pareto)
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[0].n if name == "generate" else args[0]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(threshnet.growth, "generate", spy("generate", threshnet.growth.generate))
+    for name in ("expected_edges", "variance_edges"):
+        monkeypatch.setattr(threshnet.analytics, name, spy(name, getattr(threshnet.analytics, name)))
+    ns, seeds = [100, 200, 400], [0, 1, 2, 3, 4]
+    sweep = run_growth_sweep(CountingSchedule(D=1.0), ns, pareto3, seeds)
+    first_sample = [name for name, _ in calls].index("generate")
+    for name in ("theta_for", "expected_edges", "variance_edges"):
+        assert [n for kind, n in calls if kind == name] == ns
+        assert all(i < first_sample for i, (kind, _) in enumerate(calls) if kind == name)
+    assert [n for kind, n in calls if kind == "generate"] == ns * len(seeds)
+    for seed in seeds:
+        for p, size in zip(sweep[seed].points, sweep[0].points):
+            assert (p.n, p.em, p.var, p.theta) == (size.n, size.em, size.var, size.theta)
+            config = ModelConfig(n=p.n, d=3, pareto=pareto3, rule=EdgeRule.undirected(p.theta), seed=seed)
+            assert p.m == generate(config).n_edges
+
+
+def test_concentration_leaves_out_sizes_without_variance(pareto3):
+    # theta = 1e300 links no pair: the predicted variance is 0 at every size
+    sweep = run_growth_sweep(PowerLawSchedule(D=1e300), [10, 20], pareto3, seeds=list(range(20)))
+    assert [p.var for p in sweep[0].points] == [0.0, 0.0]
+    assert concentration_report(sweep) == []
+
+
+def test_concentration_needs_a_predicted_variance(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("n,m\n10,5\n20,11\n", encoding="utf-8")
+    sweep = {seed: ingest_edge_count_series(path) for seed in range(20)}
+    with pytest.raises(DomainError, match="no predicted variance available at n=10"):
+        concentration_report(sweep)
+
+
+def test_fit_refuses_a_collinear_design():
+    # n*ln(n) and n are proportional to within rounding over three adjacent n
+    with pytest.raises(DomainError, match="degenerate design"):
+        fit_growth_curve([(10 ** 15, 1.0), (10 ** 15 + 1, 2.0), (10 ** 15 + 2, 3.0)])
+
+
+def test_csv_refuses_a_non_numeric_optional_field(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("n,m,em,var,theta\n10,5,x,,\n", encoding="utf-8")
+    with pytest.raises(SeriesFormatError, match=r"s\.csv:2: "):
+        ingest_edge_count_series(path)
+
+
+@pytest.mark.parametrize(
+    "points, text",
+    [
+        ([GrowthPoint(n=10, m=5), GrowthPoint(n=20, m=11)], "10,5,,,\n20,11,,,\n"),
+        ([GrowthPoint(n=10, m=5), GrowthPoint(n=20, m=11, em=10.5, theta=2.0)], "10,5,,,\n20,11,10.5,,2\n"),
+    ],
+    ids=["counts-only", "some-known"],
+)
+def test_csv_always_writes_five_columns(tmp_path, points, text):
+    # an unknown value is an empty field, which reads back as None
+    path = tmp_path / "s.csv"
+    write_series_csv(path, GrowthSeries(points=points))
+    assert path.read_text(encoding="utf-8") == "n,m,em,var,theta\n" + text
+    assert ingest_edge_count_series(path) == GrowthSeries(points=points)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -60,6 +62,12 @@ def test_pareto_params_validation():
         ParetoParams(a=0, w0=1)
     with pytest.raises(DomainError):
         ParetoParams(a=3, w0=-1)
+
+
+@pytest.mark.parametrize("a, w0", [(math.inf, 1.0), (math.nan, 1.0), (3.0, math.inf), (3.0, math.nan)])
+def test_pareto_params_must_be_finite(a, w0):
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        ParetoParams(a=a, w0=w0)
 
 
 def test_direction_unit_norm():

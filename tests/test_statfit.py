@@ -4,6 +4,7 @@ import pytest
 from threshnet import (
     DomainError,
     FitDegenerateError,
+    FitResult,
     ParetoParams,
     ccdf,
     fit_powerlaw_discrete,
@@ -228,3 +229,22 @@ def test_gof_self_consistency_ensemble():
         gof = gof_pvalue(samples, fit, n_bootstrap=100, seed=rep)
         ok += gof.p_value > 0.05
     assert ok >= 9
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(alpha_hat=1.0), "fitted exponent must exceed 1, got 1.0"),
+        (dict(alpha_hat=float("nan")), "fitted exponent must exceed 1, got nan"),
+        (dict(x_min=0), "x_min must be >= 1, got 0"),
+        (dict(ks_stat=1.5), r"KS statistic out of \[0,1\]: 1.5"),
+        (dict(ks_stat=-0.1), r"KS statistic out of \[0,1\]: -0.1"),
+        (dict(ks_stat=float("nan")), r"KS statistic out of \[0,1\]: nan"),
+    ],
+    ids=["alpha-one", "alpha-nan", "x-min-zero", "ks-above-one", "ks-negative", "ks-nan"],
+)
+def test_fit_result_refuses_fields_out_of_domain(fields, message):
+    valid = dict(alpha_hat=2.5, x_min=1, ks_stat=0.1, n_tail=100, alpha_continuous=2.4)
+    FitResult(**valid)
+    with pytest.raises(DomainError, match=message):
+        FitResult(**{**valid, **fields})
