@@ -47,7 +47,6 @@ from .statfit import (
     ccdf,
     fit_powerlaw_discrete,
     gof_pvalue,
-    sample_discrete_powerlaw,
 )
 from .growth import (
     GrowthFit,

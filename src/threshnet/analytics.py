@@ -136,18 +136,26 @@ def p_wedge(pareto: ParetoParams, theta: float) -> float:
     # s = (w0^2 / theta)^a <= 1, from logs so that no power overflows
     log_s = a * (2.0 * math.log(w0) - math.log(theta))
     head = -math.expm1(log_s) / ((a + 1.0) * (a + 1.0))  # a float ** 2 would raise past the largest double
-    tail = 1.0 - 2.0 * r ** 2 + k
+    tail = (5.0 * a + 2.0) / (a + 1.0) / (a + 1.0) / (a + 2.0)  # 1 - 2 r^2 + k, which cancels to O(1/a^2)
     return 0.25 * math.exp(log_s) * (head + tail)
 
 
 def variance_edges(n: int, pareto: ParetoParams, theta: float) -> float:
-    """Variance of the edge count: Bernoulli term plus the shared-node wedge term."""
+    """Variance of the edge count: Bernoulli term plus the shared-node wedge term.
+
+    Below theta = w0^2 the wedge covariance p_wedge - p_edge^2 (both near 1/4)
+    is taken as a^3 t^2 / (4 (a+1)^4 (a+2)), t = theta / w0^2, which does not cancel.
+    """
     if n < 2:
         raise DomainError(f"variance needs n >= 2, got {n}")
     pe = p_edge(pareto, theta)
-    pw = p_wedge(pareto, theta)
+    a, t = pareto.a, theta / pareto.w0 / pareto.w0
+    if t < 1.0:  # (a+1)(a+2) overflows to inf at a huge a, where the term is 0
+        cov = (a / (a + 1.0)) ** 3 * t * t / (4.0 * (a + 1.0) * (a + 2.0))
+    else:
+        cov = p_wedge(pareto, theta) - pe ** 2
     pairs = n * (n - 1) / 2.0
-    return pairs * pe * (1.0 - pe) + n * (n - 1) * (n - 2) / 2.0 * (pw - pe ** 2)
+    return pairs * pe * (1.0 - pe) + n * (n - 1) * (n - 2) / 2.0 * cov
 
 
 def calibrate_theta(n: int, pareto: ParetoParams, target_edges: float) -> float:

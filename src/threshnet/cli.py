@@ -36,7 +36,7 @@ def _add_variant_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=[v.value for v in Variant], default="undirected")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--h", type=str, default=None, help="|".join(":".join([kind, *params]) for kind, params in _LINK_KINDS.items()))
+    p.add_argument("--h", type=str, default=None, help="|".join(":".join([kind, *row.params]) for kind, row in _LINK_KINDS.items()))
 
 
 def _build_rule(args, theta: float) -> EdgeRule:
@@ -130,8 +130,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# Largest `analyze --n`, checked before the degree count is allocated: one
-# int64 per node is 800 MB at the cap, before the fit's own copies.
+# Largest `analyze` node count, given or inferred, checked before the degree count is
+# allocated: one int64 per node is 800 MB at the cap, before the fit's own copies.
 MAX_ANALYZE_NODES = 10 ** 8
 
 # oracle kind -> (flags it needs, closed form of (args, pareto))
@@ -236,6 +236,8 @@ def cmd_analyze(args) -> int:
         raise ResourceLimitError(f"--n {args.n} exceeds the analyze limit of {MAX_ANALYZE_NODES}")
     edges = tio.read_edges_tsv(args.edges)
     n = args.n if args.n is not None else int(edges.max()) + 1
+    if n > MAX_ANALYZE_NODES:  # only an inferred count can exceed it here
+        raise ResourceLimitError(f"{args.edges}: node count {n} (largest id + 1) exceeds the analyze limit of {MAX_ANALYZE_NODES}")
     bad = edges[(edges < 0) | (edges >= n)]
     if bad.size:
         raise SeriesFormatError(f"{args.edges}: node id {bad[0]} outside [0, {n})")
@@ -270,7 +272,7 @@ def cmd_growth_sweep(args) -> int:
         payload = _growth_fit_payload(growthmod.fit_growth_curve(list(zip(args.ns, mean_ms))))
         tio.write_json(out / "growth_fit.json", payload)
         print(json.dumps(payload, sort_keys=True))
-    if len(seeds) >= 20:
+    if len(seeds) >= growthmod.MIN_CONCENTRATION_SEEDS:
         rows = growthmod.concentration_report(sweep)
         for row in rows:
             flag = " FLAGGED" if row.flagged else ""

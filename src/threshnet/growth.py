@@ -21,6 +21,7 @@ from .model import EdgeRule, ModelConfig, ParetoParams
 
 CSV_COLUMNS = ("n", "m", "em", "var", "theta")
 _VARIANCE_RATIO_BAND = (0.5, 2.0)
+MIN_CONCENTRATION_SEEDS = 20  # fewest seeds whose sample variance `concentration_report` judges
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ def run_growth_sweep(
 
 def concentration_report(series_by_seed: dict[int, GrowthSeries]) -> list[ConcentrationRow]:
     """Sample vs predicted variance of the edge count per n, across seeds."""
-    if len(series_by_seed) < 20:
-        raise DomainError(f"concentration report needs >= 20 seeds, got {len(series_by_seed)}")
+    if len(series_by_seed) < MIN_CONCENTRATION_SEEDS:
+        raise DomainError(f"concentration report needs >= {MIN_CONCENTRATION_SEEDS} seeds, got {len(series_by_seed)}")
     all_series = list(series_by_seed.values())
     ns = [p.n for p in all_series[0].points]
     for s in all_series[1:]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,19 +36,27 @@ class ParetoParams:
             raise DomainError(f"Pareto scale must be positive and finite, got w0={self.w0}")
 
 
-# Each link kind -> the parameters its spec writes after the kind, in order, with
-# the type each is read as.  A kind leaves every other parameter at its default.
-_LINK_KINDS = {"identity": {}, "exp": {}, "evenpow": {"m": int}, "oddpow": {"m": int, "c": float}}
+class _LinkKind(NamedTuple):
+    params: dict  # the parameters the spec writes after the kind, in order -> the type each is read as
+    h: Callable  # h(t, m, c) on [-1, 1]
+    inverse: Callable | None  # h^-1(y, m, c) on [h(-1), h(1)]; None where h is not strictly increasing
+
+
+# Each link kind, stated once.  A kind leaves every parameter not in its spec at its default.
+_LINK_KINDS = {
+    "identity": _LinkKind({}, lambda t, m, c: t, lambda y, m, c: float(y)),
+    "exp": _LinkKind({}, lambda t, m, c: np.exp(t), lambda y, m, c: math.log(y)),
+    "evenpow": _LinkKind({"m": int}, lambda t, m, c: t ** (2 * m), None),
+    "oddpow": _LinkKind({"m": int, "c": float}, lambda t, m, c: t ** (2 * m + 1) + c,
+                        lambda y, m, c: math.copysign(abs(y - c) ** (1.0 / (2 * m + 1)), y - c)),
+}
 
 
 @dataclass(frozen=True)
 class LinkFn:
-    """Transform applied to the direction dot product, defined on [-1, 1].
+    """Transform h of the direction dot product on [-1, 1]; `kind` names its row of `_LINK_KINDS`.
 
-    `kind` is one of "identity", "exp", "oddpow" (t^(2m+1) + c) and
-    "evenpow" (t^(2m)).  The first three are continuous and strictly
-    increasing, so an inverse exists on [h(-1), h(1)].  "evenpow" is
-    supported for graph generation only; analytic operations reject it.
+    Analytic operations reject a kind with no inverse ("evenpow", t^(2m)).
     """
 
     kind: str
@@ -55,9 +64,9 @@ class LinkFn:
     c: float = 0.0
 
     def __post_init__(self):
-        params = _LINK_KINDS.get(self.kind)
-        if params is None:
+        if self.kind not in _LINK_KINDS:
             raise DomainError(f"unknown link function {self.kind!r}")
+        params = _LINK_KINDS[self.kind].params
         if "m" in params and not (isinstance(self.m, int) and self.m >= 1):
             raise DomainError(f"power index m must be a positive integer, got {self.m}")
         if not math.isfinite(self.c):
@@ -67,18 +76,10 @@ class LinkFn:
 
     @property
     def strictly_increasing(self) -> bool:
-        return self.kind != "evenpow"
+        return _LINK_KINDS[self.kind].inverse is not None
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            out = t
-        elif self.kind == "exp":
-            out = np.exp(t)
-        elif self.kind == "oddpow":
-            out = t ** (2 * self.m + 1) + self.c
-        else:
-            out = t ** (2 * self.m)
+        out = _LINK_KINDS[self.kind].h(np.asarray(t, dtype=float), self.m, self.c)
         return out if out.ndim else float(out)
 
     @property
@@ -94,28 +95,22 @@ class LinkFn:
     def inverse(self, y: float) -> float:
         """The t in [-1, 1] with h(t) = y, for a strictly increasing link."""
         if not self.strictly_increasing:
-            raise DomainError("even-power links are not invertible on [-1, 1]")
+            raise DomainError(f"{self.kind!r} links are not invertible on [-1, 1]")
         if not (self.lo <= y <= self.hi):
             raise DomainError(f"value {y} outside link range [{self.lo}, {self.hi}]")
-        if self.kind == "identity":
-            t = float(y)
-        elif self.kind == "exp":
-            t = math.log(y)
-        else:
-            s = y - self.c
-            t = math.copysign(abs(s) ** (1.0 / (2 * self.m + 1)), s)
+        t = _LINK_KINDS[self.kind].inverse(y, self.m, self.c)
         # y - c rounds, so at the ends of the range t may step just outside [-1, 1]
         return min(1.0, max(-1.0, t))
 
     def spec(self) -> str:
         """The kind and its parameters joined by ":", each as the shortest text that reads back to it."""
-        return ":".join([self.kind, *(repr(read(getattr(self, p))) for p, read in _LINK_KINDS[self.kind].items())])
+        return ":".join([self.kind, *(repr(read(getattr(self, p))) for p, read in _LINK_KINDS[self.kind].params.items())])
 
     @staticmethod
     def parse(text: str) -> "LinkFn":
         """The link whose `spec()` is `text`."""
         kind, *fields = text.split(":")
-        params = _LINK_KINDS.get(kind, {})  # an unknown kind is refused by the constructor
+        params = _LINK_KINDS[kind].params if kind in _LINK_KINDS else {}  # an unknown kind is refused by the constructor
         if kind in _LINK_KINDS and len(fields) != len(params):
             raise DomainError(f"expected {':'.join([kind, *params])}, got {text!r}")
         try:
@@ -176,14 +171,6 @@ class EdgeRule:
     @staticmethod
     def undirected(theta: float) -> "EdgeRule":
         return EdgeRule(Variant.UNDIRECTED, theta, 1.0, 1.0, LinkFn("identity"))
-
-    @staticmethod
-    def directed(theta: float, alpha: float, beta: float) -> "EdgeRule":
-        return EdgeRule(Variant.DIRECTED, theta, alpha, beta, LinkFn("identity"))
-
-    @staticmethod
-    def link_function(theta: float, alpha: float, beta: float, h: LinkFn) -> "EdgeRule":
-        return EdgeRule(Variant.LINKFN, theta, alpha, beta, h)
 
     @property
     def is_directed(self) -> bool:

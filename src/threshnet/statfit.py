@@ -20,7 +20,7 @@ from .errors import DomainError, FitDegenerateError
 
 _ALPHA_MAX = 25.0
 _MIN_TAIL = 50
-_TABLE_SPAN = 10 ** 6
+_TABLE_SPAN = 10 ** 6  # values in the bootstrap's inverse-CDF table; a draw past them takes a Pareto tail
 # Equal bins of [0, 1) in the inverse-CDF guide (a 256 KB int32 index array
 # and a 64 KB bool array): at R1's fit about 1.7% of draws land in a bin that
 # holds a table value and search the table.  A power of two, so
@@ -238,11 +238,11 @@ def _xmin_candidates(at_or_above: np.ndarray, min_tail: int) -> np.ndarray:
     return np.flatnonzero(at_or_above[:-1] >= min_tail)
 
 
-def _zeta_cdf(alpha: float, x_min: int, table_span: int) -> np.ndarray:
-    """CDF of the zeta-normalized discrete power law on x_min .. x_min + table_span - 1."""
+def _zeta_cdf(alpha: float, x_min: int) -> np.ndarray:
+    """CDF of the zeta-normalized discrete power law on x_min .. x_min + _TABLE_SPAN - 1."""
     from scipy.special import zeta as hzeta
 
-    ks = np.arange(x_min, x_min + table_span, dtype=np.float64)
+    ks = np.arange(x_min, x_min + _TABLE_SPAN, dtype=np.float64)
     pmf = ks ** -alpha / hzeta(alpha, x_min)
     return np.cumsum(pmf)
 
@@ -290,19 +290,6 @@ def _draw_discrete_powerlaw(
     return out
 
 
-def sample_discrete_powerlaw(rng: np.random.Generator, alpha: float, x_min: int, size: int) -> np.ndarray:
-    """Inverse-CDF draws from the zeta-normalized discrete power law.
-
-    Exact within a precomputed table of `_TABLE_SPAN` values; the residual
-    tail beyond it (mass ~1e-7 at typical exponents) falls back to the
-    continuous Pareto approximation, clipped below 2**63.
-    """
-    if not (alpha > 1):
-        raise DomainError(f"exponent must exceed 1, got {alpha}")
-    cdf = _zeta_cdf(alpha, x_min, _TABLE_SPAN)
-    return _draw_discrete_powerlaw(rng, cdf, _guide(cdf), alpha, x_min, size)
-
-
 def gof_pvalue(
     samples,
     fit: FitResult,
@@ -335,7 +322,7 @@ def gof_pvalue(
         raise DomainError(f"not a fit of these samples: {fit.n_tail} tail samples at x_min={fit.x_min}, not {n_tail}")
     n = len(x)
     tail_frac = fit.n_tail / n
-    cdf = _zeta_cdf(fit.alpha_hat, fit.x_min, _TABLE_SPAN)
+    cdf = _zeta_cdf(fit.alpha_hat, fit.x_min)
     guide = _guide(cdf)
     exceed = 0
     for block in range(0, n_bootstrap, _LANES):

@@ -7,15 +7,19 @@ that runs it, so the tests can compare the two:
   (`splitmix64`), and `sample_weight` and `sample_direction` draw one value
   at a time, against `streams` and the vectorized `sample_node_table`;
   `mix64` runs the package's in-place mix on a copy, against `splitmix64`;
-- the edge rule: `edge_exists` decides one pair, `generate_naive` every pair
-  with no pruning, `mc_estimate` fresh random pairs, all against `generate`
-  and the closed forms of `analytics`;
+- the edge rule: `directed_rule` and `linkfn_rule` build the rules of the
+  two directed variants; `edge_exists` decides one pair, `generate_naive`
+  every pair with no pruning, `mc_estimate` fresh random pairs, all against
+  `generate` and the closed forms of `analytics`;
 - the pruning bound: `pair_can_link` states it pair by pair, against the
   pairs `candidate_pairs` reads off the generator's cutoffs;
 - the closed forms: `p_edge_given_weight_undirected`, `p_edge_undirected`
   and `p_wedge_paper` are the paper's formulas, taken as printed, against
   `p_edge_given_weight` and `p_edge` at alpha = beta = 1 and against
   `p_wedge`, which are written so that no power overflows;
+  `p_wedge_mp` and `variance_edges_mp` evaluate the same printed forms in
+  60-digit mpmath, where their cancellation costs nothing, against the
+  float digits of `p_wedge` and `variance_edges`;
 - the link-function P_e(w): `p_edge_given_weight_linkfn_weight_space`
   integrates over the partner's weight, `p_edge_given_weight_linkfn_exp` is
   the closed form for h = exp, both against the dot-product integral of
@@ -27,7 +31,9 @@ that runs it, so the tests can compare the two:
   tail with its own `np.unique`, `mle_alpha` and `ks_stat`, against the
   candidates that `statfit` fits as lanes;
 - the bootstrap: `gof_pvalue` builds every replicate in full and refits
-  with `mle_alpha`;
+  with `mle_alpha`; `sample_discrete_powerlaw` draws a discrete power law
+  through the bootstrap's own tail sampler, and `draw_discrete_powerlaw`
+  inverts its table by one search, against that sampler's bin guide;
 - the files `generate` writes: `read_nodes_tsv` and `read_json` read them
   back, with the package's UTF-8 check.
 """
@@ -37,6 +43,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 from scipy.special import ndtri, zeta
 
@@ -57,7 +64,15 @@ from threshnet import (
 )
 from threshnet.generator import _canonical, _partner_cutoffs, _weight_order
 from threshnet.io import _read_text
-from threshnet.statfit import _ALPHA_MAX, _INT64_TOP_FLOAT, _TABLE_SPAN, FitResult, GofResult, _zeta_cdf
+from threshnet.statfit import (
+    _ALPHA_MAX,
+    _INT64_TOP_FLOAT,
+    FitResult,
+    GofResult,
+    _draw_discrete_powerlaw,
+    _guide,
+    _zeta_cdf,
+)
 from threshnet.streams import _mix_inplace
 
 
@@ -187,6 +202,16 @@ class Node:
             raise DomainError(f"direction norm {norm} deviates from 1 by more than {_UNIT_NORM_TOL}")
 
 
+def directed_rule(theta: float, alpha: float, beta: float) -> EdgeRule:
+    """The directed rule w_u^alpha * w_v^beta * dot >= theta."""
+    return EdgeRule(Variant.DIRECTED, theta, alpha, beta, LinkFn("identity"))
+
+
+def linkfn_rule(theta: float, alpha: float, beta: float, h: LinkFn) -> EdgeRule:
+    """The link-function rule w_u^alpha * w_v^beta * h(dot) >= theta."""
+    return EdgeRule(Variant.LINKFN, theta, alpha, beta, h)
+
+
 def edge_exists(u: Node, v: Node, rule: EdgeRule) -> bool:
     """Pure edge predicate; for directed variants this is the arc u -> v."""
     if u.direction.shape != v.direction.shape:
@@ -290,6 +315,35 @@ def p_wedge_paper(pareto: ParetoParams, theta: float) -> float:
     head = 0.25 * w0 ** (2 * a) / (theta ** (2 * a) * (a + 1.0) ** 2) * (theta ** a - w0 ** (2 * a))
     tail = 0.25 * w0 ** (2 * a) / theta ** a * (1.0 - 2.0 * r ** 2 + a ** 3 / ((a + 1.0) ** 2 * (a + 2.0)))
     return head + tail
+
+
+_MP_DPS = 60
+
+
+def _paper_edge_and_wedge(a, w0, theta):
+    """The paper's p_edge and p_wedge of mpf arguments, as `p_edge_undirected` and `p_wedge_paper` print them."""
+    r2 = (a / (a + 1)) ** 2
+    k = a ** 3 / ((a + 1) ** 2 * (a + 2))
+    t = theta / w0 ** 2
+    if t < 1:
+        return (1 - r2 * t) / 2, (1 - 2 * r2 * t + k * t ** 2) / 4
+    s = t ** -a
+    pe = s / 2 * (a * mpmath.log(t) / (a + 1) - r2 + 1)
+    return pe, s ** 2 * (t ** a - 1) / (4 * (a + 1) ** 2) + s / 4 * (1 - 2 * r2 + k)
+
+
+def p_wedge_mp(pareto: ParetoParams, theta: float) -> float:
+    """`p_wedge_paper` in 60-digit mpmath, rounded once to a float."""
+    with mpmath.workdps(_MP_DPS):
+        return float(_paper_edge_and_wedge(mpmath.mpf(pareto.a), mpmath.mpf(pareto.w0), mpmath.mpf(theta))[1])
+
+
+def variance_edges_mp(n: int, pareto: ParetoParams, theta: float) -> float:
+    """The edge-count variance from the paper's p_edge and p_wedge in 60-digit mpmath, rounded once."""
+    with mpmath.workdps(_MP_DPS):
+        pe, pw = _paper_edge_and_wedge(mpmath.mpf(pareto.a), mpmath.mpf(pareto.w0), mpmath.mpf(theta))
+        n = mpmath.mpf(n)
+        return float(n * (n - 1) / 2 * pe * (1 - pe) + n * (n - 1) * (n - 2) / 2 * (pw - pe ** 2))
 
 
 def directed_branch_boundary(pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
@@ -472,6 +526,18 @@ def mc_estimate(
 # --- the bootstrap, every replicate built in full -----------------------------
 
 
+def sample_discrete_powerlaw(rng: np.random.Generator, alpha: float, x_min: int, size: int) -> np.ndarray:
+    """Draws of the zeta-normalized discrete power law, by the sampler `statfit.gof_pvalue` draws its tails with.
+
+    Exact within its inverse-CDF table; past it a continuous Pareto tail,
+    clipped below 2**63.
+    """
+    if not (alpha > 1):
+        raise DomainError(f"exponent must exceed 1, got {alpha}")
+    cdf = _zeta_cdf(alpha, x_min)
+    return _draw_discrete_powerlaw(rng, cdf, _guide(cdf), alpha, x_min, size)
+
+
 def draw_discrete_powerlaw(rng, cdf, alpha, x_min, size):
     """Inverse-CDF draws by one search of the whole table, as `statfit` drew before its bin guide."""
     u = rng.random(size)
@@ -559,7 +625,7 @@ def gof_pvalue(samples, fit: FitResult, n_bootstrap: int = 1000, seed: int = 0) 
     body = x[x < fit.x_min]
     n = len(x)
     tail_frac = fit.n_tail / n
-    cdf = _zeta_cdf(fit.alpha_hat, fit.x_min, _TABLE_SPAN)
+    cdf = _zeta_cdf(fit.alpha_hat, fit.x_min)
     exceed = 0
     for rep in range(n_bootstrap):
         rng = np.random.default_rng([seed, rep])

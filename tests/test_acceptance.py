@@ -36,7 +36,9 @@ from threshnet import (
 from oracles import (
     ccdf_loglog_slope,
     directed_branch_boundary,
+    directed_rule,
     generate_naive,
+    linkfn_rule,
     mc_estimate,
     p_edge_given_weight_directed_printed,
 )
@@ -167,7 +169,7 @@ def test_c04_directed_exponents_and_boundary_arbitration():
     # on the in side; the fits below arbitrate that assignment empirically.
     theta = calibrate_theta_directed(FIG_N, PARETO, 300000.0, alpha, beta)
     config = ModelConfig(
-        n=FIG_N, d=3, pareto=PARETO, rule=EdgeRule.directed(theta, alpha, beta), seed=11
+        n=FIG_N, d=3, pareto=PARETO, rule=directed_rule(theta, alpha, beta), seed=11
     )
     g = generate(config)
     out_deg, in_deg = g.degree_sequence()
@@ -315,8 +317,8 @@ def test_c09_generator_equivalence():
     """Pruned generation equals the quadratic reference, all variants."""
     rules = {
         "undirected": EdgeRule.undirected(12.6),
-        "directed": EdgeRule.directed(12.6, 1.0, 2.0),
-        "linkfn": EdgeRule.link_function(3.0, 1.0, 2.0, LinkFn("exp")),
+        "directed": directed_rule(12.6, 1.0, 2.0),
+        "linkfn": linkfn_rule(3.0, 1.0, 2.0, LinkFn("exp")),
     }
     for name, rule in rules.items():
         for seed in range(10):

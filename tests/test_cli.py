@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import threshnet
+import threshnet.cli
 import threshnet.growth
 from threshnet import ParetoParams, expected_arcs_directed, expected_edges, io as tio, p_edge, variance_edges
 from threshnet.cli import MAX_ANALYZE_NODES, main
 from threshnet.errors import SeriesFormatError
 
-from oracles import read_json, read_nodes_tsv
+from oracles import read_json, read_nodes_tsv, sample_discrete_powerlaw
 
 
 def run(capsys, *argv):
@@ -357,8 +358,6 @@ def test_bad_value_gives_error_line(tmp_path, capsys, monkeypatch, argv, want):
 
 def test_analyze_degree_file(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    from threshnet import sample_discrete_powerlaw
-
     degrees = sample_discrete_powerlaw(rng, 2.5, 1, 20000)
     deg_path = tmp_path / "degrees.txt"
     deg_path.write_text("\n".join(str(int(d)) for d in degrees), encoding="utf-8")
@@ -518,7 +517,7 @@ def test_analyze_sparse_inferred_id_exits_one(tmp_path, node):
     edges.write_text(f"0\t{node}\n", encoding="utf-8")
     src = str(Path(threshnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # 4 GiB of address space: the 8 TB degree count must fail to allocate on any host
+    # 4 GiB of address space: past the cap, the 8 TB degree count would fail to allocate on any host
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
         "from threshnet.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -526,8 +525,34 @@ def test_analyze_sparse_inferred_id_exits_one(tmp_path, node):
     argv = ["analyze", "--edges", str(edges), "--out-dir", str(tmp_path)]
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
     assert out.returncode == 1, out.stderr
-    assert out.stderr.startswith("error: ") and f"degree counts of {node + 1} nodes do not fit" in out.stderr
-    assert "Traceback" not in out.stderr
+    want = f"{edges}: node count {node + 1} (largest id + 1) exceeds the analyze limit of {MAX_ANALYZE_NODES}"
+    assert out.stderr == f"error: {want}\n"
+
+
+def test_analyze_inferred_node_count_beyond_limit_exits_one_before_counting(tmp_path, capsys, monkeypatch):
+    # the cap that --n meets holds for the largest id + 1 as well, before any degree is counted
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(f"0\t{10 ** 8}\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(threshnet.cli, "degree_sequence", lambda *a: calls.append(a))
+    code, _, err = run(capsys, "analyze", "--edges", str(edges), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: {edges}: node count {10 ** 8 + 1} (largest id + 1) exceeds the analyze limit of {MAX_ANALYZE_NODES}\n"
+    assert calls == []
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_analyze_degree_counts_that_do_not_fit_exit_one(tmp_path, capsys, monkeypatch):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("0\t1\n1\t2\n", encoding="utf-8")
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 24 B")
+
+    monkeypatch.setattr(threshnet.cli, "degree_sequence", no_memory)
+    code, _, err = run(capsys, "analyze", "--edges", str(edges), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: {edges}: degree counts of 3 nodes do not fit (Unable to allocate 24 B)\n"
 
 
 _SCIPY_FREE_RUN = """

@@ -18,7 +18,7 @@ from threshnet.generator import _weight_order
 from threshnet.model import Variant, sample_node_table
 
 import oracles
-from oracles import candidate_pairs, generate_naive, pair_can_link
+from oracles import candidate_pairs, directed_rule, generate_naive, linkfn_rule, pair_can_link
 
 
 def _config(n, theta, seed=0, rule=None, pareto=None, d=3):
@@ -43,10 +43,10 @@ def test_matches_naive_reference_spec_point():
     "rule",
     [
         EdgeRule.undirected(7.4),
-        EdgeRule.directed(7.4, 1.0, 2.0),
-        EdgeRule.link_function(2.0, 1.0, 2.0, LinkFn("exp")),
-        EdgeRule.link_function(0.4, 0.5, 1.5, LinkFn("evenpow", 1)),
-        EdgeRule.link_function(1.0, 1.0, 1.0, LinkFn("oddpow", 1, -0.2)),
+        directed_rule(7.4, 1.0, 2.0),
+        linkfn_rule(2.0, 1.0, 2.0, LinkFn("exp")),
+        linkfn_rule(0.4, 0.5, 1.5, LinkFn("evenpow", 1)),
+        linkfn_rule(1.0, 1.0, 1.0, LinkFn("oddpow", 1, -0.2)),
     ],
     ids=["undirected", "directed", "exp", "evenpow", "oddpow"],
 )
@@ -62,8 +62,8 @@ def test_pruned_equals_naive(rule, seed):
     "rule",
     [
         EdgeRule.undirected(0.0),
-        EdgeRule.directed(0.0, 1.0, 2.0),
-        EdgeRule.link_function(0.0, 0.5, 1.5, LinkFn("oddpow", 1, -0.2)),
+        directed_rule(0.0, 1.0, 2.0),
+        linkfn_rule(0.0, 0.5, 1.5, LinkFn("oddpow", 1, -0.2)),
     ],
     ids=["undirected", "directed", "oddpow"],
 )
@@ -84,7 +84,7 @@ def test_theta_zero_edges_do_not_depend_on_w0(rule):
 
 @pytest.mark.parametrize(
     "rule, n_edges",
-    [(EdgeRule.undirected(1.0), 614), (EdgeRule.directed(1.0, 2.0, 1.0), 1228)],
+    [(EdgeRule.undirected(1.0), 614), (directed_rule(1.0, 2.0, 1.0), 1228)],
     ids=["undirected", "directed"],
 )
 def test_overflowing_weight_powers_decide_as_naive_without_warnings(rule, n_edges):
@@ -124,9 +124,9 @@ def test_pruned_equals_naive_property(variant, h, a, w0, scale, alpha, beta, d, 
     if variant is Variant.UNDIRECTED:
         rule = EdgeRule.undirected(scale * w0 ** 2)
     elif variant is Variant.DIRECTED:
-        rule = EdgeRule.directed(scale * w0 ** (alpha + beta), alpha, beta)
+        rule = directed_rule(scale * w0 ** (alpha + beta), alpha, beta)
     else:
-        rule = EdgeRule.link_function(scale * w0 ** (alpha + beta), alpha, beta, h)
+        rule = linkfn_rule(scale * w0 ** (alpha + beta), alpha, beta, h)
     config = _config(n, rule.theta, seed=seed, rule=rule, pareto=ParetoParams(a, w0), d=d)
     pruned = generate(config)
     naive = generate_naive(config)
@@ -168,9 +168,9 @@ def test_tied_weights_give_naive_edges_and_tie_free_candidate_count(kind, a, sca
     if kind == "undirected":
         rule = EdgeRule.undirected(scale)
     elif kind == "directed":
-        rule = EdgeRule.directed(scale, alpha, beta)
+        rule = directed_rule(scale, alpha, beta)
     else:
-        rule = EdgeRule.link_function(scale, alpha, beta, LinkFn("exp"))
+        rule = linkfn_rule(scale, alpha, beta, LinkFn("exp"))
     config = _config(n, rule.theta, seed=seed, rule=rule, pareto=ParetoParams(a, 1.0))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("threshnet.generator.sample_node_table", _tied_node_table)
@@ -197,7 +197,7 @@ def test_edge_guard_fires_while_deciding(monkeypatch):
     calls = []
     link = LinkFn.__call__
     monkeypatch.setattr(LinkFn, "__call__", lambda self, t: calls.append(t) or link(self, t))
-    rule = EdgeRule.link_function(0.0, 1.0, 1.0, LinkFn("identity"))
+    rule = linkfn_rule(0.0, 1.0, 1.0, LinkFn("identity"))
     with pytest.raises(ResourceLimitError):
         generate(_config(2000, 0.0, rule=rule), max_edges=1000)
     # the heaviest row alone yields about 2000 arcs; no other row is decided
@@ -215,7 +215,7 @@ def test_undirected_edges_canonical():
 
 
 def test_directed_alpha_equals_beta_arcs_paired():
-    rule = EdgeRule.directed(10.0, 1.5, 1.5)
+    rule = directed_rule(10.0, 1.5, 1.5)
     g = generate(_config(800, rule.theta, seed=4, rule=rule))
     arcs = {(int(i), int(j)) for i, j in g.edges}
     assert arcs, "expected some arcs"
@@ -261,14 +261,14 @@ def test_candidate_pairs_superset_of_edges():
 
 def test_candidate_pairs_negative_max_link():
     # max of h on [-1, 1] is negative: nothing can reach a positive threshold
-    rule = EdgeRule.link_function(1.0, 1.0, 1.0, LinkFn("oddpow", 1, -2.0))
+    rule = linkfn_rule(1.0, 1.0, 1.0, LinkFn("oddpow", 1, -2.0))
     assert candidate_pairs([5.0, 4.0, 3.0], rule) == set()
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0])
 def test_link_whose_maximum_is_zero_matches_naive(theta):
     # h(1) = 1 - 1 = 0: no candidate can reach a positive threshold; at theta = 0 every pair is decided
-    rule = EdgeRule.link_function(theta, 1.0, 1.0, LinkFn.parse("oddpow:1:-1"))
+    rule = linkfn_rule(theta, 1.0, 1.0, LinkFn.parse("oddpow:1:-1"))
     config = _config(300, theta, seed=3, rule=rule)
     g = generate(config)
     assert np.array_equal(g.edges, generate_naive(config).edges)
@@ -298,7 +298,7 @@ def test_degree_sequence_trivial_cases():
 def test_handshake_identities():
     g = generate(_config(2000, 9.0, seed=7))
     assert g.degree_sequence().sum() == 2 * g.n_edges
-    rule = EdgeRule.directed(9.0, 1.0, 2.0)
+    rule = directed_rule(9.0, 1.0, 2.0)
     gd = generate(_config(2000, rule.theta, seed=7, rule=rule))
     out_deg, in_deg = gd.degree_sequence()
     assert out_deg.sum() == in_deg.sum() == gd.n_edges

@@ -19,7 +19,7 @@ from threshnet import (
 from threshnet.model import _BLOCK
 from threshnet.streams import substream_uniforms
 
-from oracles import Node, SubStream, edge_exists, sample_direction, sample_weight
+from oracles import Node, SubStream, directed_rule, edge_exists, linkfn_rule, sample_direction, sample_weight
 
 
 class FixedStream:
@@ -215,7 +215,7 @@ def _node_pairs(count, seed, pareto):
 
 def test_directed_alpha_beta_one_matches_undirected(pareto3):
     und = EdgeRule.undirected(2.0)
-    dir_rule = EdgeRule.directed(2.0, 1.0, 1.0)
+    dir_rule = directed_rule(2.0, 1.0, 1.0)
     for u, v in _node_pairs(10 ** 4, 9, pareto3):
         assert edge_exists(u, v, dir_rule) == edge_exists(u, v, und)
         # symmetric when alpha == beta
@@ -223,8 +223,8 @@ def test_directed_alpha_beta_one_matches_undirected(pareto3):
 
 
 def test_identity_link_matches_directed(pareto3):
-    dir_rule = EdgeRule.directed(1.5, 2.0, 0.5)
-    link_rule = EdgeRule.link_function(1.5, 2.0, 0.5, LinkFn("identity"))
+    dir_rule = directed_rule(1.5, 2.0, 0.5)
+    link_rule = linkfn_rule(1.5, 2.0, 0.5, LinkFn("identity"))
     for u, v in _node_pairs(2000, 4, pareto3):
         assert edge_exists(u, v, link_rule) == edge_exists(u, v, dir_rule)
 
@@ -239,11 +239,11 @@ def test_edge_rule_validation():
     with pytest.raises(DomainError):
         EdgeRule.undirected(-1.0)
     with pytest.raises(DomainError):
-        EdgeRule.directed(1.0, 0.0, 1.0)
+        EdgeRule(Variant.DIRECTED, 1.0, 0.0, 1.0, LinkFn("identity"))
     with pytest.raises(DomainError):
-        EdgeRule.directed(1.0, None, 1.0)
+        EdgeRule(Variant.DIRECTED, 1.0, None, 1.0, LinkFn("identity"))
     with pytest.raises(DomainError):
-        EdgeRule.link_function(1.0, 1.0, 1.0, None)
+        EdgeRule(Variant.LINKFN, 1.0, 1.0, 1.0, None)
 
 
 @pytest.mark.parametrize(
@@ -269,14 +269,14 @@ def test_rule_rejects_values_its_variant_fixes(variant, alpha, beta, h):
 def test_rule_takes_its_variant_as_a_string():
     # the variant is held as its member, so every comparison with it holds by value and by identity
     rule = EdgeRule("directed", 1.0, 1.0, 2.0, LinkFn("identity"))
-    assert rule == EdgeRule(Variant.DIRECTED, 1.0, 1.0, 2.0, LinkFn("identity")) == EdgeRule.directed(1.0, 1.0, 2.0)
+    assert rule == EdgeRule(Variant.DIRECTED, 1.0, 1.0, 2.0, LinkFn("identity"))
     assert rule.variant is Variant.DIRECTED and rule.is_directed
     assert not EdgeRule("undirected", 1.0, 1.0, 1.0, LinkFn("identity")).is_directed
 
 
 def test_rule_built_from_strings_generates_the_same_graph(pareto3):
     # a directed rule takes the identity link: a link named by its string must act as that link
-    ref = EdgeRule.directed(1.0, 1.0, 2.0)
+    ref = EdgeRule(Variant.DIRECTED, 1.0, 1.0, 2.0, LinkFn("identity"))
     rule = EdgeRule("directed", 1.0, 1.0, 2.0, LinkFn("identity"))
     assert rule == ref
     config = ModelConfig(n=300, d=3, pareto=pareto3, rule=rule, seed=1)
@@ -410,6 +410,24 @@ def test_linkfn_spec_reads_back_to_the_same_link(fn):
     # the link a manifest records is the link that ran, down to the sign of a zero c
     back = LinkFn.parse(fn.spec())
     assert back == fn and repr(back) == repr(fn)
+
+
+_FORMULAS = {  # each kind's h as the LinkFn docstring writes it
+    "identity": lambda t, fn: t,
+    "exp": lambda t, fn: np.exp(t),
+    "oddpow": lambda t, fn: t ** (2 * fn.m + 1) + fn.c,
+    "evenpow": lambda t, fn: t ** (2 * fn.m),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(fn=_ANY_LINK, ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+def test_linkfn_evaluates_its_kind_formula_bit_for_bit(fn, ts):
+    # the kind's table row is the h that generate and the analytics run
+    want = _FORMULAS[fn.kind](np.array(ts), fn)
+    assert np.array_equal(fn(np.array(ts)), want)
+    assert type(fn(ts[0])) is float and fn(ts[0]) == want[0]
+    assert fn.strictly_increasing == (fn.kind != "evenpow")
 
 
 @pytest.mark.parametrize(

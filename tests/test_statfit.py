@@ -12,9 +12,8 @@ from threshnet import (
     p_edge,
     p_edge_given_weight,
     p_wedge,
-    sample_discrete_powerlaw,
 )
-from oracles import ccdf_loglog_slope, mc_estimate
+from oracles import ccdf_loglog_slope, mc_estimate, sample_discrete_powerlaw
 
 
 def test_ccdf_trivial_cases():

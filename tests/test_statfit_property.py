@@ -1,11 +1,12 @@
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 from scipy.special import zeta as hzeta
 
-from threshnet import DomainError, FitDegenerateError, fit_powerlaw_discrete, gof_pvalue, sample_discrete_powerlaw, statfit
+from threshnet import DomainError, FitDegenerateError, fit_powerlaw_discrete, gof_pvalue, statfit
 from threshnet.statfit import (
     _ALPHA_MAX,
     _GUIDE_BINS,
@@ -19,8 +20,9 @@ from threshnet.statfit import (
 )
 
 import oracles
+from oracles import sample_discrete_powerlaw
 
-SPAN = 10 ** 6  # the sampler's default table span
+SPAN = statfit._TABLE_SPAN  # the span of the table gof_pvalue draws its tails from
 
 
 @settings(max_examples=40, deadline=None)
@@ -32,7 +34,9 @@ SPAN = 10 ** 6  # the sampler's default table span
 )
 @example(alpha=1.2000000000000002, x_min=13, size=363, seed=150)  # a tail draw past 2**63
 def test_sampler_matches_inverse_cdf_oracle(alpha, x_min, size, seed):
-    got = sample_discrete_powerlaw(np.random.default_rng(seed), alpha, x_min, size)
+    # the tail draws of gof_pvalue, on the table it builds
+    cdf = _zeta_cdf(alpha, x_min)
+    got = _draw_discrete_powerlaw(np.random.default_rng(seed), cdf, _guide(cdf), alpha, x_min, size)
 
     ks = np.arange(x_min, x_min + SPAN, dtype=np.float64)
     cdf = np.cumsum(ks ** -alpha / hzeta(alpha, x_min))
@@ -56,7 +60,9 @@ def test_sampler_matches_inverse_cdf_oracle(alpha, x_min, size, seed):
 )
 def test_sampler_draws_equal_one_table_search(alpha, x_min, table_span, size, seed):
     # near alpha = 1.2 many draws land past short tables and in sparse bins
-    cdf = _zeta_cdf(alpha, x_min, table_span)
+    with patch.object(statfit, "_TABLE_SPAN", table_span):
+        cdf = _zeta_cdf(alpha, x_min)
+    assert len(cdf) == table_span
     got = _draw_discrete_powerlaw(np.random.default_rng(seed), cdf, _guide(cdf), alpha, x_min, size)
     want = oracles.draw_discrete_powerlaw(np.random.default_rng(seed), cdf, alpha, x_min, size)
     assert got.dtype == want.dtype and np.array_equal(got, want)
