@@ -81,8 +81,11 @@ def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float =
     P_e(w) integrated against the weight density, written in
     r = w0/w* = (w0^(alpha+beta) / theta)^(1/alpha): when r >= 1 every
     weight lies in the upper branch of P_e(w), otherwise the weights below
-    w* lie in the lower one.  log r comes from logs and every power of r
-    taken is at most 1, so nothing overflows.  At alpha = beta = 1 (the
+    w* lie in the lower one.  r^-alpha is the quotient theta / w0^(alpha+beta)
+    and log r its log, as p_wedge takes theta / w0^2; only where the power or
+    the quotient is not a normal float does log r come from the logs of
+    theta and w0, whose rounding 1 - c r^-alpha would amplify.  Every power
+    of r taken is at most 1, so nothing overflows.  At alpha = beta = 1 (the
     undirected model) this is the paper's closed form term by term.
     """
     _check_theta(theta)
@@ -92,10 +95,13 @@ def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float =
     if theta == math.inf:
         return 0.0  # the limit, where the lower branch below would take 0 * inf
     a = pareto.a
-    log_r = ((alpha + beta) * math.log(pareto.w0) - math.log(theta)) / alpha
+    log_w = (alpha + beta) * math.log(pareto.w0)
+    ratio = theta / pareto.w0 ** (alpha + beta) if abs(log_w) < _LOG_POW_MAX else 0.0
+    normal = sys.float_info.min <= ratio < math.inf
+    log_r = -math.log(ratio) / alpha if normal else (log_w - math.log(theta)) / alpha
     c = (a / (a + alpha)) * (a / (a + beta))  # factors <= 1, so finite for any finite a
     if log_r >= 0.0:
-        return 0.5 * (1.0 - c * math.exp(-alpha * log_r))
+        return 0.5 * (1.0 - c * (ratio if normal else math.exp(-alpha * log_r)))
     upper = 0.5 * (1.0 - c) * math.exp(a * log_r)
     # lower branch: (r^a - r^(a+e)) / e with e = a*alpha/beta - a, written as
     # r^min(a, a+e) * (1 - r^|e|) / |e| so that it never cancels; ln(1/r) at e = 0

@@ -41,6 +41,7 @@ from oracles import (
     p_edge_given_weight_linkfn_exp,
     p_edge_given_weight_linkfn_weight_space,
     p_edge_given_weight_undirected,
+    p_edge_mp,
     p_edge_undirected,
     p_wedge_mp,
     p_wedge_paper,
@@ -87,6 +88,34 @@ def test_p_wedge_matches_mpmath_above_w0_squared_up_to_a_1e8(log10_a, x):
     assert p_wedge(pareto, theta) == pytest.approx(p_wedge_mp(pareto, theta), rel=1.5e-15, abs=0.0)
 
 
+def test_p_edge_keeps_its_digits_below_w0_squared():
+    # r^-1 = theta / w0^2 taken as exp(-log r), from logs, was off by 2.0e-15 relative here
+    pareto, theta = ParetoParams(9.11, 8.03), 61.65
+    assert p_edge(pareto, theta) == pytest.approx(p_edge_mp(pareto, theta), rel=4.5e-16, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log10_a=st.floats(-1.0, 1.0),
+    log10_w0=st.floats(-1.0, 1.0),
+    log10_ratio=st.floats(-6.0, 0.0),
+    exponents=st.one_of(st.just((1.0, 1.0)), st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0))),
+)
+# at the branch point, where the logs of theta and w0 put 4.2e-15 and 6.7e-15 into r^-alpha
+@example(log10_a=0.9996504772710166, log10_w0=0.9773812690074977, log10_ratio=0.0, exponents=(1.0, 1.0))
+@example(log10_a=0.9986204432865733, log10_w0=0.9318987561427108, log10_ratio=0.0, exponents=(1.5262324296996015, 0.5042972956672365))
+def test_p_edge_matches_mpmath_up_to_w0_to_the_alpha_plus_beta(log10_a, log10_w0, log10_ratio, exponents):
+    # 1 - c theta / w0^(alpha+beta) amplifies the rounding of c and of the quotient up to
+    # c / (1 - c) near the branch point; 150,000 draws each (a fifth at theta = w0^(alpha+beta),
+    # a fifth within 0.1% of it) measured at most 1.82e-15 at alpha = beta = 1 and
+    # 3.29e-15 with alpha, beta in [0.5, 2]
+    alpha, beta = exponents
+    pareto = ParetoParams(10.0 ** log10_a, 10.0 ** log10_w0)
+    theta = pareto.w0 ** (alpha + beta) * 10.0 ** log10_ratio
+    rel = 2e-15 if alpha == beta == 1.0 else 3.5e-15
+    assert p_edge(pareto, theta, alpha, beta) == pytest.approx(p_edge_mp(pareto, theta, alpha, beta), rel=rel, abs=0.0)
+
+
 @pytest.mark.parametrize("a, w0, theta", [(3.0, 10.0, 1e-3), (5.0, 3.0, 0.01), (2.0, 1.0, 1e-4)])
 def test_variance_keeps_its_digits_below_w0_squared(a, w0, theta):
     # p_wedge - p_edge^2, two numbers near 1/4, cancelled to 4.9e-14, 1.3e-13 and 2.0e-13 relative here
@@ -103,7 +132,8 @@ def test_variance_keeps_its_digits_below_w0_squared(a, w0, theta):
 )
 def test_variance_matches_mpmath_below_w0_squared(n, log10_a, log10_w0, log10_theta):
     # where the wedge term carries the variance: 270,000 draws measured at most 1.18e-15
-    # (at n = 2 or 3 the Bernoulli term carries p_edge's own error from logs, up to 2.7e-15)
+    # (at n = 2 or 3 the Bernoulli term carries p_edge's own error: up to 4.8e-16 over
+    # 20,000 draws, 2.7e-15 while p_edge took theta / w0^2 from logs)
     pareto, theta = ParetoParams(10.0 ** log10_a, 10.0 ** log10_w0), 10.0 ** log10_theta
     if theta / pareto.w0 / pareto.w0 >= 1.0:
         reject()

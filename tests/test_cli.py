@@ -558,13 +558,15 @@ def test_analyze_degree_counts_that_do_not_fit_exit_one(tmp_path, capsys, monkey
 _SCIPY_FREE_RUN = """
 import json, sys
 import threshnet.cli
-from threshnet import ParetoParams, PowerLawSchedule, fit_powerlaw_discrete, run_growth_sweep, sample_node_table
+from threshnet import ParetoParams, PowerLawSchedule, fit_powerlaw_discrete, gof_pvalue, run_growth_sweep, sample_node_table
 threshnet.cli.main(["generate", "--n", "2000", "--a", "3", "--theta", "3", "--seed", "1", "--out-dir", sys.argv[1]])
 run_growth_sweep(PowerLawSchedule(D=1.0), [1000, 2000], ParetoParams(3.0, 1.0), [1])
+samples = json.loads(sys.argv[2])
+fit = fit_powerlaw_discrete(samples)
+gof = gof_pvalue(samples, fit, n_bootstrap=100, seed=1)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 _, dirs = sample_node_table(500, 1, ParetoParams(3.0, 1.0), 5)
-fit = fit_powerlaw_discrete(json.loads(sys.argv[2]))
-print(json.dumps({"loaded": loaded, "dirs": dirs.tolist(), "alpha": fit.alpha_hat, "ks": fit.ks_stat}))
+print(json.dumps({"loaded": loaded, "dirs": dirs.tolist(), "alpha": fit.alpha_hat, "ks": fit.ks_stat, "p": gof.p_value}))
 """
 
 
@@ -577,11 +579,12 @@ def test_cli_import_generate_and_sweep_load_no_scipy(tmp_path):
     stdout = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     out = json.loads(stdout.splitlines()[-1])  # after the lines `generate` prints
     assert out["loaded"] == []
-    # scipy.special loads on first use, with the same results as here
+    # directions at d = 5 load scipy.special on first use, with the same results as here
     _, dirs = threshnet.sample_node_table(500, 1, ParetoParams(3.0, 1.0), 5)
     fit = threshnet.fit_powerlaw_discrete(samples)
     assert np.array_equal(np.array(out["dirs"]), dirs)
     assert (out["alpha"], out["ks"]) == (fit.alpha_hat, fit.ks_stat)
+    assert out["p"] == threshnet.gof_pvalue(samples, fit, n_bootstrap=100, seed=1).p_value
 
 
 _ANALYZE_RUN = """
@@ -589,21 +592,31 @@ import json, sys
 from threshnet.cli import main
 g, a = sys.argv[1:]
 main(["generate", "--n", "2000", "--a", "3", "--theta", "3", "--seed", "1", "--out-dir", g])
-main(["analyze", "--edges", g + "/edges.tsv", "--n", "2000", "--bootstrap", "100", "--out-dir", a])
-after_analyze = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+main(["generate", "--n", "2000", "--a", "3", "--theta", "3", "--variant", "directed", "--alpha", "1", "--beta", "2",
+      "--seed", "1", "--out-dir", g + "/directed"])
+with open(g + "/degrees.txt", "w") as f:
+    f.write("\\n".join(str(k) for k in [1, 1, 2, 3, 5, 8, 13] * 20) + "\\n")
+loaded = {}
+for name, source in [
+    ("edges", ["--edges", g + "/edges.tsv", "--n", "2000"]),
+    ("degrees", ["--degrees", g + "/degrees.txt"]),
+    ("directed", ["--edges", g + "/directed/edges.tsv", "--n", "2000", "--directed"]),
+]:
+    main(["analyze", *source, "--bootstrap", "100", "--out-dir", a + "/" + name])
+    loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 main(["calibrate", "--n", "100", "--a", "3", "--w0", "1", "--target-edges", "1237.5"])
-print(json.dumps({"analyze": after_analyze, "calibrate": "scipy.optimize" in sys.modules}))
+print(json.dumps({"analyze": loaded, "calibrate": "scipy.optimize" in sys.modules}))
 """
 
 
-def test_cli_analyze_loads_no_scipy_optimize_and_calibrate_does(tmp_path, capsys):
-    # analyze refits with statfit's own bounded minimizer; only calibration's brentq needs scipy.optimize
+def test_cli_analyze_loads_no_scipy_and_calibrate_does(tmp_path, capsys):
+    # analyze fits with statfit's own zeta and bounded minimizer; calibration's brentq needs scipy.optimize
     src = str(Path(threshnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-c", _ANALYZE_RUN, str(tmp_path / "g"), str(tmp_path / "fresh")]
     stdout = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     out = json.loads(stdout.splitlines()[-1])
-    assert "scipy.special" in out["analyze"] and "scipy.optimize" not in out["analyze"]
+    assert out["analyze"] == {"edges": [], "degrees": [], "directed": []}
     assert out["calibrate"]
     # the fresh run's fit and p-value are the ones this process computes
     code, _, _ = run(
@@ -612,7 +625,7 @@ def test_cli_analyze_loads_no_scipy_optimize_and_calibrate_does(tmp_path, capsys
     )
     assert code == 0
     for name in ("fit.json", "ccdf.csv"):
-        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+        assert (tmp_path / "fresh" / "edges" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
     assert read_json(tmp_path / "here" / "fit.json")["p_value"] is not None
 
 

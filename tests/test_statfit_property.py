@@ -1,3 +1,4 @@
+import warnings
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from threshnet.statfit import (
     _draw_discrete_powerlaw,
     _fminbound,
     _guide,
+    _hurwitz_zeta,
     _ks_stats,
     _mle_alphas,
     _xmin_candidates,
@@ -66,6 +68,73 @@ def test_sampler_draws_equal_one_table_search(alpha, x_min, table_span, size, se
     got = _draw_discrete_powerlaw(np.random.default_rng(seed), cdf, _guide(cdf), alpha, x_min, size)
     want = oracles.draw_discrete_powerlaw(np.random.default_rng(seed), cdf, alpha, x_min, size)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# Under numpy's AVX-512 kernels a float64 power is at times 1 ulp off libm's, and
+# the port's sum carries several powers: over 450,000 random points with x in
+# (1, 25] and q in [1, 2^53) it was at most 4 ulps of scipy's value (4.5e-16
+# relative), and 96 points were 3 or 4 ulps off.
+_ZETA_ULPS_OFF_SCIPY = 4
+# Cephes' own error against mpmath: over 15,000 random points it was at most
+# 1.30e-15 relative where the sum runs (q <= 1e8, at x = 24.3 and x = 12.5);
+# the asymptotic form for q > 1e8 adds its truncation, x (x - 1) / (12 q^2).
+_ZETA_REL_MP = 1.5e-15
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(
+            st.floats(min_value=1.0, max_value=25.0, exclude_min=True),
+            st.floats(min_value=1.0, max_value=2.0 ** 53, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example(lanes=[(float(np.nextafter(1.0, 2.0)), 1.0), (1.0 + 1e-9, 3.5), (25.0, 1.0), (25.0, 9.5), (2.0, 1e8)])
+@example(lanes=[(25.0, 1e8 + 1.0), (1.5, 2.0 ** 53 - 1.0), (float(np.nextafter(1.0, 2.0)), 1e12), (25.0, 2.0 ** 52)])
+def test_hurwitz_zeta_equals_scipy_and_mpmath(lanes):
+    # lanes of one call stop their sums after different numbers of terms
+    x, q = (np.array(v) for v in zip(*lanes))
+    got, want = _hurwitz_zeta(x, q), hzeta(x, q)
+    if oracles.NUMPY_POW_IS_LIBM:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= _ZETA_ULPS_OFF_SCIPY * np.abs(np.spacing(want)))
+    for xi, qi, zi in zip(x.tolist(), q.tolist(), got.tolist()):
+        truncation = xi * (xi - 1.0) / (12.0 * qi * qi) if qi > 1e8 else 0.0
+        assert zi == pytest.approx(oracles.hurwitz_zeta_mp(xi, qi), rel=_ZETA_REL_MP + truncation, abs=2.0 ** -1074)
+
+
+def test_hurwitz_zeta_domain_branches_equal_scipy_and_warn_nothing():
+    nan, inf = np.nan, np.inf
+    x = np.array([1.0, 1.0, 0.5, -3.0, 2.0, 2.0, 2.5, 2.5, nan, 2.0, 3.0, 2.0, 4.0, inf, 2.0, 2.0])
+    q = np.array([3.0, -2.5, 3.0, 0.0, 0.0, -3.0, -3.0, -2.5, -1.0, -2.5, -7.25, nan, 2.0, 2.0, inf, -inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _hurwitz_zeta(x, q)
+    want = hzeta(x, q)
+    # inf at x = 1 and at integer q <= 0 (NaN x included); NaN at x < 1 and at non-integer q < 0 with non-integer x
+    assert np.isposinf(got[[0, 1, 4, 5, 6, 8, 15]]).all() and np.isnan(got[[2, 3, 7, 11, 13]]).all()
+    finite = np.isfinite(want)  # a negative non-integer q with an integer x sums from q up
+    assert finite.tolist() == [False] * 9 + [True, True, False, True, False, True, False]
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    assert np.all(np.abs(got[finite] - want[finite]) <= _ZETA_ULPS_OFF_SCIPY * np.abs(np.spacing(want[finite])))
+    if oracles.NUMPY_POW_IS_LIBM:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_hurwitz_zeta_broadcasts_as_a_ufunc():
+    assert _hurwitz_zeta(2.0, 1.0).shape == () and float(_hurwitz_zeta(2.0, 1.0)) == pytest.approx(np.pi ** 2 / 6, rel=1e-15)
+    x, q = np.array([[2.0], [3.0]]), np.arange(1, 5)
+    assert np.array_equal(_hurwitz_zeta(x, q), np.array([[_hurwitz_zeta(xi, qi) for qi in q] for xi in x.ravel()]))
+    assert _hurwitz_zeta(np.empty(0), 2.0).shape == (0,)
+    # a long call runs in blocks of lanes, the last one short
+    x, q = np.linspace(1.01, 25.0, 10), np.geomspace(1.0, 1e10, 10)
+    with patch.object(statfit, "_ZETA_BLOCK", 3):
+        assert np.array_equal(_hurwitz_zeta(x.reshape(2, 5), q.reshape(2, 5)), _hurwitz_zeta(x, q).reshape(2, 5))
+    assert np.array_equal(_hurwitz_zeta(x, q), [_hurwitz_zeta(xi, qi) for xi, qi in zip(x, q)])
 
 
 def _lane_alphas(tails, x_mins) -> list[float]:
@@ -368,3 +437,21 @@ def test_xmin_candidates_match_per_value_scan(x, min_tail):
         if (x_sorted >= v).sum() >= min_tail and np.unique(x_sorted[x_sorted >= v]).size >= 2
     ]
     assert values[_xmin_candidates(np.cumsum(counts[::-1])[::-1], min_tail)].tolist() == candidates
+
+
+@pytest.mark.skipif(
+    not oracles.NUMPY_POW_IS_LIBM, reason="numpy's AVX-512 power is at times 1 ulp off libm's, so statfit's zeta is not scipy's"
+)
+@settings(max_examples=10, deadline=None)
+@given(lanes=st.lists(st.one_of(_POWERLAW_TAIL, _TWO_VALUE_TAIL), min_size=2, max_size=6), **_SAMPLE)
+def test_fit_and_bootstrap_equal_references_on_scipy_zeta_bit_for_bit(lanes, seed, n_body, n_tail, alpha, x_min, boot_seed):
+    # end to end: the references take scipy's own zeta, as statfit did before its port
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "ZETA", hzeta)
+        tails, x_mins = zip(*lanes)
+        assert _lane_alphas(tails, x_mins) == [oracles.mle_alpha(t, xm) for t, xm in zip(tails, x_mins)]
+        samples = _bootstrap_sample(seed, n_body, n_tail, alpha, x_min)
+        _assert_fit_matches_oracle(samples, min_tail=2)
+        fit = _fit_or_reject(samples)
+        want = oracles.gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed)
+        assert gof_pvalue(samples, fit, n_bootstrap=100, seed=boot_seed) == want
