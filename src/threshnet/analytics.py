@@ -102,12 +102,25 @@ def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float =
     c = (a / (a + alpha)) * (a / (a + beta))  # factors <= 1, so finite for any finite a
     if log_r >= 0.0:
         return 0.5 * (1.0 - c * (ratio if normal else math.exp(-alpha * log_r)))
-    upper = 0.5 * (1.0 - c) * math.exp(a * log_r)
     # lower branch: (r^a - r^(a+e)) / e with e = a*alpha/beta - a, written as
     # r^min(a, a+e) * (1 - r^|e|) / |e| so that it never cancels; ln(1/r) at e = 0
     e = a * (alpha - beta) / beta
+    if normal:
+        # r^a = ratio^(-a/alpha) and r^(a+e) = ratio^(-a/beta), as powers of the quotient:
+        # exp(k log r) would carry k |log r| times the rounding of log r
+        r_a, r_low = (_power_of_quotient(ratio, a, over) for over in (alpha, alpha if e >= 0.0 else beta))
+    else:
+        r_a, r_low = math.exp(a * log_r), math.exp(min(a, a + e) * log_r)
     spread = -log_r if e == 0.0 else -math.expm1(abs(e) * log_r) / abs(e)
-    return upper + a * beta / (2.0 * (a + beta)) * (math.exp(min(a, a + e) * log_r) * spread)
+    return 0.5 * (1.0 - c) * r_a + a * beta / (2.0 * (a + beta)) * (r_low * spread)
+
+
+def _power_of_quotient(ratio: float, a: float, over: float) -> float:
+    """ratio^(-a/over), with the rounding of the exponent a/over put back."""
+    y = a / over
+    (pa, qa), (po, qo), (py, qy) = a.as_integer_ratio(), over.as_integer_ratio(), y.as_integer_ratio()
+    dy = (pa * qo * qy - py * qa * po) / (qa * po * qy)  # a/over - y in integers, rounded once
+    return ratio ** -y * math.exp(-dy * math.log(ratio))
 
 
 def expected_edges(n: int, pareto: ParetoParams, theta: float) -> float:

@@ -4,7 +4,9 @@ Generation is two-phase: sample every node from its substream, then decide
 all pairs.  Pair enumeration sorts nodes by weight once and prunes on the
 maximal achievable left-hand side (direction dot product at its maximum),
 which is monotone in both weights, so each outer row's partners are one
-contiguous slice of the sorted nodes, decided in one vectorized step.
+contiguous slice of the sorted nodes.  The slice is decided in blocks of at
+most _PAIR_BLOCK partners, each a few vectorized steps written into buffers
+that stay in cache, with the edge guard checked after every block.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from .errors import ResourceLimitError
 from .model import EdgeRule, ModelConfig, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
+_PAIR_BLOCK = 1 << 14  # partners of one outer row decided per step of `_edge_keys`
+
+# The shortcuts `x ** e` takes for these exponents (numpy's fast scalar power),
+# so that `_power` writes the bits the operator would give
+_POWER_SHORTCUTS = {1.0: np.positive, -1.0: np.reciprocal, 0.5: np.sqrt, 2.0: np.square}
 
 
 @dataclass
@@ -67,29 +74,75 @@ def _partner_cutoffs(ws: np.ndarray, rule: EdgeRule) -> np.ndarray:
 
 
 def _weight_order(weights: np.ndarray) -> np.ndarray:
-    """Node ids in descending weight order.
+    """Node ids in descending weight order, tied weights in ascending id order.
 
-    Tied weights come in whatever order numpy's default (unstable) sort gives:
-    neither the edge set nor the candidate count depends on it, because the
-    pruning bound is symmetric in equal weights, every pair is decided once
-    from its outer row (both arcs for a directed rule, with a symmetric
-    predicate otherwise) and `_canonical` sorts the edges.
+    One sort of packed uint64 keys: the complemented bits of a non-negative
+    double fall as the double rises, so their high bits, with the node id in
+    the low ceil(log2 n), sort heaviest first.  Only runs whose truncated
+    keys tie are sorted again, stably by their full weight bits.  The order
+    of tied weights changes neither the edge set nor the candidate count,
+    because the pruning bound is symmetric in equal weights, every pair is
+    decided once from its outer row (both arcs for a directed rule, with a
+    symmetric predicate otherwise) and `_canonical` sorts the edges; it is
+    fixed here so that it is the same on every CPU.
     """
-    return np.argsort(-weights)
+    n = len(weights)
+    shift = np.uint64((n - 1).bit_length() if n else 0)
+    keys = ~weights.view(np.uint64) >> shift << shift
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    high = keys >> shift
+    tied = high[1:] == high[:-1]
+    del high
+    keys &= (np.uint64(1) << shift) - np.uint64(1)
+    order = keys.view(np.int64)
+    if tied.any():
+        # the runs stay apart in a sort by the full bits, since their truncated keys differ
+        at = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
+        ids = order[at]
+        order[at] = ids[np.argsort(~weights.view(np.uint64)[ids], kind="stable")]
+    return order
 
 
 def _canonical(keys: np.ndarray, n: int) -> np.ndarray:
-    """Edges with keys src*n + dst as an (E, 2) int64 array sorted by (src, dst)."""
+    """Edges with keys src*n + dst as an (E, 2) int64 array sorted by (src, dst).
+
+    Consumes `keys`: they are sorted in place, and the edge array is the
+    only new allocation (16 B per edge).
+    """
     # one int64 key per edge: src*n + dst < n**2 < 2**63 for any n whose node
     # table fits in memory, so the key sort is the lexicographic edge sort
-    return np.column_stack(np.divmod(np.sort(keys), n))
+    keys.sort()
+    edges = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
+
+
+def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """`x ** e`, bit for bit, written into `out`."""
+    if e == 0.0:
+        out.fill(1.0)
+        return out
+    if e in _POWER_SHORTCUTS:
+        return _POWER_SHORTCUTS[e](x, out=out)
+    return np.power(x, e, out=out)
+
+
+def _holds(w_p: float, w_q_pow: np.ndarray, f: np.ndarray, theta: float, mask: np.ndarray) -> np.ndarray:
+    """`w_p * w_q_pow * f >= theta` into `mask`, overwriting `w_q_pow`."""
+    np.multiply(w_p, w_q_pow, out=w_q_pow)
+    np.multiply(w_q_pow, f, out=w_q_pow)
+    return np.greater_equal(w_q_pow, theta, out=mask)
 
 
 def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int) -> tuple[np.ndarray, int]:
     """Keys src*n + dst of every edge, unsorted, and the number of pairs decided.
 
     The node table sorted by weight lives only in here, so it is freed
-    before the keys are sorted.
+    before the keys are sorted.  Each block evaluates
+    `ws[p] ** alpha * wq ** beta * f >= theta` (and, for a directed rule,
+    `wq ** alpha * ws[p] ** beta * f >= theta`) elementwise, product by
+    product in that order, so no decision depends on the block size.
     """
     n = len(weights)
     order = _weight_order(weights)
@@ -97,6 +150,7 @@ def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int
     xs = np.take(dirs, order, axis=0)  # the rows of dirs[order], gathered about 3x faster
     # at theta = 0, h(dot) >= 0 alone decides: powers of exactly 1 keep an underflowing weight product out of it
     alpha, beta = (rule.alpha, rule.beta) if rule.theta > 0 else (0.0, 0.0)
+    dot, prod, mask = np.empty(_PAIR_BLOCK), np.empty(_PAIR_BLOCK), np.empty(_PAIR_BLOCK, dtype=bool)
     keys = [np.empty(0, dtype=np.int64)]
     n_cand = n_edges = 0
     # A weight power past the largest double is inf: inf * h(dot) keeps h's sign, and
@@ -104,21 +158,25 @@ def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int
     # gets the float predicate's decision, as in the pair-by-pair reference, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
         for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
-            u, vs, wq = order[p], order[p + 1 : cut], ws[p + 1 : cut]
-            f = rule.h(xs[p + 1 : cut] @ xs[p])
-            hit = vs[ws[p] ** alpha * wq ** beta * f >= rule.theta]
-            if rule.is_directed:
-                rev = vs[wq ** alpha * ws[p] ** beta * f >= rule.theta]
-                row = [u * n + hit, rev * n + u]
-            else:
-                row = [np.minimum(u, hit) * n + np.maximum(u, hit)]
-            keys += row
-            n_cand += len(vs)
-            n_edges += sum(map(len, row))
-            if n_edges > guard:
-                raise ResourceLimitError(
-                    f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended"
-                )
+            u, w_alpha, w_beta = order[p], ws[p] ** alpha, ws[p] ** beta
+            for lo in range(p + 1, cut, _PAIR_BLOCK):
+                hi = min(lo + _PAIR_BLOCK, cut)
+                m = hi - lo
+                vs, wq = order[lo:hi], ws[lo:hi]
+                f = rule.h(np.matmul(xs[lo:hi], xs[p], out=dot[:m]))
+                hit = vs[_holds(w_alpha, _power(wq, beta, prod[:m]), f, rule.theta, mask[:m])]
+                if rule.is_directed:
+                    rev = vs[_holds(w_beta, _power(wq, alpha, prod[:m]), f, rule.theta, mask[:m])]
+                    block = [u * n + hit, rev * n + u]
+                else:
+                    block = [np.minimum(u, hit) * n + np.maximum(u, hit)]
+                keys += block
+                n_cand += m
+                n_edges += sum(map(len, block))
+                if n_edges > guard:
+                    raise ResourceLimitError(
+                        f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended"
+                    )
     return np.concatenate(keys), n_cand
 
 

@@ -116,6 +116,24 @@ def test_p_edge_matches_mpmath_up_to_w0_to_the_alpha_plus_beta(log10_a, log10_w0
     assert p_edge(pareto, theta, alpha, beta) == pytest.approx(p_edge_mp(pareto, theta, alpha, beta), rel=rel, abs=0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    log10_a=st.floats(-1.0, 1.0),
+    log10_w0=st.floats(-1.0, 1.0),
+    log10_ratio=st.floats(0.0, 6.0),
+    exponents=st.one_of(st.just((1.0, 1.0)), st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0))),
+)
+def test_p_edge_matches_mpmath_above_w0_to_the_alpha_plus_beta(log10_a, log10_w0, log10_ratio, exponents):
+    # r^a and r^(a+e) as powers of theta / w0^(alpha+beta): 150,000 draws each measured at most
+    # 1.78e-15 at alpha = beta = 1 and 4.88e-15 with alpha, beta in [0.5, 2] (taken as
+    # exp(a log r), 2.24e-14 and 4.49e-14 on the same draws)
+    alpha, beta = exponents
+    pareto = ParetoParams(10.0 ** log10_a, 10.0 ** log10_w0)
+    theta = pareto.w0 ** (alpha + beta) * 10.0 ** log10_ratio
+    rel = 2e-15 if alpha == beta == 1.0 else 5.5e-15
+    assert p_edge(pareto, theta, alpha, beta) == pytest.approx(p_edge_mp(pareto, theta, alpha, beta), rel=rel, abs=0.0)
+
+
 @pytest.mark.parametrize("a, w0, theta", [(3.0, 10.0, 1e-3), (5.0, 3.0, 0.01), (2.0, 1.0, 1e-4)])
 def test_variance_keeps_its_digits_below_w0_squared(a, w0, theta):
     # p_wedge - p_edge^2, two numbers near 1/4, cancelled to 4.9e-14, 1.3e-13 and 2.0e-13 relative here

@@ -1,3 +1,6 @@
+import math
+import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,7 +17,7 @@ from threshnet import (
     ResourceLimitError,
     generate,
 )
-from threshnet.generator import _weight_order
+from threshnet.generator import _POWER_SHORTCUTS, _canonical, _edge_keys, _power, _weight_order
 from threshnet.model import Variant, sample_node_table
 
 import oracles
@@ -164,7 +167,7 @@ def _tied_node_table(n, seed, pareto, d):
     seed=st.integers(0, 2 ** 63 - 1),
 )
 def test_tied_weights_give_naive_edges_and_tie_free_candidate_count(kind, a, scale, alpha, beta, n, seed):
-    # weights rounded to 0.1 tie in long runs, which the weight sort may put in any order
+    # weights rounded to 0.1 tie in long runs
     if kind == "undirected":
         rule = EdgeRule.undirected(scale)
     elif kind == "directed":
@@ -186,11 +189,99 @@ def test_tied_weights_give_naive_edges_and_tie_free_candidate_count(kind, a, sca
     assert len(surely) <= pruned.n_candidates <= len(at_most)
 
 
+def _assert_weight_order(weights, order):
+    n = len(weights)
+    assert order.dtype == np.int64
+    assert np.array_equal(np.sort(order), np.arange(n))
+    ws = weights[order]
+    assert np.all(ws[1:] <= ws[:-1])
+    ties = ws[1:] == ws[:-1]
+    assert np.all(order[1:][ties] > order[:-1][ties])
+
+
 def test_weight_order_is_a_descending_permutation():
     weights = np.round(1.0 + np.random.default_rng(3).pareto(2.0, 5000), 1)
+    _assert_weight_order(weights, _weight_order(weights))
+
+
+_SPECIAL_WEIGHTS = st.sampled_from([0.0, math.inf, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]) | st.builds(lambda k, d: 2 ** k + d, st.integers(1, 12), st.integers(-1, 1)),
+    atoms=st.lists(_SPECIAL_WEIGHTS | st.floats(1e-300, 1e300), min_size=1, max_size=6),
+    last_bits=st.integers(0, 16),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_weight_order_is_exact_on_ties_near_ties_and_special_values(n, atoms, last_bits, seed):
+    # each finite atom spreads over its next `last_bits` doubles, which differ from it only in
+    # the last mantissa bits, where the packed keys hold the node id; few atoms make long runs
+    # of exact ties
+    rng = np.random.default_rng(seed)
+    base = rng.choice(np.array(atoms), n)
+    spread = (base.view(np.uint64) + rng.integers(0, last_bits + 1, n, dtype=np.uint64)).view(np.float64)
+    weights = np.where(np.isfinite(spread), spread, base)
+    _assert_weight_order(weights, _weight_order(weights))
+
+
+def test_weight_order_is_exact_and_no_slower_than_argsort_at_3e7():
+    # R2's weight law at ten times R2's size, where about a quarter of the positions tie in the packed keys
+    n = 30_000_000
+    weights = (1.0 - np.random.default_rng(5).random(n)) ** (-1.0 / 3.0)
+    start = time.perf_counter()
     order = _weight_order(weights)
-    assert np.array_equal(np.sort(order), np.arange(len(weights)))
-    assert np.all(np.diff(weights[order]) <= 0)
+    packed = time.perf_counter() - start
+    seen = np.zeros(n, dtype=bool)
+    seen[order] = True
+    ws = weights[order]
+    ties = ws[1:] == ws[:-1]
+    assert seen.all() and np.all(ws[1:] <= ws[:-1]) and np.all(order[1:][ties] > order[:-1][ties])
+    del order, seen, ws, ties
+    start = time.perf_counter()
+    np.argsort(-weights)
+    assert packed <= time.perf_counter() - start
+
+
+@pytest.mark.parametrize("e", sorted(_POWER_SHORTCUTS) + [0.0, 1.5, 3.0, -0.3])
+def test_power_into_a_buffer_has_the_operators_bits(e):
+    x = np.concatenate(([0.0, 5e-324, 1e-310, math.inf, 1e300], 1.0 + np.random.default_rng(2).pareto(2.0, 1000)))
+    out = np.empty_like(x)
+    with np.errstate(all="ignore"):
+        assert _power(x, e, out) is out
+        assert np.array_equal(out.view(np.uint64), (x ** e).view(np.uint64))
+
+
+def _keys(config):
+    weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
+    return _edge_keys(weights, dirs, config.rule, 10 ** 9)[0]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [_config(300_000, 66.9, seed=1), _config(20_000, 8.0, seed=2, rule=directed_rule(8.0, 1.0, 2.0))],
+    ids=["r1", "directed"],
+)
+def test_canonical_in_place_gives_the_sorted_edge_array(config):
+    keys = _keys(config)
+    expected = np.column_stack(np.divmod(np.sort(keys), config.n))
+    edges = _canonical(keys, config.n)
+    assert len(edges) > 10_000
+    assert edges.dtype == expected.dtype == np.int64
+    assert edges.flags.c_contiguous
+    assert np.array_equal(edges, expected)
+
+
+def test_canonical_allocates_16_bytes_per_edge_above_its_keys():
+    keys = _keys(_config(300_000, 66.9, seed=1))  # R1
+    tracemalloc.start()
+    try:
+        edges = _canonical(keys, 300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (E, 2) edge array; the slack of 64 KiB is for ufunc buffers (1.7 kB measured)
+    assert peak <= 16 * len(edges) + 65536
 
 
 def test_edge_guard_fires_while_deciding(monkeypatch):
@@ -200,9 +291,52 @@ def test_edge_guard_fires_while_deciding(monkeypatch):
     rule = linkfn_rule(0.0, 1.0, 1.0, LinkFn("identity"))
     with pytest.raises(ResourceLimitError):
         generate(_config(2000, 0.0, rule=rule), max_edges=1000)
-    # the heaviest row alone yields about 2000 arcs; no other row is decided
+    # the heaviest row alone yields about 2000 arcs, in one block; no other row is decided
     rows = [t for t in calls if np.ndim(t)]
-    assert len(rows) == 1
+    assert [len(t) for t in rows] == [1999]
+
+
+def test_edge_guard_fires_in_the_block_that_crosses_it(monkeypatch):
+    calls = []
+    link = LinkFn.__call__
+    monkeypatch.setattr(LinkFn, "__call__", lambda self, t: calls.append(t) or link(self, t))
+    monkeypatch.setattr("threshnet.generator._PAIR_BLOCK", 500)
+    rule = linkfn_rule(0.0, 1.0, 1.0, LinkFn("identity"))
+    # each 500-partner block of row 0 yields about 500 arcs, so the guard falls in its second block
+    with pytest.raises(ResourceLimitError, match="exceeds guard 750"):
+        generate(_config(2000, 0.0, rule=rule), max_edges=750)
+    blocks = [t for t in calls if np.ndim(t)]
+    assert [len(t) for t in blocks] == [500, 500]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=st.integers(3, 7),
+    kind=st.sampled_from(["undirected", "directed", "oddpow"]),
+    scale=st.floats(0.0, 4.0),
+    alpha=st.floats(0.5, 3.0),
+    beta=st.floats(0.5, 3.0),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2 ** 63 - 1),
+)
+def test_small_pair_blocks_equal_naive(block, kind, scale, alpha, beta, n, seed):
+    # blocks of 3 to 7 partners split the heavy rows of graphs this size into several
+    if kind == "undirected":
+        rule = EdgeRule.undirected(scale)
+    elif kind == "directed":
+        rule = directed_rule(scale, alpha, beta if beta != alpha else beta + 0.5)
+    else:
+        rule = linkfn_rule(scale, alpha, beta, LinkFn("oddpow", 1, -0.2))
+    config = _config(n, rule.theta, seed=seed, rule=rule)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("threshnet.generator._PAIR_BLOCK", block)
+        pruned = generate(config)
+    naive = generate_naive(config)
+    assert np.array_equal(pruned.edges, naive.edges)
+    # generate_naive decides every pair: its count is the pruned one only at theta = 0
+    assert pruned.n_candidates == len(candidate_pairs(pruned.weights, rule))
+    if rule.theta == 0.0:
+        assert pruned.n_candidates == naive.n_candidates
 
 
 def test_undirected_edges_canonical():
