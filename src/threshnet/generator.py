@@ -5,8 +5,8 @@ all pairs.  Pair enumeration sorts nodes by weight once and prunes on the
 maximal achievable left-hand side (direction dot product at its maximum),
 which is monotone in both weights, so each outer row's partners are one
 contiguous slice of the sorted nodes.  The slice is decided in blocks of at
-most _PAIR_BLOCK partners, each a few vectorized steps written into buffers
-that stay in cache, with the edge guard checked after every block.
+most _PAIR_BLOCK partners, a few vectorized steps whose temporaries stay in
+cache, with the edge guard checked after every block.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .model import EdgeRule, ModelConfig, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
 _PAIR_BLOCK = 1 << 14  # partners of one outer row decided per step of `_edge_keys`
-
-# The shortcuts `x ** e` takes for these exponents (numpy's fast scalar power),
-# so that `_power` writes the bits the operator would give
-_POWER_SHORTCUTS = {1.0: np.positive, -1.0: np.reciprocal, 0.5: np.sqrt, 2.0: np.square}
 
 
 @dataclass
@@ -118,31 +114,21 @@ def _canonical(keys: np.ndarray, n: int) -> np.ndarray:
     return edges
 
 
-def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
-    """`x ** e`, bit for bit, written into `out`."""
-    if e == 0.0:
-        out.fill(1.0)
-        return out
-    if e in _POWER_SHORTCUTS:
-        return _POWER_SHORTCUTS[e](x, out=out)
-    return np.power(x, e, out=out)
-
-
-def _holds(w_p: float, w_q_pow: np.ndarray, f: np.ndarray, theta: float, mask: np.ndarray) -> np.ndarray:
-    """`w_p * w_q_pow * f >= theta` into `mask`, overwriting `w_q_pow`."""
-    np.multiply(w_p, w_q_pow, out=w_q_pow)
-    np.multiply(w_q_pow, f, out=w_q_pow)
-    return np.greater_equal(w_q_pow, theta, out=mask)
+def _holds(w_p: float, w_q_pow: np.ndarray, f: np.ndarray, theta: float) -> np.ndarray:
+    """`w_p * w_q_pow * f >= theta`, overwriting `w_q_pow` (what `**` returns: a copy even at 1)."""
+    w_q_pow *= w_p
+    w_q_pow *= f
+    return w_q_pow >= theta
 
 
 def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int) -> tuple[np.ndarray, int]:
     """Keys src*n + dst of every edge, unsorted, and the number of pairs decided.
 
     The node table sorted by weight lives only in here, so it is freed
-    before the keys are sorted.  Each block evaluates
-    `ws[p] ** alpha * wq ** beta * f >= theta` (and, for a directed rule,
-    `wq ** alpha * ws[p] ** beta * f >= theta`) elementwise, product by
-    product in that order, so no decision depends on the block size.
+    before the keys are sorted.  Each block of partners keeps its temporaries
+    in cache and evaluates `ws[p] ** alpha * wq ** beta * f >= theta` (and
+    for a directed rule `wq ** alpha * ws[p] ** beta * f >= theta`) product
+    by product in that order, so no decision depends on the block size.
     """
     n = len(weights)
     order = _weight_order(weights)
@@ -150,7 +136,6 @@ def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int
     xs = np.take(dirs, order, axis=0)  # the rows of dirs[order], gathered about 3x faster
     # at theta = 0, h(dot) >= 0 alone decides: powers of exactly 1 keep an underflowing weight product out of it
     alpha, beta = (rule.alpha, rule.beta) if rule.theta > 0 else (0.0, 0.0)
-    dot, prod, mask = np.empty(_PAIR_BLOCK), np.empty(_PAIR_BLOCK), np.empty(_PAIR_BLOCK, dtype=bool)
     keys = [np.empty(0, dtype=np.int64)]
     n_cand = n_edges = 0
     # A weight power past the largest double is inf: inf * h(dot) keeps h's sign, and
@@ -161,22 +146,19 @@ def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int
             u, w_alpha, w_beta = order[p], ws[p] ** alpha, ws[p] ** beta
             for lo in range(p + 1, cut, _PAIR_BLOCK):
                 hi = min(lo + _PAIR_BLOCK, cut)
-                m = hi - lo
                 vs, wq = order[lo:hi], ws[lo:hi]
-                f = rule.h(np.matmul(xs[lo:hi], xs[p], out=dot[:m]))
-                hit = vs[_holds(w_alpha, _power(wq, beta, prod[:m]), f, rule.theta, mask[:m])]
+                f = rule.h(xs[lo:hi] @ xs[p])
+                hit = vs[_holds(w_alpha, wq ** beta, f, rule.theta)]
                 if rule.is_directed:
-                    rev = vs[_holds(w_beta, _power(wq, alpha, prod[:m]), f, rule.theta, mask[:m])]
+                    rev = vs[_holds(w_beta, wq ** alpha, f, rule.theta)]
                     block = [u * n + hit, rev * n + u]
                 else:
                     block = [np.minimum(u, hit) * n + np.maximum(u, hit)]
                 keys += block
-                n_cand += m
+                n_cand += hi - lo
                 n_edges += sum(map(len, block))
                 if n_edges > guard:
-                    raise ResourceLimitError(
-                        f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended"
-                    )
+                    raise ResourceLimitError(f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended")
     return np.concatenate(keys), n_cand
 
 
@@ -186,6 +168,8 @@ def generate(config: ModelConfig, max_edges: int = DEFAULT_MAX_EDGES) -> Graph:
     Deterministic in (config.seed, config).  Raises ResourceLimitError as
     soon as the running edge count exceeds `max_edges`.
     """
+    if max_edges < 0:
+        raise DomainError(f"edge guard must be non-negative, got max_edges={max_edges}")
     weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
     keys, n_cand = _edge_keys(weights, dirs, config.rule, max_edges)
     return Graph(

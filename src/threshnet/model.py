@@ -125,8 +125,8 @@ def _check_theta(theta: float) -> None:
 
 
 def _check_exponents(alpha: float, beta: float) -> None:
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise DomainError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
 
 
 class Variant(str, Enum):

@@ -20,12 +20,11 @@ def _mix_inplace(x: np.ndarray) -> np.ndarray:
 
     Integer array arithmetic wraps mod 2^64 without a warning.
     """
-    t = np.empty_like(x)
-    x ^= np.right_shift(x, 30, out=t)
+    x ^= x >> np.uint64(30)
     x *= _MIX_A
-    x ^= np.right_shift(x, 27, out=t)
+    x ^= x >> np.uint64(27)
     x *= _MIX_B
-    x ^= np.right_shift(x, 31, out=t)
+    x ^= x >> np.uint64(31)
     return x
 
 

@@ -305,6 +305,15 @@ def test_generate_past_max_edges_exits_one(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n", ["1", "2000"])
+def test_generate_with_negative_max_edges_exits_one(tmp_path, capsys, n):
+    # at n = 1 no guard could fire while deciding: the refusal comes first
+    code, out, err = run(capsys, "generate", "--n", n, "--a", "3", "--theta", "3", "--max-edges", "-1",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", "error: edge guard must be non-negative, got max_edges=-1\n")
+    assert not any(tmp_path.iterdir())
+
+
 _LINKFN = ["generate", "--n", "10", "--a", "3", "--variant", "linkfn", "--alpha", "1", "--beta", "1", "--theta", "1"]
 _SWEEP = ["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "--ns", "100,200"]
 
@@ -811,11 +820,20 @@ def test_generate_with_overflowing_weights_prints_no_warning(tmp_path, flags):
          "error: schedule coefficient must be positive and finite, got D=inf"),
         (["generate", "--n", "100", "--a", "3", "--schedule", "powerlaw", "--D", "inf"],
          "error: schedule coefficient must be positive and finite, got D=inf"),
+        (["oracle", "pew-directed", "--a", "3", "--theta", "10", "--w", "2", "--alpha", "1", "--beta", "inf"],
+         "error: alpha and beta must be positive and finite, got 1.0, inf"),
+        (["oracle", "pew-linkfn", "--a", "3", "--theta", "10", "--w", "2", "--alpha", "1", "--beta", "inf", "--h", "exp"],
+         "error: alpha and beta must be positive and finite, got 1.0, inf"),
+        (["calibrate", "--n", "100", "--a", "3", "--target-edges", "100", "--variant", "directed", "--alpha", "inf",
+          "--beta", "1"], "error: alpha and beta must be positive and finite, got inf, 1.0"),
+        (["generate", "--n", "2000", "--a", "3", "--theta", "3", "--variant", "directed", "--alpha", "inf",
+          "--beta", "1"], "error: alpha and beta must be positive and finite, got inf, 1.0"),
     ],
     ids=[
         "pe-huge-a-low", "pe-huge-a-high", "pwedge-huge-a-low", "pwedge-huge-a-high", "var-huge-a",
         "calibrate-huge-a", "pe-inf-theta", "var-inf-theta", "pe-inf-a", "calibrate-inf-a", "pe-inf-w0",
-        "em-linlog-inf-D", "generate-inf-D",
+        "em-linlog-inf-D", "generate-inf-D", "pew-directed-inf-beta", "pew-linkfn-inf-beta",
+        "calibrate-inf-alpha", "generate-inf-alpha",
     ],
 )
 def test_closed_forms_at_the_edges_of_their_domain(tmp_path, capsys, monkeypatch, argv, want):

@@ -246,6 +246,13 @@ def test_edge_rule_validation():
         EdgeRule(Variant.LINKFN, 1.0, 1.0, 1.0, None)
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize("variant", [Variant.DIRECTED, Variant.LINKFN])
+def test_edge_rule_exponents_must_be_finite(variant, alpha, beta):
+    with pytest.raises(DomainError, match="alpha and beta must be positive and finite"):
+        EdgeRule(variant, 1.0, alpha, beta, LinkFn("identity"))
+
+
 @pytest.mark.parametrize(
     "variant, alpha, beta, h",
     [
