@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gr = sub.add_parser("growth", help="growth sweeps and growth-curve fits")
     gr_sub = gr.add_subparsers(dest="growth_command", required=True)
-    gs = gr_sub.add_parser("sweep", help="regenerate at each n under a threshold schedule")
+    gs = gr_sub.add_parser("sweep", help="count edges at each n under a threshold schedule")
     gs.add_argument("--schedule", choices=["powerlaw", "linear"], required=True)
     gs.add_argument("--D", type=float, default=None)
     gs.add_argument("--coeff", type=float, default=1.0, help="linear schedule: target m = coeff * n (default 1)")

@@ -6,7 +6,9 @@ maximal achievable left-hand side (direction dot product at its maximum),
 which is monotone in both weights, so each outer row's partners are one
 contiguous slice of the sorted nodes.  The slice is decided in blocks of at
 most _PAIR_BLOCK partners, a few vectorized steps whose temporaries stay in
-cache, with the edge guard checked after every block.
+cache, with the edge guard checked after every block.  One loop,
+`_decided_blocks`, makes those decisions: `generate` lists the edges it
+yields, and a growth sweep only counts them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .model import EdgeRule, ModelConfig, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
-_PAIR_BLOCK = 1 << 14  # partners of one outer row decided per step of `_edge_keys`
+_PAIR_BLOCK = 1 << 14  # partners of one outer row decided per step of `_decided_blocks`
 
 
 @dataclass
@@ -121,45 +123,71 @@ def _holds(w_p: float, w_q_pow: np.ndarray, f: np.ndarray, theta: float) -> np.n
     return w_q_pow >= theta
 
 
+def _by_weight(weights: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ws, xs): `_weight_order(weights)` and the node table's rows in that order."""
+    order = _weight_order(weights)
+    return order, weights[order], np.take(dirs, order, axis=0)  # the rows of dirs[order], gathered about 3x faster
+
+
+def _decided_blocks(ws: np.ndarray, xs: np.ndarray, rule: EdgeRule, guard: int):
+    """Yield (p, lo, hi, masks) for each block of candidate pairs of the weight-ordered rows `ws`, `xs`.
+
+    The block pairs outer row p with partners lo..hi-1; masks[0][k] says
+    whether p links to partner lo+k, and for a directed rule masks[1][k]
+    whether partner lo+k links to p.  Each block keeps its temporaries in
+    cache and evaluates `ws[p] ** alpha * wq ** beta * f >= theta` (and for a
+    directed rule `wq ** alpha * ws[p] ** beta * f >= theta`) product by
+    product in that order, so no decision depends on the block size.  Raises
+    ResourceLimitError as soon as the running edge count exceeds `guard`.
+    """
+    # at theta = 0, h(dot) >= 0 alone decides: powers of exactly 1 keep an underflowing weight product out of it
+    alpha, beta = (rule.alpha, rule.beta) if rule.theta > 0 else (0.0, 0.0)
+    # A weight power past the largest double is inf: inf * h(dot) keeps h's sign, and
+    # inf * 0 is NaN, which fails >= theta > 0 (theta = 0 takes powers 0).  So each pair
+    # gets the float predicate's decision, as in the pair-by-pair reference, unwarned.
+    # No yield is inside an errstate, so the caller's own numpy error state holds between blocks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cuts = _partner_cutoffs(ws, rule).tolist()
+    n_edges = 0
+    for p, cut in enumerate(cuts):
+        for lo in range(p + 1, cut, _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, cut)
+            wq = ws[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = rule.h(xs[lo:hi] @ xs[p])
+                masks = [_holds(ws[p] ** alpha, wq ** beta, f, rule.theta)]
+                if rule.is_directed:
+                    masks.append(_holds(ws[p] ** beta, wq ** alpha, f, rule.theta))
+            n_edges += sum(map(np.count_nonzero, masks))
+            if n_edges > guard:
+                raise ResourceLimitError(f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended")
+            yield p, lo, hi, masks
+
+
 def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int) -> tuple[np.ndarray, int]:
     """Keys src*n + dst of every edge, unsorted, and the number of pairs decided.
 
     The node table sorted by weight lives only in here, so it is freed
-    before the keys are sorted.  Each block of partners keeps its temporaries
-    in cache and evaluates `ws[p] ** alpha * wq ** beta * f >= theta` (and
-    for a directed rule `wq ** alpha * ws[p] ** beta * f >= theta`) product
-    by product in that order, so no decision depends on the block size.
+    before the keys are sorted.
     """
     n = len(weights)
-    order = _weight_order(weights)
-    ws = weights[order]
-    xs = np.take(dirs, order, axis=0)  # the rows of dirs[order], gathered about 3x faster
-    # at theta = 0, h(dot) >= 0 alone decides: powers of exactly 1 keep an underflowing weight product out of it
-    alpha, beta = (rule.alpha, rule.beta) if rule.theta > 0 else (0.0, 0.0)
+    order, ws, xs = _by_weight(weights, dirs)
     keys = [np.empty(0, dtype=np.int64)]
-    n_cand = n_edges = 0
-    # A weight power past the largest double is inf: inf * h(dot) keeps h's sign, and
-    # inf * 0 is NaN, which fails >= theta > 0 (theta = 0 takes powers 0).  So each pair
-    # gets the float predicate's decision, as in the pair-by-pair reference, unwarned.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
-            u, w_alpha, w_beta = order[p], ws[p] ** alpha, ws[p] ** beta
-            for lo in range(p + 1, cut, _PAIR_BLOCK):
-                hi = min(lo + _PAIR_BLOCK, cut)
-                vs, wq = order[lo:hi], ws[lo:hi]
-                f = rule.h(xs[lo:hi] @ xs[p])
-                hit = vs[_holds(w_alpha, wq ** beta, f, rule.theta)]
-                if rule.is_directed:
-                    rev = vs[_holds(w_beta, wq ** alpha, f, rule.theta)]
-                    block = [u * n + hit, rev * n + u]
-                else:
-                    block = [np.minimum(u, hit) * n + np.maximum(u, hit)]
-                keys += block
-                n_cand += hi - lo
-                n_edges += sum(map(len, block))
-                if n_edges > guard:
-                    raise ResourceLimitError(f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended")
+    n_cand = 0
+    for p, lo, hi, masks in _decided_blocks(ws, xs, rule, guard):
+        u, vs = order[p], order[lo:hi]
+        n_cand += len(vs)
+        if rule.is_directed:
+            keys += [u * n + vs[masks[0]], vs[masks[1]] * n + u]
+        else:
+            hit = vs[masks[0]]
+            keys.append(np.minimum(u, hit) * n + np.maximum(u, hit))
     return np.concatenate(keys), n_cand
+
+
+def _edge_count(ws: np.ndarray, xs: np.ndarray, rule: EdgeRule, guard: int) -> int:
+    """Number of edges among weight-ordered rows `ws`, `xs` (see `_by_weight`), none of them listed."""
+    return sum(int(np.count_nonzero(mask)) for *_, masks in _decided_blocks(ws, xs, rule, guard) for mask in masks)
 
 
 def generate(config: ModelConfig, max_edges: int = DEFAULT_MAX_EDGES) -> Graph:

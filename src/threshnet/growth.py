@@ -1,9 +1,11 @@
 """Growth experiments: size sweeps, concentration checks, and curve fitting.
 
-Sweeps regenerate the graph from scratch at every n under a threshold
+A sweep counts the edges of the graph at every n under a threshold
 schedule.  Substreams are keyed by node id, so node i keeps its latent
 vector across all n within a sweep: nodes persist, edges are re-decided.
-Growth-curve fits use the natural logarithm throughout.
+So each seed samples its node table and sorts it by weight once, at the
+largest n, and every smaller n decides the pairs of that table's first n
+nodes.  Growth-curve fits use the natural logarithm throughout.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import numpy as np
 
 from . import analytics
 from .errors import DomainError, SeriesFormatError
-from .generator import generate
+from .generator import DEFAULT_MAX_EDGES, _by_weight, _edge_count
+from .generator import generate  # noqa: F401  perfbench's LAYER_CALLS wraps this name until ROADMAP item 3
 from .io import _int64_fields, _read_text
-from .model import EdgeRule, ModelConfig, ParetoParams
+from .model import EdgeRule, ModelConfig, ParetoParams, sample_node_table
 
 CSV_COLUMNS = ("n", "m", "em", "var", "theta")
 _VARIANCE_RATIO_BAND = (0.5, 2.0)
@@ -76,11 +79,17 @@ def run_growth_sweep(
     pareto: ParetoParams,
     seeds: list[int],
 ) -> dict[int, GrowthSeries]:
-    """One GrowthSeries per seed: regenerate at each n under schedule's theta(n).
+    """One GrowthSeries per seed: the edge count at each n under schedule's theta(n).
 
-    Each size's theta, em and var are solved once, before any graph is sampled,
-    on S^2 (d = 3), where the em and var analytics hold.
+    Each size's theta, em and var are solved once, before any node is sampled,
+    on S^2 (d = 3), where the em and var analytics hold.  Each seed then samples
+    one node table at the largest n and sorts it by weight once.  The first n
+    nodes are the nodes of the graph at n, and the rows with order < n keep
+    their weight order, ties included, so every size's m equals `generate`'s
+    edge count without a table, a sort or an edge list of its own.
     """
+    if any(n < 1 for n in ns):
+        raise DomainError(f"node count must be >= 1, got {min(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("sweep sizes must be strictly increasing")
     sizes = []
@@ -91,9 +100,16 @@ def run_growth_sweep(
     out: dict[int, GrowthSeries] = {}
     for seed in seeds:
         points = []
-        for size in sizes:  # the one edge count per (seed, size)
-            config = ModelConfig(n=size.n, d=3, pareto=pareto, rule=EdgeRule.undirected(size.theta), seed=seed)
-            points.append(replace(size, m=generate(config).n_edges))  # the graph is freed before the next n
+        if sizes:  # the largest size's config refuses a bad seed as `generate` would
+            top = ModelConfig(n=ns[-1], d=3, pareto=pareto, rule=EdgeRule.undirected(sizes[-1].theta), seed=seed)
+            order, ws, xs = _by_weight(*sample_node_table(top.n, top.seed, top.pareto, top.d))
+        for size in sizes:
+            rows = ws, xs
+            if size.n < top.n:
+                keep = np.flatnonzero(order < size.n)
+                rows = ws[keep], np.take(xs, keep, axis=0)  # faster than compressing by the mask
+            m = _edge_count(*rows, EdgeRule.undirected(size.theta), DEFAULT_MAX_EDGES)
+            points.append(replace(size, m=m))
         out[seed] = GrowthSeries(points=points)
     return out
 

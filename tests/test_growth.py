@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import threshnet.analytics
 import threshnet.growth
@@ -13,14 +14,17 @@ from threshnet import (
     ModelConfig,
     ParetoParams,
     PowerLawSchedule,
+    ResourceLimitError,
     SeriesFormatError,
     concentration_report,
     fit_growth_curve,
     ingest_edge_count_series,
     generate,
     run_growth_sweep,
+    sample_node_table,
     write_series_csv,
 )
+from threshnet.generator import _weight_order
 
 from oracles import linlog_leading_coefficient
 
@@ -225,35 +229,103 @@ def test_concentration_needs_one_size_list(pareto3):
         concentration_report(sweep)
 
 
+class CountingSchedule(PowerLawSchedule):
+    """PowerLawSchedule that records each n it solves theta for in `calls`."""
+
+    def __init__(self, D, calls):
+        super().__init__(D=D)
+        self.calls = calls
+
+    def theta_for(self, n, pareto):
+        self.calls.append(("theta_for", n))
+        return super().theta_for(n, pareto)
+
+
+def _spy(calls, name, fn):
+    """`fn`, recording (name, its first two arguments) in `calls` at each call."""
+    def wrapped(*args, **kwargs):
+        calls.append((name, args[:2]))
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_sweep_solves_each_size_once_before_sampling(monkeypatch, pareto3):
     calls = []
-
-    class CountingSchedule(PowerLawSchedule):
-        def theta_for(self, n, pareto):
-            calls.append(("theta_for", n))
-            return super().theta_for(n, pareto)
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append((name, args[0].n if name == "generate" else args[0]))
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(threshnet.growth, "generate", spy("generate", threshnet.growth.generate))
+    monkeypatch.setattr(threshnet.growth, "sample_node_table", _spy(calls, "sample", threshnet.growth.sample_node_table))
     for name in ("expected_edges", "variance_edges"):
-        monkeypatch.setattr(threshnet.analytics, name, spy(name, getattr(threshnet.analytics, name)))
+        monkeypatch.setattr(threshnet.analytics, name, _spy(calls, name, getattr(threshnet.analytics, name)))
     ns, seeds = [100, 200, 400], [0, 1, 2, 3, 4]
-    sweep = run_growth_sweep(CountingSchedule(D=1.0), ns, pareto3, seeds)
-    first_sample = [name for name, _ in calls].index("generate")
+    sweep = run_growth_sweep(CountingSchedule(1.0, calls), ns, pareto3, seeds)
+    first_sample = [name for name, _ in calls].index("sample")
     for name in ("theta_for", "expected_edges", "variance_edges"):
-        assert [n for kind, n in calls if kind == name] == ns
+        sized = [args for kind, args in calls if kind == name]
+        assert [args if name == "theta_for" else args[0] for args in sized] == ns
         assert all(i < first_sample for i, (kind, _) in enumerate(calls) if kind == name)
-    assert [n for kind, n in calls if kind == "generate"] == ns * len(seeds)
+    # one node table per seed, at the largest n
+    assert [args for kind, args in calls if kind == "sample"] == [(ns[-1], seed) for seed in seeds]
     for seed in seeds:
         for p, size in zip(sweep[seed].points, sweep[0].points):
             assert (p.n, p.em, p.var, p.theta) == (size.n, size.em, size.var, size.theta)
             config = ModelConfig(n=p.n, d=3, pareto=pareto3, rule=EdgeRule.undirected(p.theta), seed=seed)
             assert p.m == generate(config).n_edges
+
+
+@st.composite
+def _sweep_sizes(draw):
+    """A schedule and strictly increasing sizes: theta = 0 links half of all pairs, so it stops at n = 300."""
+    flat = draw(st.booleans())
+    sizes = st.sampled_from([1, 2]) | st.integers(1, 300 if flat else 2000)
+    ns = sorted(draw(st.sets(sizes, min_size=1, max_size=5)))
+    return (FlatSchedule(0.0) if flat else PowerLawSchedule(D=draw(st.floats(0.05, 4.0)))), ns
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule_ns=_sweep_sizes(), seed=st.integers(0, 2 ** 64 - 1))
+def test_sweep_counts_equal_generate(schedule_ns, seed):
+    schedule, ns = schedule_ns
+    pareto = ParetoParams(a=3.0, w0=1.0)
+    points = run_growth_sweep(schedule, ns, pareto, [seed])[seed].points
+    assert [(p.n, type(p.m)) for p in points] == [(n, int) for n in ns]
+    for p in points:
+        config = ModelConfig(n=p.n, d=3, pareto=pareto, rule=EdgeRule.undirected(p.theta), seed=seed)
+        assert p.m == generate(config).n_edges
+    # a prefix's own weight order is the largest table's order with the other ids left out,
+    # also where weights tie (rounded to one decimal, most of them do)
+    weights = sample_node_table(ns[-1], seed, pareto, 3)[0]
+    for table in (weights, np.round(weights, 1)):
+        order = _weight_order(table)
+        for n in ns:
+            np.testing.assert_array_equal(order[order < n], _weight_order(table[:n]))
+
+
+@pytest.mark.parametrize("ns", [[0, 10], [-5], [10, 20, 0]], ids=["zero-first", "negative", "zero-last"])
+def test_sweep_refuses_sizes_below_one_before_solving(monkeypatch, pareto3, ns):
+    calls = []
+    monkeypatch.setattr(threshnet.growth, "sample_node_table", _spy(calls, "sample", threshnet.growth.sample_node_table))
+    with pytest.raises(DomainError, match=f"node count must be >= 1, got {min(ns)}"):
+        run_growth_sweep(CountingSchedule(1.0, calls), ns, pareto3, [0])
+    assert calls == []
+
+
+def test_sweep_of_no_sizes_samples_nothing(monkeypatch, pareto3):
+    calls = []
+    monkeypatch.setattr(threshnet.growth, "sample_node_table", _spy(calls, "sample", threshnet.growth.sample_node_table))
+    assert run_growth_sweep(CountingSchedule(1.0, calls), [], pareto3, [0, 1]) == {0: GrowthSeries(), 1: GrowthSeries()}
+    assert calls == []
+
+
+def test_sweep_guard_fires_at_the_first_size_past_it(monkeypatch, pareto3):
+    ns = [200, 400, 800]
+    ms = [p.m for p in run_growth_sweep(PowerLawSchedule(D=1.0), ns, pareto3, [5])[5].points]
+    assert ms[0] < ms[1] < ms[2]
+    guard = (ms[0] + ms[1]) // 2
+    counted = []
+    monkeypatch.setattr(threshnet.growth, "DEFAULT_MAX_EDGES", guard)  # read at each call
+    monkeypatch.setattr(threshnet.growth, "_edge_count", _spy(counted, "count", threshnet.growth._edge_count))
+    with pytest.raises(ResourceLimitError, match=f"exceeds guard {guard};") as exc:
+        run_growth_sweep(PowerLawSchedule(D=1.0), ns, pareto3, [5])
+    assert [len(ws) for _, (ws, _) in counted] == ns[:2]
+    assert guard < int(str(exc.value).split()[2]) <= ms[1]
 
 
 def test_concentration_leaves_out_sizes_without_variance(pareto3):
