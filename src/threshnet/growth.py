@@ -3,9 +3,10 @@
 A sweep counts the edges of the graph at every n under a threshold
 schedule.  Substreams are keyed by node id, so node i keeps its latent
 vector across all n within a sweep: nodes persist, edges are re-decided.
-So each seed samples its node table and sorts it by weight once, at the
-largest n, and every smaller n decides the pairs of that table's first n
-nodes.  Growth-curve fits use the natural logarithm throughout.
+So each seed draws the weights of the largest n and sorts them once, then
+draws the directions of the ids in that order straight into weight order,
+and every smaller n decides the pairs of the first n nodes.  Growth-curve
+fits use the natural logarithm throughout.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 
 from . import analytics
 from .errors import DomainError, SeriesFormatError
-from .generator import DEFAULT_MAX_EDGES, _by_weight, _edge_count
+from .generator import DEFAULT_MAX_EDGES, _edge_count, _weight_order
 from .generator import generate  # noqa: F401  perfbench's LAYER_CALLS wraps this name until ROADMAP item 3
 from .io import _int64_fields, _read_text
-from .model import EdgeRule, ModelConfig, ParetoParams, sample_node_table
+from .model import EdgeRule, ModelConfig, ParetoParams, sample_directions, sample_weights
 
 CSV_COLUMNS = ("n", "m", "em", "var", "theta")
 _VARIANCE_RATIO_BAND = (0.5, 2.0)
@@ -82,11 +83,13 @@ def run_growth_sweep(
     """One GrowthSeries per seed: the edge count at each n under schedule's theta(n).
 
     Each size's theta, em and var are solved once, before any node is sampled,
-    on S^2 (d = 3), where the em and var analytics hold.  Each seed then samples
-    one node table at the largest n and sorts it by weight once.  The first n
-    nodes are the nodes of the graph at n, and the rows with order < n keep
-    their weight order, ties included, so every size's m equals `generate`'s
-    edge count without a table, a sort or an edge list of its own.
+    on S^2 (d = 3), where the em and var analytics hold.  Each seed then draws
+    the weights of the largest n, sorts them once, and draws the directions of
+    the ids in that order, which are the node table's rows already in weight
+    order: no id-order direction table is held or gathered.  The first n nodes
+    are the nodes of the graph at n, and the rows with order < n keep their
+    weight order, ties included, so every size's m equals `generate`'s edge
+    count without a table, a sort or an edge list of its own.
     """
     if any(n < 1 for n in ns):
         raise DomainError(f"node count must be >= 1, got {min(ns)}")
@@ -102,7 +105,10 @@ def run_growth_sweep(
         points = []
         if sizes:  # the largest size's config refuses a bad seed as `generate` would
             top = ModelConfig(n=ns[-1], d=3, pareto=pareto, rule=EdgeRule.undirected(sizes[-1].theta), seed=seed)
-            order, ws, xs = _by_weight(*sample_node_table(top.n, top.seed, top.pareto, top.d))
+            ws = sample_weights(top.n, top.seed, top.pareto)
+            order = _weight_order(ws)
+            ws = ws[order]  # frees the weights in id order before the directions are drawn
+            xs = sample_directions(top.seed, order, top.d)
         for size in sizes:
             rows = ws, xs
             if size.n < top.n:

@@ -17,9 +17,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
-from .streams import substream_uniforms
+from .streams import substream_draws
 
-_BLOCK = 1 << 15  # node ids per pass of `sample_node_table`
+# Node ids per pass of the samplers.  Each numpy operation on a block allocates
+# a fresh block-sized array (256 KiB per draw); that allocation is the cost of
+# blocking, and at this size it stays in the L2 cache, where n-sized arrays
+# would stream through memory once per operation.  Reusing one buffer per step
+# measured no faster end to end.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -195,38 +200,54 @@ class ModelConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The node table: (weights shape (n,), directions shape (n, d)).
+def _node_array(n: int, *d: int) -> np.ndarray:
+    """np.empty((n, *d)) for the node table, or ResourceLimitError where no such array can exist."""
+    try:
+        return np.empty((n, *d))
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
+        dims = "".join(f" in {k} dimensions" for k in d)
+        raise ResourceLimitError(f"node table of {n} nodes{dims} does not fit ({exc})") from None
 
-    Node i's substream gives its inverse-CDF Pareto weight, then its direction:
-    for d = 3 a uniform z and azimuth, otherwise normalized standard normals.
+
+def sample_weights(n: int, seed: int, pareto: ParetoParams) -> np.ndarray:
+    """The weights of nodes 0..n-1: draw 1 of each node's substream, by inverse CDF."""
+    weights = _node_array(n)
+    for lo in range(0, n, _BLOCK):
+        u = substream_draws(seed, np.arange(lo, min(lo + _BLOCK, n)), [1])
+        weights[lo : lo + len(u)] = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+    return weights
+
+
+def sample_directions(seed: int, ids: np.ndarray, d: int) -> np.ndarray:
+    """The directions of the nodes `ids`, in that order: shape (len(ids), d).
+
+    From draw 2 of each node's substream on: for d = 3 a uniform z and
+    azimuth, otherwise normalized standard normals.  A node's row does not
+    depend on the other ids, so any array of ids gives those rows of
+    `sample_node_table`, bit for bit.
     """
     if d < 2:
         raise DimensionError(f"direction dimension must be >= 2, got {d}")
     if d != 3:
         from scipy.special import ndtri  # not at module level: d = 3 never loads scipy
-    # One block of _BLOCK ids at a time, written straight into the output rows,
-    # so no n-sized temporary exists besides the two outputs.  A block's
-    # per-node temporaries (keys, z, phi, ...) are 256 KiB each and stay in
-    # the L2 cache, where n-sized ones would stream through memory once per
-    # operation of the mix and the direction arithmetic.
-    try:
-        weights = np.empty(n)
-        dirs = np.empty((n, d))
-    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
-        raise ResourceLimitError(f"node table of {n} nodes in {d} dimensions does not fit ({exc})") from None
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        u = substream_uniforms(seed, np.arange(lo, hi), 3 if d == 3 else 1 + d)
-        weights[lo:hi] = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+    dirs = _node_array(len(ids), d)
+    for lo in range(0, len(ids), _BLOCK):
+        u = substream_draws(seed, ids[lo : lo + _BLOCK], range(2, 4 if d == 3 else 2 + d))
+        rows = dirs[lo : lo + len(u)]
         if d == 3:
-            z = 2.0 * u[:, 1] - 1.0
-            phi = 2.0 * np.pi * u[:, 2]
+            z = 2.0 * u[:, 0] - 1.0
+            phi = 2.0 * np.pi * u[:, 1]
             s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-            np.multiply(s, np.cos(phi), out=dirs[lo:hi, 0])
-            np.multiply(s, np.sin(phi), out=dirs[lo:hi, 1])
-            dirs[lo:hi, 2] = z
+            np.multiply(s, np.cos(phi), out=rows[:, 0])
+            np.multiply(s, np.sin(phi), out=rows[:, 1])
+            rows[:, 2] = z
         else:
-            g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))  # ndtri(0) is -inf
-            np.divide(g, np.linalg.norm(g, axis=1, keepdims=True), out=dirs[lo:hi])
-    return weights, dirs
+            # ndtri(0) is -inf; g in C order, because the norm sums a row of an F-ordered array in another order
+            g = ndtri(np.maximum(u, 2.0 ** -64, order="C"))
+            np.divide(g, np.linalg.norm(g, axis=1, keepdims=True), out=rows)
+    return dirs
+
+
+def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node table of nodes 0..n-1: (weights shape (n,), directions shape (n, d))."""
+    return sample_weights(n, seed, pareto), sample_directions(seed, np.arange(n), d)

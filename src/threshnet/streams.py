@@ -12,7 +12,8 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
-_INV_2_64 = 2.0 ** -64
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+_HIGH = 1 if np.little_endian else 0  # which uint32 half of a uint64 holds its high bits
 
 
 def _mix_inplace(x: np.ndarray) -> np.ndarray:
@@ -28,6 +29,22 @@ def _mix_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _unit_floats(x: np.ndarray) -> np.ndarray:
+    """x * 2^-64 for a C-contiguous uint64 array x, clamped below 1.
+
+    hi * 2^32 and lo, x's 32-bit halves, are exact doubles, so their sum is
+    x rounded once, as the cast rounds it, and the power-of-two scale is
+    exact: the bits are those of `x * 2**-64`, at about half its cost.  The
+    1024 values x >= 2^64 - 2^10 round to 1.0; they become the largest
+    double below 1, so every draw is in [0, 1).
+    """
+    halves = x.view(np.uint32)
+    out = halves[..., _HIGH::2] * 2.0 ** 32
+    out += halves[..., 1 - _HIGH::2]
+    out *= 2.0 ** -64
+    return np.minimum(out, _BELOW_ONE, out=out)
+
+
 def substream_key(seed: int, node_id) -> np.ndarray:
     """State of the substream of one node (or of each of an array of node ids)."""
     x = np.array(node_id, dtype=np.uint64)
@@ -38,11 +55,16 @@ def substream_key(seed: int, node_id) -> np.ndarray:
     return _mix_inplace(x)
 
 
-def substream_uniforms(seed: int, node_ids, count: int) -> np.ndarray:
-    """Uniform [0, 1) draws, shape (len(node_ids), count).
+def substream_draws(seed: int, node_ids, draws) -> np.ndarray:
+    """Uniform [0, 1) draws, shape (len(node_ids), len(draws)).
 
-    Column j of row i is draw number j + 1 of node i's substream.
+    Column k of row i is draw number draws[k] (counted from 1) of node
+    node_ids[i]'s substream, whatever the other ids are and where in
+    `node_ids` node i stands.  The result is the transpose of a C-contiguous
+    array, so each column is contiguous: every step runs along the ids, where
+    one row per id would run numpy's inner loops len(draws) elements at a time.
     """
     keys = substream_key(seed, np.asarray(node_ids).reshape(-1))
-    steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
-    return _mix_inplace(keys[:, None] + steps) * _INV_2_64
+    # an array product wraps mod 2^64, where a numpy scalar product warns on overflow
+    steps = np.asarray(draws, dtype=np.uint64) * _GOLDEN
+    return _unit_floats(_mix_inplace(steps[:, None] + keys)).T

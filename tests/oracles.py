@@ -180,9 +180,10 @@ class SubStream:
         self._count = 0
 
     def next_uniform(self) -> float:
-        """Next uniform draw in [0, 1); draw j equals column j-1 of `substream_uniforms`."""
+        """Next uniform draw in [0, 1); draw j is `substream_draws` at draw number j."""
         self._count += 1
-        return float(splitmix64((self._key + self._count * _GOLDEN) & _MASK64)) * 2.0 ** -64
+        # the 1024 states that round to 1.0 give the largest double below 1
+        return min(float(splitmix64((self._key + self._count * _GOLDEN) & _MASK64)) * 2.0 ** -64, 1.0 - 2.0 ** -53)
 
     def uniforms(self, k: int) -> np.ndarray:
         return np.array([self.next_uniform() for _ in range(k)])

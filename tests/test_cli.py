@@ -764,7 +764,8 @@ def test_version_flag(capsys):
 
 def test_growth_sweep_fit_needs_three_sizes_before_sampling(tmp_path, capsys, monkeypatch):
     sampled = []
-    monkeypatch.setattr(threshnet.growth, "sample_node_table", lambda *args, **kwargs: sampled.append(args))
+    for name in ("sample_weights", "sample_directions"):
+        monkeypatch.setattr(threshnet.growth, name, lambda *args, **kwargs: sampled.append(args))
     code, out, err = run(capsys, "growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3",
                          "--ns", "10,20", "--seeds", "2", "--fit", "--out-dir", str(tmp_path / "out"))
     assert (code, out, err) == (1, "", "error: growth fit needs at least 3 distinct n values\n")
@@ -774,7 +775,8 @@ def test_growth_sweep_fit_needs_three_sizes_before_sampling(tmp_path, capsys, mo
 
 def test_growth_sweep_with_a_size_below_one_exits_one_before_sampling(tmp_path, capsys, monkeypatch):
     sampled = []
-    monkeypatch.setattr(threshnet.growth, "sample_node_table", lambda *args, **kwargs: sampled.append(args))
+    for name in ("sample_weights", "sample_directions"):
+        monkeypatch.setattr(threshnet.growth, name, lambda *args, **kwargs: sampled.append(args))
     code, out, err = run(capsys, "growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3",
                          "--ns", "0,10", "--out-dir", str(tmp_path / "out"))
     assert (code, out, err) == (1, "", "error: node count must be >= 1, got 0\n")

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import threshnet.analytics
+import threshnet.generator
 import threshnet.growth
 from threshnet import (
     CalibratedSchedule,
@@ -24,7 +27,8 @@ from threshnet import (
     sample_node_table,
     write_series_csv,
 )
-from threshnet.generator import _weight_order
+from threshnet.generator import _by_weight, _weight_order
+from threshnet.model import _BLOCK
 
 from oracles import linlog_leading_coefficient
 
@@ -249,9 +253,17 @@ def _spy(calls, name, fn):
     return wrapped
 
 
+def _spy_samplers(monkeypatch, calls):
+    """Record in `calls` each draw of the sweep's weights ("sample", (n, seed)) and directions, and any node table."""
+    for module, name, kind in ((threshnet.growth, "sample_weights", "sample"),
+                               (threshnet.growth, "sample_directions", "directions"),
+                               (threshnet.generator, "sample_node_table", "table")):
+        monkeypatch.setattr(module, name, _spy(calls, kind, getattr(module, name)))
+
+
 def test_sweep_solves_each_size_once_before_sampling(monkeypatch, pareto3):
     calls = []
-    monkeypatch.setattr(threshnet.growth, "sample_node_table", _spy(calls, "sample", threshnet.growth.sample_node_table))
+    _spy_samplers(monkeypatch, calls)
     for name in ("expected_edges", "variance_edges"):
         monkeypatch.setattr(threshnet.analytics, name, _spy(calls, name, getattr(threshnet.analytics, name)))
     ns, seeds = [100, 200, 400], [0, 1, 2, 3, 4]
@@ -261,8 +273,11 @@ def test_sweep_solves_each_size_once_before_sampling(monkeypatch, pareto3):
         sized = [args for kind, args in calls if kind == name]
         assert [args if name == "theta_for" else args[0] for args in sized] == ns
         assert all(i < first_sample for i, (kind, _) in enumerate(calls) if kind == name)
-    # one node table per seed, at the largest n
+    # one draw of the weights per seed, at the largest n, then one of their directions in weight order;
+    # the sweep samples no node table in id order
     assert [args for kind, args in calls if kind == "sample"] == [(ns[-1], seed) for seed in seeds]
+    assert [(args[0], len(args[1])) for kind, args in calls if kind == "directions"] == [(seed, ns[-1]) for seed in seeds]
+    assert "table" not in [kind for kind, _ in calls] and not hasattr(threshnet.growth, "sample_node_table")
     for seed in seeds:
         for p, size in zip(sweep[seed].points, sweep[0].points):
             assert (p.n, p.em, p.var, p.theta) == (size.n, size.em, size.var, size.theta)
@@ -301,7 +316,7 @@ def test_sweep_counts_equal_generate(schedule_ns, seed):
 @pytest.mark.parametrize("ns", [[0, 10], [-5], [10, 20, 0]], ids=["zero-first", "negative", "zero-last"])
 def test_sweep_refuses_sizes_below_one_before_solving(monkeypatch, pareto3, ns):
     calls = []
-    monkeypatch.setattr(threshnet.growth, "sample_node_table", _spy(calls, "sample", threshnet.growth.sample_node_table))
+    _spy_samplers(monkeypatch, calls)
     with pytest.raises(DomainError, match=f"node count must be >= 1, got {min(ns)}"):
         run_growth_sweep(CountingSchedule(1.0, calls), ns, pareto3, [0])
     assert calls == []
@@ -309,9 +324,36 @@ def test_sweep_refuses_sizes_below_one_before_solving(monkeypatch, pareto3, ns):
 
 def test_sweep_of_no_sizes_samples_nothing(monkeypatch, pareto3):
     calls = []
-    monkeypatch.setattr(threshnet.growth, "sample_node_table", _spy(calls, "sample", threshnet.growth.sample_node_table))
+    _spy_samplers(monkeypatch, calls)
     assert run_growth_sweep(CountingSchedule(1.0, calls), [], pareto3, [0, 1]) == {0: GrowthSeries(), 1: GrowthSeries()}
     assert calls == []
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_sweep_draws_the_weight_ordered_table(seed):
+    # ids in weight order span every _BLOCK of the direction draws
+    pareto, n_max = ParetoParams(a=3.0, w0=1.0), 2 * _BLOCK + 1
+    counted = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threshnet.growth, "_edge_count", _spy(counted, "count", threshnet.growth._edge_count))
+        run_growth_sweep(PowerLawSchedule(D=1.0), [n_max], pareto, [seed])
+    (_, (ws, xs)), = counted
+    _, want_ws, want_xs = _by_weight(*sample_node_table(n_max, seed, pareto, 3))
+    assert np.array_equal(ws.view(np.int64), want_ws.view(np.int64))
+    assert np.array_equal(xs.view(np.int64), want_xs.view(np.int64))
+
+
+def test_sweep_holds_no_node_table_in_id_order():
+    # order, ws and xs are 40 B per node; the id-order directions would add 24 more
+    n = 2 ** 20
+    tracemalloc.start()
+    try:
+        run_growth_sweep(PowerLawSchedule(D=1.0), [n], ParetoParams(a=3.0, w0=1.0), [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 48
 
 
 def test_sweep_guard_fires_at_the_first_size_past_it(monkeypatch, pareto3):

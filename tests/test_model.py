@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from threshnet import (
     generate,
     sample_node_table,
 )
-from threshnet.model import _BLOCK
-from threshnet.streams import substream_uniforms
+import threshnet.streams
+from threshnet.model import _BLOCK, sample_directions, sample_weights
+from threshnet.streams import substream_draws
 
 from oracles import Node, SubStream, directed_rule, edge_exists, linkfn_rule, sample_direction, sample_weight
 
@@ -160,7 +162,7 @@ def _unblocked_table(n, seed, pareto, d):
     """The d != 3 node table from one (n, 1 + d) array of uniforms, as it was drawn before blocking."""
     from scipy.special import ndtri
 
-    u = substream_uniforms(seed, np.arange(n), 1 + d)
+    u = np.ascontiguousarray(substream_draws(seed, np.arange(n), range(1, d + 2)))  # C order: a row per node, as then
     weights = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
     g = ndtri(np.maximum(u[:, 1:], 2.0 ** -64))
     return weights, g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -173,6 +175,44 @@ def test_blocked_table_matches_unblocked_form(d):
     want_w, want_x = _unblocked_table(n, 99, pareto, d)
     assert np.array_equal(weights.view(np.int64), want_w.view(np.int64))
     assert np.array_equal(dirs.view(np.int64), want_x.view(np.int64))
+
+
+_BY_ID_N = 2 * _BLOCK + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 64 - 1),
+    d=st.sampled_from([2, 3, 5]),
+    length=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BY_ID_N]),
+    kind=st.sampled_from(["shuffled", "repeated", "reversed"]),
+    ids_seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_samplers_by_id_give_the_table_rows(seed, d, length, kind, ids_seed):
+    pareto = ParetoParams(2.5, 1.7)
+    weights, dirs = sample_node_table(_BY_ID_N, seed, pareto, d)
+    rng = np.random.default_rng(ids_seed)
+    ids = {
+        "shuffled": lambda: rng.permutation(_BY_ID_N)[:length],
+        "repeated": lambda: rng.integers(0, _BY_ID_N, 5)[rng.integers(0, 5, length)],  # five ids, over and over
+        "reversed": lambda: np.arange(_BY_ID_N)[::-1][:length],
+    }[kind]()
+    got = sample_directions(seed, ids, d)
+    assert got.shape == (length, d)
+    assert np.array_equal(got.view(np.int64), dirs[ids].view(np.int64))
+    assert np.array_equal(sample_weights(length, seed, pareto).view(np.int64), weights[:length].view(np.int64))
+
+
+def test_top_draws_give_finite_weights_and_directions(monkeypatch, pareto3):
+    # every substream state at 2^64 - 1, whose draw once rounded to 1.0: an infinite
+    # weight (with a divide-by-zero warning) and, for d != 3, NaN coordinates
+    monkeypatch.setattr(threshnet.streams, "_mix_inplace", lambda x: np.copyto(x, np.uint64(2 ** 64 - 1)) or x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (2, 3, 5):
+            weights, dirs = sample_node_table(4, 0, pareto3, d)
+            assert np.all(weights == pareto3.w0 * (2.0 ** -53) ** (-1.0 / pareto3.a))
+            assert np.all(np.isfinite(dirs)) and np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
 
 def test_node_independent_of_population(pareto3):

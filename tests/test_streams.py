@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from threshnet.model import _BLOCK
-from threshnet.streams import _mix_inplace, substream_key, substream_uniforms
+from threshnet.streams import _mix_inplace, _unit_floats, substream_draws, substream_key
 
+import oracles
 from oracles import SubStream, mix64, splitmix64
 
 
@@ -25,15 +26,15 @@ def test_mix64_avalanche():
 
 
 def test_substream_scalar_matches_vectorized():
-    table = substream_uniforms(7, np.arange(10), 4)
+    table = substream_draws(7, np.arange(10), range(1, 5))
     for i in range(10):
         s = SubStream(7, i)
         assert np.array_equal(s.uniforms(4), table[i])
 
 
 def test_substream_independent_of_population_size():
-    small = substream_uniforms(3, np.arange(5), 2)
-    large = substream_uniforms(3, np.arange(50), 2)
+    small = substream_draws(3, np.arange(5), range(1, 3))
+    large = substream_draws(3, np.arange(50), range(1, 3))
     assert np.array_equal(small, large[:5])
 
 
@@ -43,7 +44,7 @@ def test_substream_keys_distinct():
 
 
 def test_uniforms_in_unit_interval():
-    u = substream_uniforms(9, np.arange(1000), 8)
+    u = substream_draws(9, np.arange(1000), range(1, 9))
     assert np.all(u >= 0.0)
     assert np.all(u < 1.0)
     # coarse uniformity: mean of ~8000 uniforms within 5 sigma of 1/2
@@ -51,8 +52,8 @@ def test_uniforms_in_unit_interval():
 
 
 def test_seed_changes_stream():
-    a = substream_uniforms(1, np.arange(10), 3)
-    b = substream_uniforms(2, np.arange(10), 3)
+    a = substream_draws(1, np.arange(10), range(1, 4))
+    b = substream_draws(2, np.arange(10), range(1, 4))
     assert not np.array_equal(a, b)
 
 
@@ -68,7 +69,7 @@ def test_substream_uniforms_match_scalar_oracle(seed, count, length, ids_seed):
     rows = _BLOCK // count
     size = {"one": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1, "two-blocks+1": 2 * rows + 1}[length]
     ids = np.random.default_rng(ids_seed).integers(0, 2 ** 63, size)  # not contiguous, nor sorted
-    table = substream_uniforms(seed, ids, count)
+    table = substream_draws(seed, ids, range(1, count + 1))
     assert table.shape == (size, count) and table.dtype == np.float64
     oracle = [SubStream(seed, int(i)).uniforms(count) for i in ids]
     assert np.array_equal(table, np.array(oracle))
@@ -103,3 +104,36 @@ def test_mix_inplace_mixes_a_transposed_view():
     want = mix64(np.ascontiguousarray(x))
     assert _mix_inplace(x) is x
     assert np.array_equal(x, want)
+
+
+_TOP = 2 ** 64 - 2 ** 10  # the least uint64 that 2^-64 times rounds to 1.0
+_CRAFTED = [0, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 + 2 ** 10, _TOP - 1, _TOP, 2 ** 64 - 1]
+
+
+def test_unit_floats_are_the_cast_clamped_below_one():
+    x = np.array(_CRAFTED, dtype=np.uint64)
+    cast = x * 2.0 ** -64
+    # numpy's cast rounds as Python's int -> float does, to 1.0 from _TOP on
+    assert cast.tolist() == [float(v) * 2.0 ** -64 for v in _CRAFTED]
+    assert [v >= _TOP for v in _CRAFTED] == [c == 1.0 for c in cast]
+    got = _unit_floats(x[:, None])[:, 0]
+    assert got.tolist() == [min(c, 1.0 - 2.0 ** -53) for c in cast.tolist()]
+    below = np.array([v < _TOP for v in _CRAFTED])
+    assert np.array_equal(got[below].view(np.int64), cast[below].view(np.int64))
+    assert got.max() < 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1) | st.sampled_from(_CRAFTED), min_size=1, max_size=60), st.sampled_from([1, 2, 3, 5]))
+def test_unit_floats_of_any_block_are_the_cast_below_one(values, columns):
+    x = np.resize(np.array(values, dtype=np.uint64), len(values) * columns).reshape(-1, columns)
+    got = _unit_floats(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), np.minimum(x * 2.0 ** -64, 1.0 - 2.0 ** -53).view(np.int64))
+
+
+def test_scalar_oracle_clamps_the_top_draws_below_one(monkeypatch):
+    # a substream state whose draw rounds to 1.0 takes about 2^54 tries to find, so one is made by hand
+    for state in (_TOP - 1, _TOP, 2 ** 64 - 1):
+        monkeypatch.setattr(oracles, "splitmix64", lambda x, state=state: state)
+        assert SubStream(0, 0).next_uniform() == min(float(state) * 2.0 ** -64, 1.0 - 2.0 ** -53)
