@@ -204,19 +204,36 @@ def _fit_payload(fit: statfit.FitResult, gof: statfit.GofResult | None) -> dict:
     return payload
 
 
-def _analyze_one(degrees: np.ndarray, label: str, args, out: Path) -> dict:
+def _analyze_one(degrees: np.ndarray, args) -> tuple:
+    """The fit of `degrees`, its bootstrap (None without --bootstrap) and its CCDF."""
     fit = statfit.fit_powerlaw_discrete(degrees, x_min=args.x_min)
     gof = None
     if args.bootstrap:
         gof = statfit.gof_pvalue(degrees, fit, n_bootstrap=args.bootstrap, seed=args.seed)
-    payload = _fit_payload(fit, gof)
-    values, fractions = statfit.ccdf(degrees)
-    suffix = f"_{label}" if label else ""
-    tio.write_json(out / f"fit{suffix}.json", payload)
-    tio.write_ccdf_csv(out / f"ccdf{suffix}.csv", values, fractions)
-    pstr = f" p={gof.p_value:.4f}" if gof else ""
-    print(f"{label or 'degrees'}: alpha={fit.alpha_hat:.4f} x_min={fit.x_min} ks={fit.ks_stat:.5f}{pstr}")
-    return payload
+    return fit, gof, statfit.ccdf(degrees)
+
+
+def _edge_degrees(args) -> dict:
+    """The degrees of the --edges file's nodes by label: "" undirected, "out" and "in" directed."""
+    if args.n is not None and args.n < 1:
+        raise DomainError(f"--n must be at least 1, got {args.n}")
+    if args.n is not None and args.n > MAX_ANALYZE_NODES:
+        raise ResourceLimitError(f"--n {args.n} exceeds the analyze limit of {MAX_ANALYZE_NODES}")
+    edges = tio.read_edges_tsv(args.edges)
+    negative = edges[edges < 0]
+    if negative.size:  # before n is inferred from the largest id
+        raise SeriesFormatError(f"{args.edges}: node id {negative[0]} is negative")
+    n = args.n if args.n is not None else int(edges.max()) + 1
+    if n > MAX_ANALYZE_NODES:  # only an inferred count can exceed it here
+        raise ResourceLimitError(f"{args.edges}: node count {n} (largest id + 1) exceeds the analyze limit of {MAX_ANALYZE_NODES}")
+    bad = edges[edges >= n]
+    if bad.size:
+        raise SeriesFormatError(f"{args.edges}: node id {bad[0]} outside [0, {n})")
+    try:
+        degrees = degree_sequence(edges, n, args.directed)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
+        raise ResourceLimitError(f"{args.edges}: degree counts of {n} nodes do not fit ({exc})") from None
+    return dict(zip(("out", "in"), degrees)) if args.directed else {"": degrees}
 
 
 def cmd_analyze(args) -> int:
@@ -224,32 +241,16 @@ def cmd_analyze(args) -> int:
         raise DomainError(f"--seed must be in [0, 2^64), got {args.seed}")
     if args.bootstrap and args.bootstrap < 100:
         raise DomainError(f"--bootstrap must be 0 or at least 100, got {args.bootstrap}")
-    out = Path(args.out_dir)
+    series = {"": tio.read_degree_file(args.degrees)} if args.degrees else _edge_degrees(args)
+    analyses = {label: _analyze_one(degrees, args) for label, degrees in series.items()}
+    out = Path(args.out_dir)  # made only once every fit has succeeded
     out.mkdir(parents=True, exist_ok=True)
-    if args.degrees:
-        degrees = tio.read_degree_file(args.degrees)
-        _analyze_one(degrees, "", args, out)
-        return 0
-    if args.n is not None and args.n < 1:
-        raise DomainError(f"--n must be at least 1, got {args.n}")
-    if args.n is not None and args.n > MAX_ANALYZE_NODES:
-        raise ResourceLimitError(f"--n {args.n} exceeds the analyze limit of {MAX_ANALYZE_NODES}")
-    edges = tio.read_edges_tsv(args.edges)
-    n = args.n if args.n is not None else int(edges.max()) + 1
-    if n > MAX_ANALYZE_NODES:  # only an inferred count can exceed it here
-        raise ResourceLimitError(f"{args.edges}: node count {n} (largest id + 1) exceeds the analyze limit of {MAX_ANALYZE_NODES}")
-    bad = edges[(edges < 0) | (edges >= n)]
-    if bad.size:
-        raise SeriesFormatError(f"{args.edges}: node id {bad[0]} outside [0, {n})")
-    try:
-        degrees = degree_sequence(edges, n, args.directed)
-    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
-        raise ResourceLimitError(f"{args.edges}: degree counts of {n} nodes do not fit ({exc})") from None
-    if args.directed:
-        _analyze_one(degrees[0], "out", args, out)
-        _analyze_one(degrees[1], "in", args, out)
-    else:
-        _analyze_one(degrees, "", args, out)
+    for label, (fit, gof, (values, fractions)) in analyses.items():
+        suffix = f"_{label}" if label else ""
+        tio.write_json(out / f"fit{suffix}.json", _fit_payload(fit, gof))
+        tio.write_ccdf_csv(out / f"ccdf{suffix}.csv", values, fractions)
+        pstr = f" p={gof.p_value:.4f}" if gof else ""
+        print(f"{label or 'degrees'}: alpha={fit.alpha_hat:.4f} x_min={fit.x_min} ks={fit.ks_stat:.5f}{pstr}")
     return 0
 
 

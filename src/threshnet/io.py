@@ -5,13 +5,17 @@ significant digits so a round trip is bit-exact for 64-bit values.  Edge
 list TSV: two node ids per line; undirected pairs are written once with the
 smaller id first, directed arcs as (source, target).
 
-The node writer builds its lines (the id, then each float as `'%.17g'`)
-in numpy, `_CHUNK_ROWS` rows at a time, few enough that a chunk's arrays
-stay in cache.  `'%.17g'` writes |x| in [1e-4, 1e17) in fixed notation: with
-k = floor(log10 |x|), its digits are those of the 17-digit integer
-D = round-half-even(|x| 10^(16-k)); the '.' follows digit k + 1 (or "0." and
--k - 1 zeros precede D when k < 0), and trailing zeros after the '.' are
-dropped.  These are computed exactly in doubles:
+Both tables are written by one row writer, `_CHUNK_ROWS` rows at a time, few
+enough that a chunk's arrays stay in cache.  Each field is padded with NUL
+bytes to a fixed width in a byte matrix of the chunk's lines, and deleting
+the NULs leaves the text.  An integer field is `'%d'`: its digits come from a
+10000-entry table of 4-digit ASCII words, and its leading zeros are turned to
+NUL.  A chunk that holds a negative integer is formatted by Python's `'%d'`.
+A float field is `'%.17g'`, which writes |x| in [1e-4, 1e17) in fixed
+notation: with k = floor(log10 |x|), its digits are those of the 17-digit
+integer D = round-half-even(|x| 10^(16-k)); the '.' follows digit k + 1 (or
+"0." and -k - 1 zeros precede D when k < 0), and trailing zeros after the '.'
+are dropped.  These are computed exactly in doubles:
 - 10^q is an exact double for q <= 22, and Dekker's two-product (numpy never
   fuses a multiply-add) gives |x| 10^q = p + err exactly;
 - k, first taken from `log10`, is corrected by testing p + err against 10^16
@@ -19,18 +23,13 @@ dropped.  These are computed exactly in doubles:
 - p >= 10^16 is an even integer, so D = p + rint(err) rounds ties to even;
 - no double below a power of ten rounds up to it at 17 digits, so D never
   carries to 10^17.
-A 10000-entry table of 4-digit ASCII words gives the digits, and a second one
-their trailing zeros.  Every other value (zeros, subnormals, |x| < 1e-4 or
->= 1e17, inf, nan) is formatted by Python's `'%.17g'`, in one `%` per column
-and chunk.  Each field is padded with NUL bytes to a fixed width in a
-byte matrix of the chunk's lines, and deleting the NULs leaves the text.
+The same word table gives D's digits, and a second one their trailing zeros.
+Every other float (zeros, subnormals, |x| < 1e-4 or >= 1e17, inf, nan) is
+formatted by Python's `'%.17g'`, in one `%` per column and chunk.
 
-The edge writer formats `_CHUNK_ROWS` rows at a time with a single
-`%`-format over Python values, so its bytes equal a row-by-row write while
-the transient strings stay bounded.  An edge file in exactly the form
-`write_edges_tsv` emits is parsed in one pass; every other input is parsed
-line by line, which reports a malformed line as `path:line`.  Bytes that are
-not UTF-8 are reported as `path`.
+An edge file in exactly the form `write_edges_tsv` emits is parsed in one
+pass; every other input is parsed line by line, which reports a malformed
+line as `path:line`.  Bytes that are not UTF-8 are reported as `path`.
 """
 
 from __future__ import annotations
@@ -210,39 +209,40 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
     return field
 
 
-def _node_lines(start: int, columns: list, id_width: int) -> bytes:
-    """The bytes of `'%d' + '\\t%.17g' * len(columns) + '\\n'` for rows start, start + 1, ..."""
-    n = len(columns[0])
-    text = np.empty((n, id_width + len(columns) * (1 + _FIELD) + 1), np.uint8)
-    ids = np.arange(start, start + n, dtype=np.int64)
-    groups = -(-id_width // 4)
-    digits = np.stack([_DIGITS4[g] for g in _groups(ids, groups)], axis=1).astype("<u4")
-    text[:, :id_width] = digits.view(np.uint8)[:, 4 * groups - id_width :]
-    for j in range(1, id_width):  # ids ascend, so those below 10^j are the first rows
-        text[: np.searchsorted(ids, 10**j), id_width - 1 - j] = 0
-    col = id_width
-    for x in columns:
-        text[:, col] = ord("\t")
-        text[:, col + 1 : col + 1 + _FIELD] = _float_fields(x)
-        col += 1 + _FIELD
-    text[:, col] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+def _int_fields(values: np.ndarray) -> np.ndarray:
+    """'%d' of each int64 value, as a NUL-padded byte matrix."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.min() < 0:
+        # each value left-aligned in 20 characters (as many as int64's minimum), its padding turned to NUL
+        text = ("%-20d" * len(values) % tuple(values.tolist())).encode().translate(_SPACE_TO_NUL)
+        return np.frombuffer(text, np.uint8).reshape(len(values), 20)
+    width = len(str(values.max()))
+    groups = -(-width // 4)
+    digits = np.stack([_DIGITS4[g] for g in _groups(values, groups)], axis=1).astype("<u4")
+    field = digits.view(np.uint8)[:, 4 * groups - width :]
+    for j in range(1, width):  # the leading zeros of the values below 10^j
+        field[values < 10**j, width - 1 - j] = 0
+    return field
+
+
+def _write_rows(path, columns: list) -> None:
+    """Lines of the columns' fields, tab-separated: '%d' for an integer column, '%.17g' for a float one."""
+    with open(path, "wb") as fh:
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [x[start : start + _CHUNK_ROWS] for x in columns]
+            fields = [(_int_fields if x.dtype.kind in "iu" else _float_fields)(x) for x in chunk]
+            tab = np.full((len(chunk[0]), 1), ord("\t"), np.uint8)
+            text = np.concatenate([part for f in fields for part in (f, tab)], axis=1)
+            text[:, -1] = ord("\n")  # the last tab
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
-    n = len(weights)
-    id_width = len(str(max(n - 1, 0)))
-    with open(path, "wb") as fh:
-        for start in range(0, n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n)
-            fh.write(_node_lines(start, [weights[start:stop], *directions[start:stop].T], id_width))
+    _write_rows(path, [np.arange(len(weights)), weights, *directions.T])
 
 
 def write_edges_tsv(path, edges: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for start in range(0, len(edges), _CHUNK_ROWS):
-            chunk = edges[start : start + _CHUNK_ROWS]
-            fh.write("%d\t%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+    _write_rows(path, [edges[:, 0], edges[:, 1]])
 
 
 def _is_canonical(text: str) -> bool:

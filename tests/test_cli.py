@@ -296,6 +296,15 @@ def test_generate_output_bytes_are_pinned(tmp_path, capsys, d):
     assert digests == PINNED_OUTPUTS[d]
 
 
+def test_generate_directed_edge_file_is_pinned(tmp_path, capsys):
+    # 202,746 arcs whose ids take 1 to 5 digits in both columns
+    code, _, _ = run(capsys, "generate", "--n", "20000", "--a", "3", "--theta", "60", "--variant", "directed",
+                     "--alpha", "0.5", "--beta", "2", "--seed", "2", "--out-dir", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "edges.tsv").read_bytes()).hexdigest()
+    assert digest == "3df0e871573e0ef467bc6af80fc1dd911f0d5fa85f361150e54ee8e8e8cedb4b"
+
+
 def test_generate_past_max_edges_exits_one(tmp_path, capsys):
     # theta = 0 links half of the 124750 pairs; the guard stops the run before any file is written
     code, _, err = run(capsys, "generate", "--n", "500", "--a", "3", "--theta", "0", "--max-edges", "100",
@@ -562,6 +571,38 @@ def test_analyze_degree_counts_that_do_not_fit_exit_one(tmp_path, capsys, monkey
     code, _, err = run(capsys, "analyze", "--edges", str(edges), "--out-dir", str(tmp_path))
     assert code == 1
     assert err == f"error: {edges}: degree counts of 3 nodes do not fit (Unable to allocate 24 B)\n"
+
+
+# 59 sources with out-degrees from 1 to 25, each arc into a node of its own: the
+# out-degree fit succeeds and the in-degrees, all 1, cannot be fitted
+_OUT_DEGREES = [1] * 30 + [2] * 12 + [3] * 6 + [4] * 4 + [6] * 3 + [9] * 2 + [15, 25]
+_ONE_ARC_PER_TARGET = "".join(
+    f"{s}\t{len(_OUT_DEGREES) + k}\n" for k, s in enumerate(s for s, d in enumerate(_OUT_DEGREES) for _ in range(d))
+)
+
+
+@pytest.mark.parametrize(
+    "text, flags, want, fits",
+    [
+        ("0\t1\n2\n", [], "{edges}:2: expected two node ids", 0),
+        ("0\t1\n2\t7\n", ["--n", "5"], "{edges}: node id 7 outside [0, 5)", 0),
+        ("-5\t-3\n-4\t-2\n", [], "{edges}: node id -5 is negative", 0),
+        ("".join(f"{2 * i}\t{2 * i + 1}\n" for i in range(50)), [], "all samples equal; no power-law fit possible", 1),
+        (_ONE_ARC_PER_TARGET, ["--directed"], "all samples equal; no power-law fit possible", 2),
+    ],
+    ids=["malformed", "id-beyond-n", "negative-ids", "degenerate-fit", "directed-in-fit-fails"],
+)
+def test_analyze_failure_creates_no_out_dir(tmp_path, capsys, monkeypatch, text, flags, want, fits):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(text, encoding="utf-8")
+    calls = []
+    fit = threshnet.statfit.fit_powerlaw_discrete
+    monkeypatch.setattr(threshnet.statfit, "fit_powerlaw_discrete", lambda *a, **k: calls.append(a) or fit(*a, **k))
+    code, out, err = run(capsys, "analyze", "--edges", str(edges), *flags, "--bootstrap", "100",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", f"error: {want.format(edges=edges)}\n")
+    assert len(calls) == fits
+    assert list(tmp_path.iterdir()) == [edges]
 
 
 _SCIPY_FREE_RUN = """

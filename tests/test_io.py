@@ -95,7 +95,10 @@ def node_tables(draw, finite=False):
     return weights, directions
 
 
-int64s = st.one_of(st.sampled_from([0, 1, -1, INT64.min, INT64.max]), st.integers(INT64.min, INT64.max))
+# the ids where '%d' gains a digit or a sign: 0, 9, 10, 10^k +- 1 and int64's ends
+DIGIT_STEPS = sorted({0, 1, 9, 10, -1, INT64.min, INT64.max} | {10 ** k + s for k in range(1, 19) for s in (-1, 1)})
+# non-negative ids as well, so that whole chunks are written from the digit words
+int64s = st.one_of(st.sampled_from(DIGIT_STEPS), st.integers(0, INT64.max), st.integers(INT64.min, INT64.max))
 edge_lists = st.integers(min_value=0, max_value=40).flatmap(
     lambda m: arrays(np.int64, (m, 2), elements=int64s)
 )
@@ -172,8 +175,15 @@ def test_no_double_below_a_power_of_ten_rounds_up_to_it(m):
     assert Fraction("%.17g" % below) < power
 
 
+_LADDER = np.array([x for x in DIGIT_STEPS if x >= 0], dtype=np.int64)
+
+
 @settings_tmp
 @given(edges=edge_lists, chunk=st.integers(min_value=1, max_value=7))
+# every width, rising and falling from one chunk to the next
+@example(edges=np.stack([_LADDER, _LADDER[::-1]], axis=1), chunk=3)
+# a chunk of mixed signs between chunks of non-negative ids
+@example(edges=np.array([[0, 9], [10, 99], [-1, 100], [INT64.min, 5], [INT64.max, 7], [10 ** 18, 1]]), chunk=2)
 def test_write_edges_matches_oracle(tmp_path, edges, chunk):
     with mock.patch.object(tio, "_CHUNK_ROWS", chunk):
         tio.write_edges_tsv(tmp_path / "got.tsv", edges)
