@@ -9,14 +9,14 @@ P(dot >= t) = (1 - t) / 2 when t is in [0, 1].
 from __future__ import annotations
 
 import math
+import struct
 import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-# scipy.optimize and scipy.integrate are imported inside the functions that
-# use them: `threshnet generate --theta` needs neither, and loading them
-# takes longer than the rest of its start-up.
+# scipy.integrate is imported inside the link-function integral, its one use:
+# no other command needs it, and loading it takes longer than their start-up.
 
 from .errors import (
     DomainError,
@@ -208,26 +208,25 @@ def _calibrate(n: int, pairs: float, pareto: ParetoParams, target: float, alpha:
 
 
 def _solve_theta(pareto: ParetoParams, p: float, alpha: float, beta: float) -> float:
-    """The threshold at which p_edge falls to p, which lies in (0, 1/2).
+    """The largest threshold at which p_edge is still at least p, for p in (0, 1/2).
 
-    p_edge is 1/2 at theta = 0, decreasing, and linear in theta up to
-    w0^(alpha+beta) (r = 1).  The bracket's top starts there, taken from logs
-    and clamped to the normal doubles, and doubles until p_edge is at most p,
-    so the root is on the linear part or within a factor of 2 of the top.
-    A p_edge still above p at the largest finite double gives
-    FeasibilityError.
+    p_edge is 1/2 at theta = 0, 0 at theta = inf and never rises in between,
+    and non-negative doubles are ordered as their int64 bits.  So bisecting
+    those bits keeps p_edge(lo) >= p > p_edge(hi) until hi is the double
+    after lo, in 63 steps.  A p_edge still above p at the largest finite
+    double gives FeasibilityError.
     """
-    from scipy import optimize
-
-    log_top = (alpha + beta) * math.log(pareto.w0)
-    hi = math.exp(min(max(log_top, math.log(sys.float_info.min)), math.log(sys.float_info.max)))
-    while p_edge(pareto, hi, alpha, beta) > p:
-        if math.isinf(2.0 * hi):
-            raise FeasibilityError(f"edge probability stays above {p} at every finite threshold")
-        hi *= 2.0
-    return optimize.brentq(
-        lambda t: p_edge(pareto, t, alpha, beta) - p, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200
-    )
+    if p_edge(pareto, sys.float_info.max, alpha, beta) > p:
+        raise FeasibilityError(f"edge probability stays above {p} at every finite threshold")
+    double = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if p_edge(pareto, double(mid), alpha, beta) >= p:
+            lo = mid
+        else:
+            hi = mid
+    return double(lo)
 
 
 def _check_coefficient(D: float) -> None:

@@ -200,10 +200,10 @@ class ModelConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-def _node_array(n: int, *d: int) -> np.ndarray:
-    """np.empty((n, *d)) for the node table, or ResourceLimitError where no such array can exist."""
+def _node_array(n: int, *d: int, ids: bool = False) -> np.ndarray:
+    """np.empty((n, *d)) for the node table, or its ids np.arange(n); ResourceLimitError where no such array can exist."""
     try:
-        return np.empty((n, *d))
+        return np.arange(n) if ids else np.empty((n, *d))
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array may hold
         dims = "".join(f" in {k} dimensions" for k in d)
         raise ResourceLimitError(f"node table of {n} nodes{dims} does not fit ({exc})") from None
@@ -228,9 +228,9 @@ def sample_directions(seed: int, ids: np.ndarray, d: int) -> np.ndarray:
     """
     if d < 2:
         raise DimensionError(f"direction dimension must be >= 2, got {d}")
+    dirs = _node_array(len(ids), d)
     if d != 3:
         from scipy.special import ndtri  # not at module level: d = 3 never loads scipy
-    dirs = _node_array(len(ids), d)
     for lo in range(0, len(ids), _BLOCK):
         u = substream_draws(seed, ids[lo : lo + _BLOCK], range(2, 4 if d == 3 else 2 + d))
         rows = dirs[lo : lo + len(u)]
@@ -249,5 +249,13 @@ def sample_directions(seed: int, ids: np.ndarray, d: int) -> np.ndarray:
 
 
 def sample_node_table(n: int, seed: int, pareto: ParetoParams, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The node table of nodes 0..n-1: (weights shape (n,), directions shape (n, d))."""
-    return sample_weights(n, seed, pareto), sample_directions(seed, np.arange(n), d)
+    """The node table of nodes 0..n-1: (weights shape (n,), directions shape (n, d)).
+
+    The directions, the larger array, are allocated first, so a table that
+    cannot exist is refused before any draw.  `ids` is kept until the weights
+    are allocated: freed before, it raises glibc's mmap threshold, and the
+    weights then go on the heap, which a caller that keeps them cannot shrink.
+    """
+    ids = _node_array(n, ids=True)
+    dirs = sample_directions(seed, ids, d)
+    return sample_weights(n, seed, pareto), dirs

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 # No scipy: the fit takes its Hurwitz zeta from `_hurwitz_zeta`, a port of
-# scipy.special's, and minimizes with `_fminbound`, a port of scipy.optimize's
-# bounded Brent method.  Loading either module takes longer than a small
-# `generate`, and `analyze` loads neither.
+# scipy.special's, and minimizes with `_fminbound`, a port of scipy's bounded
+# Brent method.  Loading scipy for either takes longer than a small
+# `generate`, and `analyze` loads no scipy module.
 
 from .errors import DomainError, FitDegenerateError
 
@@ -167,10 +167,10 @@ def _fminbound(func, a: np.ndarray, b: np.ndarray, xatol: float) -> np.ndarray:
     (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy
     Developers): every lane takes that function's float steps, so lane i
     returns the same bits as `minimize_scalar(f_i, bounds=(a[i], b[i]),
-    method="bounded", options={"xatol": xatol}).x` without loading
-    scipy.optimize.  `func(x, lanes)` returns f_lanes[k](x[k]) for each k.  A
-    lane leaves the active set on its own tolerance; all lanes stop at scipy's
-    500 evaluations.  A sign from `>= 0` equals scipy's `np.sign(r) + (r == 0)`
+    method="bounded", options={"xatol": xatol}).x` without loading scipy.
+    `func(x, lanes)` returns f_lanes[k](x[k]) for each k.  A lane leaves the
+    active set on its own tolerance; all lanes stop at scipy's 500
+    evaluations.  A sign from `>= 0` equals scipy's `np.sign(r) + (r == 0)`
     for every r that is not NaN.
     """
     sqrt_eps = math.sqrt(2.2e-16)

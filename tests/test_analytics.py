@@ -31,6 +31,7 @@ from threshnet import (
     theta_powerlaw_schedule,
     variance_edges,
 )
+from threshnet import analytics
 
 from oracles import (
     degree_pmf_reference,
@@ -373,8 +374,9 @@ def test_directed_calibration_hits_target_arcs(pareto3):
 
 
 def test_directed_calibration_rejects_missed_root(pareto3, monkeypatch):
-    # a root finder that stops at its upper bracket must not pass silently
-    monkeypatch.setattr("scipy.optimize.brentq", lambda f, lo, hi, **kw: hi)
+    # a solver that returns a wrong threshold must not pass silently
+    solve = analytics._solve_theta
+    monkeypatch.setattr(analytics, "_solve_theta", lambda *args: 2.0 * solve(*args))
     with pytest.raises(NumericError):
         calibrate_theta_directed(10 ** 4, pareto3, 1e5, 1.0, 2.0)
 
@@ -387,8 +389,8 @@ def test_directed_calibration_reaches_target_past_float_powers():
 
 
 def test_calibration_root_far_below_one_round_trips():
-    # roots near 4e-59 and 1e-20: brentq on [0, 1] takes more than its 200
-    # iterations to close on the first, so the bracket starts at w0^(alpha+beta)
+    # roots near 4e-59 and 1e-20: the bisection of the doubles' bits takes
+    # its 63 steps whatever the scale of the root
     pareto = ParetoParams(3.0, 1e-30)
     theta = calibrate_theta(1000, pareto, 10.0)
     assert abs(expected_edges(1000, pareto, theta) - 10.0) <= 1e-10 * 10.0
@@ -518,6 +520,32 @@ def test_calibration_round_trip_or_threshnet_error(n, a, log10_frac, directed, a
     except ThreshnetError:
         return
     assert abs(achieved - target) <= 1e-10 * target
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=0.1, max_value=10.0),
+    w0=st.floats(min_value=0.1, max_value=10.0),
+    exponents=st.just((1.0, 1.0)) | st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+    log10_p=st.floats(min_value=-12.0, max_value=math.log10(0.49)),
+)
+@example(a=3.0, w0=1.0, exponents=(1.0, 1.0), log10_p=math.log10(0.25))
+@example(a=0.1, w0=10.0, exponents=(4.0, 0.25), log10_p=-12.0)
+def test_calibrated_theta_is_the_last_double_at_the_target(a, w0, exponents, log10_p):
+    # n = 2 has one pair (two ordered pairs), so the target puts the edge
+    # probability at p exactly; the threshold is held to 60-digit mpmath and is
+    # the largest double at which the float p_edge is still at least p
+    (alpha, beta), pareto, p = exponents, ParetoParams(a, w0), 10.0 ** log10_p
+    if p_edge(pareto, sys.float_info.max, alpha, beta) > p:
+        with pytest.raises(FeasibilityError):
+            calibrate_theta_directed(2, pareto, 2.0 * p, alpha, beta)
+        return
+    if alpha == beta == 1.0:
+        theta = calibrate_theta(2, pareto, p)
+    else:
+        theta = calibrate_theta_directed(2, pareto, 2.0 * p, alpha, beta)
+    assert abs(p_edge_mp(pareto, theta, alpha, beta) - p) <= 1e-13 * p
+    assert p_edge(pareto, theta, alpha, beta) >= p > p_edge(pareto, math.nextafter(theta, math.inf), alpha, beta)
 
 
 def test_linkfn_identity_matches_directed(pareto3):

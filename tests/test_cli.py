@@ -654,20 +654,31 @@ for name, source in [
 ]:
     main(["analyze", *source, "--bootstrap", "100", "--out-dir", a + "/" + name])
     loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-main(["calibrate", "--n", "100", "--a", "3", "--w0", "1", "--target-edges", "1237.5"])
-print(json.dumps({"analyze": loaded, "calibrate": "scipy.optimize" in sys.modules}))
+calibrated = {}
+for name, argv in [
+    ("calibrate", ["calibrate", "--n", "100", "--a", "3", "--w0", "1", "--target-edges", "1237.5"]),
+    ("generate", ["generate", "--n", "2000", "--a", "3", "--target-edges", "3000", "--out-dir", g + "/target"]),
+    ("sweep", ["growth", "sweep", "--schedule", "linear", "--a", "3", "--ns", "1000,2000", "--out-dir", g + "/linear"]),
+]:
+    assert main(argv) == 0
+    calibrated[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+main(["oracle", "pew-linkfn", "--a", "3", "--theta", "10", "--w", "2", "--alpha", "1", "--beta", "2", "--h", "exp"])
+print(json.dumps({"analyze": loaded, "calibrated": calibrated, "pew-linkfn": "scipy.integrate" in sys.modules}))
 """
 
 
-def test_cli_analyze_loads_no_scipy_and_calibrate_does(tmp_path, capsys):
-    # analyze fits with statfit's own zeta and bounded minimizer; calibration's brentq needs scipy.optimize
+def test_cli_analyze_and_calibration_load_no_scipy_and_pew_linkfn_does(tmp_path, capsys):
+    # analyze fits with statfit's own zeta and bounded minimizer, and calibration
+    # bisects the doubles; the link-function integral's quad needs scipy.integrate,
+    # so the check is seen to catch a scipy import
     src = str(Path(threshnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-c", _ANALYZE_RUN, str(tmp_path / "g"), str(tmp_path / "fresh")]
     stdout = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     out = json.loads(stdout.splitlines()[-1])
     assert out["analyze"] == {"edges": [], "degrees": [], "directed": []}
-    assert out["calibrate"]
+    assert out["calibrated"] == {"calibrate": [], "generate": [], "sweep": []}
+    assert out["pew-linkfn"]
     # the fresh run's fit and p-value are the ones this process computes
     code, _, _ = run(
         capsys, "analyze", "--edges", str(tmp_path / "g" / "edges.tsv"), "--n", "2000",

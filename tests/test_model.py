@@ -17,6 +17,7 @@ from threshnet import (
     generate,
     sample_node_table,
 )
+import threshnet.model
 import threshnet.streams
 from threshnet.model import _BLOCK, sample_directions, sample_weights
 from threshnet.streams import substream_draws
@@ -521,7 +522,10 @@ def test_node_table_needs_two_dimensions(pareto3):
 
 
 @pytest.mark.parametrize(("n", "d"), [(2 ** 50, 3), (10 ** 20, 3), (10, 10 ** 20)])
-def test_node_table_that_cannot_be_allocated_is_refused(pareto3, n, d):
-    # 8 PiB and more than an array may hold: refused before a byte is written
+def test_node_table_that_cannot_be_allocated_is_refused(monkeypatch, pareto3, n, d):
+    # 8 PiB and more than an array may hold: refused before any draw
+    draws = []
+    monkeypatch.setattr(threshnet.model, "substream_draws", lambda *args: draws.append(args) or substream_draws(*args))
     with pytest.raises(ResourceLimitError, match="node table"):
         sample_node_table(n, 0, pareto3, d)
+    assert draws == []
