@@ -135,8 +135,7 @@ def expected_arcs_directed(
 
 def _expected_count(n: int, pairs: float, pareto: ParetoParams, theta: float, alpha: float, beta: float) -> float:
     """Expected links among the `pairs` pairs (unordered, or ordered for arcs) that n nodes decide."""
-    if n < 1:
-        raise DomainError(f"node count must be >= 1, got {n}")
+    _check_node_count(n)
     return pairs * p_edge(pareto, theta, alpha, beta)
 
 
@@ -196,6 +195,7 @@ def calibrate_theta_directed(
 
 def _calibrate(n: int, pairs: float, pareto: ParetoParams, target: float, alpha: float, beta: float) -> float:
     """The threshold at which `_expected_count` of the same arguments is `target`."""
+    _check_node_count(n)
     if not (0.0 < target < pairs / 2.0):
         raise FeasibilityError(
             f"target {target} infeasible for n={n}: must lie in (0, {pairs / 2.0})"
@@ -229,6 +229,11 @@ def _solve_theta(pareto: ParetoParams, p: float, alpha: float, beta: float) -> f
     return double(lo)
 
 
+def _check_node_count(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"node count must be >= 1, got {n}")
+
+
 def _check_coefficient(D: float) -> None:
     if not (0.0 < D < math.inf):
         raise DomainError(f"schedule coefficient must be positive and finite, got D={D}")
@@ -237,8 +242,7 @@ def _check_coefficient(D: float) -> None:
 def theta_powerlaw_schedule(n: int, D: float, a: float) -> float:
     """theta(n) = D * n^(1/a), the schedule that yields linearithmic growth."""
     _check_coefficient(D)
-    if n < 1:
-        raise DomainError(f"node count must be >= 1, got {n}")
+    _check_node_count(n)
     return D * n ** (1.0 / a)
 
 

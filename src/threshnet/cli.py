@@ -9,22 +9,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# Before numpy loads its OpenBLAS: the CLI's only BLAS call is the pair
+# decision's (m x 3) @ 3-vector, which a thread pool does not speed up, and
+# the pool's idle workers spin, which cost an R1 generate or analyze about
+# 0.1-0.2 s of CPU on 2 vCPUs (wall time where the process has one CPU).
+# A caller's own setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, analytics, growth as growthmod, io as tio, statfit
-from .errors import (
+import numpy as np  # noqa: E402
+
+from . import __version__, analytics, growth as growthmod, io as tio, statfit  # noqa: E402
+from .errors import (  # noqa: E402
     DomainError,
     ResourceLimitError,
     SeriesFormatError,
     ThreshnetError,
     UnsupportedAnalyticsError,
 )
-from .generator import DEFAULT_MAX_EDGES, degree_sequence, generate
-from .model import _LINK_KINDS, EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant
+from .generator import DEFAULT_MAX_EDGES, degree_sequence, generate  # noqa: E402
+from .model import _LINK_KINDS, EdgeRule, LinkFn, ModelConfig, ParetoParams, Variant  # noqa: E402
 
 
 def _add_pareto_args(p: argparse.ArgumentParser) -> None:

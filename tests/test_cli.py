@@ -24,6 +24,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _child_env() -> dict:
+    """This process's environment, for a fresh interpreter that imports threshnet from this checkout."""
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_generate_writes_artifacts(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -296,13 +302,20 @@ def test_generate_output_bytes_are_pinned(tmp_path, capsys, d):
     assert digests == PINNED_OUTPUTS[d]
 
 
-def test_generate_directed_edge_file_is_pinned(tmp_path, capsys):
-    # 202,746 arcs whose ids take 1 to 5 digits in both columns
-    code, _, _ = run(capsys, "generate", "--n", "20000", "--a", "3", "--theta", "60", "--variant", "directed",
-                     "--alpha", "0.5", "--beta", "2", "--seed", "2", "--out-dir", str(tmp_path))
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_generate_directed_edge_file_is_pinned(tmp_path, capsys, threads):
+    # 202,746 arcs whose ids take 1 to 5 digits in both columns, here and in a
+    # fresh interpreter whose OpenBLAS runs `threads` threads
+    argv = ["generate", "--n", "20000", "--a", "3", "--theta", "60", "--variant", "directed",
+            "--alpha", "0.5", "--beta", "2", "--seed", "2", "--out-dir"]
+    code, _, _ = run(capsys, *argv, str(tmp_path / "here"))
     assert code == 0
-    digest = hashlib.sha256((tmp_path / "edges.tsv").read_bytes()).hexdigest()
-    assert digest == "3df0e871573e0ef467bc6af80fc1dd911f0d5fa85f361150e54ee8e8e8cedb4b"
+    env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads)
+    subprocess.run([sys.executable, "-m", "threshnet.cli", *argv, str(tmp_path / "child")], env=env,
+                   capture_output=True, check=True)
+    for where in ("here", "child"):
+        digest = hashlib.sha256((tmp_path / where / "edges.tsv").read_bytes()).hexdigest()
+        assert digest == "3df0e871573e0ef467bc6af80fc1dd911f0d5fa85f361150e54ee8e8e8cedb4b"
 
 
 def test_generate_past_max_edges_exits_one(tmp_path, capsys):
@@ -353,6 +366,10 @@ _SWEEP = ["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "
         (["generate", "--n", "100", "--a", "3", "--theta", "1", "--alpha", "2", "--h", "exp"], 1),
         (["generate", "--n", "100", "--a", "3", "--theta", "1", "--variant", "directed", "--alpha", "2",
           "--beta", "1", "--h", "exp"], 1),
+        (["calibrate", "--n", "-3", "--a", "3", "--target-edges", "5"], 1),
+        (["calibrate", "--n", "0", "--a", "3", "--variant", "directed", "--alpha", "0.5", "--beta", "2",
+          "--target-edges", "5"], 1),
+        (["generate", "--n", "0", "--a", "3", "--target-edges", "5"], 1),
     ],
     ids=[
         "h-bad-m", "h-bad-c", "oracle-h-bad-m", "h-nan-c", "h-inf-c", "h-extra-field", "oracle-h-nan-c",
@@ -360,6 +377,7 @@ _SWEEP = ["growth", "sweep", "--schedule", "powerlaw", "--D", "1", "--a", "3", "
         "em-linlog-no-n", "pew-directed-no-alpha-beta", "pew-directed-no-beta",
         "generate-directed-target-no-alpha-beta", "calibrate-directed-no-alpha-beta", "sweep-zero-seeds",
         "sweep-negative-seeds", "undirected-alpha-and-h", "directed-h",
+        "calibrate-negative-n", "calibrate-directed-zero-n", "generate-target-zero-n",
     ],
 )
 def test_bad_value_gives_error_line(tmp_path, capsys, monkeypatch, argv, want):
@@ -371,6 +389,9 @@ def test_bad_value_gives_error_line(tmp_path, capsys, monkeypatch, argv, want):
     err = capsys.readouterr().err
     assert code == want
     assert err.startswith("error: ") if want == 1 else "error: argument" in err
+    n = argv[argv.index("--n") + 1] if "--n" in argv else None
+    if n is not None and int(n) < 1:  # refused as a node count, not as a target or threshold
+        assert err == f"error: node count must be >= 1, got {n}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -533,8 +554,7 @@ def test_analyze_non_utf8_input_exits_one(tmp_path, capsys, flag, data):
 def test_analyze_sparse_inferred_id_exits_one(tmp_path, node):
     edges = tmp_path / "edges.tsv"
     edges.write_text(f"0\t{node}\n", encoding="utf-8")
-    src = str(Path(threshnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     # 4 GiB of address space: past the cap, the 8 TB degree count would fail to allocate on any host
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
@@ -622,8 +642,7 @@ print(json.dumps({"loaded": loaded, "dirs": dirs.tolist(), "alpha": fit.alpha_ha
 
 def test_cli_import_generate_and_sweep_load_no_scipy(tmp_path):
     # The test process has scipy loaded, so the import is watched in a fresh interpreter.
-    src = str(Path(threshnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     samples = np.random.default_rng(3).zipf(2.5, 400).tolist()
     argv = [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path / "g"), json.dumps(samples)]
     stdout = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
@@ -671,8 +690,7 @@ def test_cli_analyze_and_calibration_load_no_scipy_and_pew_linkfn_does(tmp_path,
     # analyze fits with statfit's own zeta and bounded minimizer, and calibration
     # bisects the doubles; the link-function integral's quad needs scipy.integrate,
     # so the check is seen to catch a scipy import
-    src = str(Path(threshnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     argv = [sys.executable, "-c", _ANALYZE_RUN, str(tmp_path / "g"), str(tmp_path / "fresh")]
     stdout = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     out = json.loads(stdout.splitlines()[-1])
@@ -688,6 +706,75 @@ def test_cli_analyze_and_calibration_load_no_scipy_and_pew_linkfn_does(tmp_path,
     for name in ("fit.json", "ccdf.csv"):
         assert (tmp_path / "fresh" / "edges" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
     assert read_json(tmp_path / "here" / "fit.json")["p_value"] is not None
+
+
+# every name `threshnet` exports
+_EXPORTS = sorted("""
+DimensionError DomainError FeasibilityError FitDegenerateError NumericError ResourceLimitError SeriesFormatError
+ThreshnetError UnsupportedAnalyticsError EdgeRule LinkFn ModelConfig ParetoParams Variant sample_node_table Graph
+degree_sequence generate CalibratedSchedule PowerLawSchedule calibrate_theta calibrate_theta_directed
+expected_arcs_directed expected_edges expected_edges_linlog p_edge p_edge_given_weight p_edge_given_weight_linkfn
+p_wedge theta_powerlaw_schedule variance_edges FitResult GofResult ccdf fit_powerlaw_discrete gof_pvalue GrowthFit
+GrowthPoint GrowthSeries concentration_report fit_growth_curve ingest_edge_count_series run_growth_sweep
+write_series_csv
+""".split())
+
+_IMPORT_RUN = """
+import ctypes, json, os, sys
+from pathlib import Path
+
+def blas_threads():
+    import numpy
+    for path in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+environ = dict(os.environ)
+import threshnet
+out = {"numpy": "numpy" in sys.modules, "environ_kept": dict(os.environ) == environ}
+try:
+    threshnet.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+import threshnet.cli
+out["set"] = {k: v for k, v in os.environ.items() if environ.get(k) != v}
+out["blas_threads"] = blas_threads()
+star = {}
+exec("from threshnet import *", star)
+del star["__builtins__"]
+out["star"] = sorted(star)
+out["same"] = all(getattr(threshnet, name) is value for name, value in star.items())
+out["homes"] = [threshnet.generate is threshnet.generator.generate, threshnet.ParetoParams is threshnet.model.ParetoParams]
+out["dir"] = dir(threshnet)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_import_loads_no_numpy_and_cli_runs_one_blas_thread_unless_told(threads):
+    # numpy is loaded here, so the import is watched in a fresh interpreter
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    stdout = subprocess.run([sys.executable, "-c", _IMPORT_RUN], env=env, capture_output=True, text=True,
+                            check=True).stdout
+    out = json.loads(stdout)
+    assert (out["numpy"], out["environ_kept"]) == (False, True)
+    assert out["unknown"] == "module 'threshnet' has no attribute 'no_such_name'"
+    assert out["star"] == _EXPORTS and out["same"] and out["homes"] == [True, True]
+    assert set(_EXPORTS) <= set(out["dir"])
+    # the CLI sets the variable only where the caller has not
+    assert out["set"] == ({"OPENBLAS_NUM_THREADS": "1"} if threads is None else {})
+    if out["blas_threads"] is None:
+        pytest.skip("no OpenBLAS thread-count symbol in numpy's bundled libraries")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert out["blas_threads"] == (1 if threads is None else min(int(threads), cpus))
 
 
 def test_growth_sweep_and_fit(tmp_path, capsys):
@@ -853,8 +940,7 @@ def test_growth_sweep_with_no_predicted_variance_exits_zero(tmp_path, capsys):
 )
 def test_generate_with_overflowing_weights_prints_no_warning(tmp_path, flags):
     # in a fresh interpreter: pytest would collect a warning raised in this process
-    src = str(Path(threshnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     argv = [sys.executable, "-m", "threshnet.cli", "generate", "--n", "50", "--a", "3", "--w0", "1e200", *flags,
             "--out-dir", str(tmp_path)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True)
