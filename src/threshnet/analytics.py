@@ -118,9 +118,12 @@ def p_edge(pareto: ParetoParams, theta: float, alpha: float = 1.0, beta: float =
 def _power_of_quotient(ratio: float, a: float, over: float) -> float:
     """ratio^(-a/over), with the rounding of the exponent a/over put back."""
     y = a / over
+    power = ratio ** -y
+    if not (0.0 < power < math.inf and y < math.inf):
+        return power  # a correction near 1 cannot bring back 0 or inf, and y = inf has none
     (pa, qa), (po, qo), (py, qy) = a.as_integer_ratio(), over.as_integer_ratio(), y.as_integer_ratio()
     dy = (pa * qo * qy - py * qa * po) / (qa * po * qy)  # a/over - y in integers, rounded once
-    return ratio ** -y * math.exp(-dy * math.log(ratio))
+    return power * math.exp(-dy * math.log(ratio))
 
 
 def expected_edges(n: int, pareto: ParetoParams, theta: float) -> float:
@@ -240,10 +243,18 @@ def _check_coefficient(D: float) -> None:
 
 
 def theta_powerlaw_schedule(n: int, D: float, a: float) -> float:
-    """theta(n) = D * n^(1/a), the schedule that yields linearithmic growth."""
+    """theta(n) = D * n^(1/a), the schedule that yields linearithmic growth; refused past the largest double."""
     _check_coefficient(D)
     _check_node_count(n)
-    return D * n ** (1.0 / a)
+    log_power = math.log(n) / a
+    if log_power < _LOG_POW_MAX:
+        theta = D * n ** (1.0 / a)
+    else:  # n^(1/a) alone may pass the largest double, where a D below 1 brings theta back
+        log_theta = math.log(D) + log_power
+        theta = math.exp(log_theta) if log_theta < _LOG_POW_MAX else math.inf
+    if theta == math.inf:
+        raise DomainError(f"threshold D * n^(1/a) overflows at n={n}, a={a} (D={D})")
+    return theta
 
 
 def expected_edges_linlog(n: int, D: float, pareto: ParetoParams) -> float:

@@ -6,9 +6,9 @@ maximal achievable left-hand side (direction dot product at its maximum),
 which is monotone in both weights, so each outer row's partners are one
 contiguous slice of the sorted nodes.  The slice is decided in blocks of at
 most _PAIR_BLOCK partners, a few vectorized steps whose temporaries stay in
-cache, with the edge guard checked after every block.  One loop,
-`_decided_blocks`, makes those decisions: `generate` lists the edges it
-yields, and a growth sweep only counts them.
+cache, with the edge guard checked after every block.  One function,
+`_decide`, makes and counts those decisions: `generate` has it list the
+edges too, and a growth sweep only counts them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .model import EdgeRule, ModelConfig, sample_node_table
 
 DEFAULT_MAX_EDGES = 10 ** 8
-_PAIR_BLOCK = 1 << 14  # partners of one outer row decided per step of `_decided_blocks`
+_PAIR_BLOCK = 1 << 14  # partners of one outer row decided per step of `_decide`
 
 
 @dataclass
@@ -62,10 +62,13 @@ def _partner_cutoffs(ws: np.ndarray, rule: EdgeRule) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if rule.theta <= 0:
         return np.full(n, n, dtype=np.int64)
-    w_asc = ws[::-1]
     # inclusive at the boundary despite rounding: one ulp of slack only ever
     # admits extra candidates, never drops one
-    w_min = np.nextafter((rule.theta / h_max) ** (1.0 / (e_hi + e_lo)), 0.0)
+    try:
+        w_min = np.nextafter((rule.theta / h_max) ** (1.0 / (e_hi + e_lo)), 0.0)
+    except OverflowError:  # a bound past the largest double: no row reaches it
+        return np.empty(0, dtype=np.int64)
+    w_asc = ws[::-1]
     limit = n - np.searchsorted(w_asc, w_min, side="left")
     partner_min = np.nextafter((rule.theta / (h_max * ws[:limit] ** e_hi)) ** (1.0 / e_lo), 0.0)
     return n - np.searchsorted(w_asc, partner_min, side="left")
@@ -123,71 +126,44 @@ def _holds(w_p: float, w_q_pow: np.ndarray, f: np.ndarray, theta: float) -> np.n
     return w_q_pow >= theta
 
 
-def _by_weight(weights: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, ws, xs): `_weight_order(weights)` and the node table's rows in that order."""
-    order = _weight_order(weights)
-    return order, weights[order], np.take(dirs, order, axis=0)  # the rows of dirs[order], gathered about 3x faster
+def _decide(ws: np.ndarray, xs: np.ndarray, rule: EdgeRule, guard: int, ids: np.ndarray | None = None):
+    """(edges, candidates, keys) of the weight-ordered rows `ws`, `xs`; keys only given the rows' node `ids`.
 
-
-def _decided_blocks(ws: np.ndarray, xs: np.ndarray, rule: EdgeRule, guard: int):
-    """Yield (p, lo, hi, masks) for each block of candidate pairs of the weight-ordered rows `ws`, `xs`.
-
-    The block pairs outer row p with partners lo..hi-1; masks[0][k] says
-    whether p links to partner lo+k, and for a directed rule masks[1][k]
-    whether partner lo+k links to p.  Each block keeps its temporaries in
-    cache and evaluates `ws[p] ** alpha * wq ** beta * f >= theta` (and for a
-    directed rule `wq ** alpha * ws[p] ** beta * f >= theta`) product by
-    product in that order, so no decision depends on the block size.  Raises
-    ResourceLimitError as soon as the running edge count exceeds `guard`.
+    Each block of row p's partners q in lo..hi-1 evaluates `ws[p] ** alpha *
+    ws[q] ** beta * f >= theta` (directed, also `ws[q] ** alpha * ws[p] **
+    beta * f >= theta`) product by product in that order, so no decision
+    depends on the block size.  Raises ResourceLimitError as soon as the running edge count
+    exceeds `guard`.  The keys are src*n + dst, unsorted.
     """
     # at theta = 0, h(dot) >= 0 alone decides: powers of exactly 1 keep an underflowing weight product out of it
     alpha, beta = (rule.alpha, rule.beta) if rule.theta > 0 else (0.0, 0.0)
+    n = len(ws)
+    keys = [np.empty(0, dtype=np.int64)]
+    n_edges = n_cand = 0
     # A weight power past the largest double is inf: inf * h(dot) keeps h's sign, and
     # inf * 0 is NaN, which fails >= theta > 0 (theta = 0 takes powers 0).  So each pair
     # gets the float predicate's decision, as in the pair-by-pair reference, unwarned.
-    # No yield is inside an errstate, so the caller's own numpy error state holds between blocks.
     with np.errstate(over="ignore", invalid="ignore"):
-        cuts = _partner_cutoffs(ws, rule).tolist()
-    n_edges = 0
-    for p, cut in enumerate(cuts):
-        for lo in range(p + 1, cut, _PAIR_BLOCK):
-            hi = min(lo + _PAIR_BLOCK, cut)
-            wq = ws[lo:hi]
-            with np.errstate(over="ignore", invalid="ignore"):
+        for p, cut in enumerate(_partner_cutoffs(ws, rule).tolist()):
+            for lo in range(p + 1, cut, _PAIR_BLOCK):
+                hi = min(lo + _PAIR_BLOCK, cut)
                 f = rule.h(xs[lo:hi] @ xs[p])
-                masks = [_holds(ws[p] ** alpha, wq ** beta, f, rule.theta)]
+                masks = [_holds(ws[p] ** alpha, ws[lo:hi] ** beta, f, rule.theta)]
                 if rule.is_directed:
-                    masks.append(_holds(ws[p] ** beta, wq ** alpha, f, rule.theta))
-            n_edges += sum(map(np.count_nonzero, masks))
-            if n_edges > guard:
-                raise ResourceLimitError(f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended")
-            yield p, lo, hi, masks
-
-
-def _edge_keys(weights: np.ndarray, dirs: np.ndarray, rule: EdgeRule, guard: int) -> tuple[np.ndarray, int]:
-    """Keys src*n + dst of every edge, unsorted, and the number of pairs decided.
-
-    The node table sorted by weight lives only in here, so it is freed
-    before the keys are sorted.
-    """
-    n = len(weights)
-    order, ws, xs = _by_weight(weights, dirs)
-    keys = [np.empty(0, dtype=np.int64)]
-    n_cand = 0
-    for p, lo, hi, masks in _decided_blocks(ws, xs, rule, guard):
-        u, vs = order[p], order[lo:hi]
-        n_cand += len(vs)
-        if rule.is_directed:
-            keys += [u * n + vs[masks[0]], vs[masks[1]] * n + u]
-        else:
-            hit = vs[masks[0]]
-            keys.append(np.minimum(u, hit) * n + np.maximum(u, hit))
-    return np.concatenate(keys), n_cand
-
-
-def _edge_count(ws: np.ndarray, xs: np.ndarray, rule: EdgeRule, guard: int) -> int:
-    """Number of edges among weight-ordered rows `ws`, `xs` (see `_by_weight`), none of them listed."""
-    return sum(int(np.count_nonzero(mask)) for *_, masks in _decided_blocks(ws, xs, rule, guard) for mask in masks)
+                    masks.append(_holds(ws[p] ** beta, ws[lo:hi] ** alpha, f, rule.theta))
+                n_cand += hi - lo
+                n_edges += sum(int(np.count_nonzero(mask)) for mask in masks)
+                if n_edges > guard:
+                    raise ResourceLimitError(f"edge count {n_edges} exceeds guard {guard}; raise --max-edges if intended")
+                if ids is None:
+                    continue
+                u, vs = ids[p], ids[lo:hi]
+                if rule.is_directed:
+                    keys += [u * n + vs[masks[0]], vs[masks[1]] * n + u]
+                else:
+                    hit = vs[masks[0]]
+                    keys.append(np.minimum(u, hit) * n + np.maximum(u, hit))
+    return n_edges, n_cand, None if ids is None else np.concatenate(keys)
 
 
 def generate(config: ModelConfig, max_edges: int = DEFAULT_MAX_EDGES) -> Graph:
@@ -199,7 +175,11 @@ def generate(config: ModelConfig, max_edges: int = DEFAULT_MAX_EDGES) -> Graph:
     if max_edges < 0:
         raise DomainError(f"edge guard must be non-negative, got max_edges={max_edges}")
     weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
-    keys, n_cand = _edge_keys(weights, dirs, config.rule, max_edges)
+    order = _weight_order(weights)
+    # the rows in weight order (np.take gathers dirs[order] about 3x faster) live
+    # only in the call, so they and the order are freed before the keys are sorted
+    _, n_cand, keys = _decide(weights[order], np.take(dirs, order, axis=0), config.rule, max_edges, order)
+    del order
     return Graph(
         weights=weights,
         directions=dirs,

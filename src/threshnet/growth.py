@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytics
 from .errors import DomainError, SeriesFormatError
-from .generator import DEFAULT_MAX_EDGES, _edge_count, _weight_order
+from .generator import DEFAULT_MAX_EDGES, _decide, _weight_order
 from .generator import generate  # noqa: F401  perfbench's LAYER_CALLS wraps this name until ROADMAP item 3
 from .io import _int64_fields, _read_text
 from .model import EdgeRule, ModelConfig, ParetoParams, sample_directions, sample_weights
@@ -114,7 +114,7 @@ def run_growth_sweep(
             if size.n < top.n:
                 keep = np.flatnonzero(order < size.n)
                 rows = ws[keep], np.take(xs, keep, axis=0)  # faster than compressing by the mask
-            m = _edge_count(*rows, EdgeRule.undirected(size.theta), DEFAULT_MAX_EDGES)
+            m = _decide(*rows, EdgeRule.undirected(size.theta), DEFAULT_MAX_EDGES)[0]
             points.append(replace(size, m=m))
         out[seed] = GrowthSeries(points=points)
     return out

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ResourceLimitError
+from .errors import DimensionError, DomainError, NumericError, ResourceLimitError
 from .streams import substream_draws
 
 # Node ids per pass of the samplers.  Each numpy operation on a block allocates
@@ -210,11 +210,14 @@ def _node_array(n: int, *d: int, ids: bool = False) -> np.ndarray:
 
 
 def sample_weights(n: int, seed: int, pareto: ParetoParams) -> np.ndarray:
-    """The weights of nodes 0..n-1: draw 1 of each node's substream, by inverse CDF."""
+    """The weights of nodes 0..n-1: draw 1 of each node's substream, by inverse CDF; NumericError if one is inf."""
     weights = _node_array(n)
-    for lo in range(0, n, _BLOCK):
-        u = substream_draws(seed, np.arange(lo, min(lo + _BLOCK, n)), [1])
-        weights[lo : lo + len(u)] = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+    with np.errstate(over="ignore"):  # an infinite weight is refused below
+        for lo in range(0, n, _BLOCK):
+            u = substream_draws(seed, np.arange(lo, min(lo + _BLOCK, n)), [1])
+            weights[lo : lo + len(u)] = pareto.w0 * (1.0 - u[:, 0]) ** (-1.0 / pareto.a)
+    if n and weights.max() == math.inf:
+        raise NumericError(f"a drawn weight passes the largest double (a={pareto.a}, w0={pareto.w0})")
     return weights
 
 

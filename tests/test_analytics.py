@@ -258,6 +258,14 @@ def test_powerlaw_schedule_values():
         theta_powerlaw_schedule(10, 0.0, 3.0)
     with pytest.raises(DomainError, match="node count must be >= 1, got 0"):
         theta_powerlaw_schedule(0, 1.0, 3.0)
+    # n^(1/a) = 10^1000 passes the largest double, and so does theta
+    with pytest.raises(DomainError, match=r"overflows at n=10, a=0\.001"):
+        theta_powerlaw_schedule(10, 1.0, 0.001)
+    with pytest.raises(DomainError, match=r"overflows at n=20, a=0\.001"):
+        PowerLawSchedule(D=1.0).theta_for(20, ParetoParams(0.001, 1.0))
+    # 10^500 passes it alone, but 1e-300 * 10^500 = 1e200 does not
+    assert theta_powerlaw_schedule(10, 1e-300, 0.002) == pytest.approx(1e200, rel=1e-12)
+    assert theta_powerlaw_schedule(1, 1.0, 5e-324) == 1.0
 
 
 def test_linlog_formula_consistency():
@@ -379,6 +387,17 @@ def test_directed_calibration_rejects_missed_root(pareto3, monkeypatch):
     monkeypatch.setattr(analytics, "_solve_theta", lambda *args: 2.0 * solve(*args))
     with pytest.raises(NumericError):
         calibrate_theta_directed(10 ** 4, pareto3, 1e5, 1.0, 2.0)
+
+
+def test_power_of_quotient_takes_its_limit_past_the_largest_exponent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a / alpha = 3 / 5e-324 is inf: r^a is 0, as at any alpha small enough to round it to 0
+        pareto = ParetoParams(3.0, 1.0)
+        assert p_edge(pareto, 33300.0, 5e-324, 3.0) == pytest.approx(p_edge(pareto, 33300.0, 1e-10, 3.0), rel=1e-9)
+        # a / alpha = 3e300 rounds r^a to 0, and the correction of the exponent would pass exp's range
+        with pytest.raises(NumericError):
+            calibrate_theta_directed(10, ParetoParams(3.0, 1e308), 1e-300, 1e-300, 1e-300)
 
 
 def test_directed_calibration_reaches_target_past_float_powers():

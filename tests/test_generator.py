@@ -19,7 +19,7 @@ from threshnet import (
     ResourceLimitError,
     generate,
 )
-from threshnet.generator import _canonical, _edge_keys, _weight_order
+from threshnet.generator import _canonical, _decide, _weight_order
 from threshnet.model import Variant, sample_node_table
 
 import oracles
@@ -88,19 +88,38 @@ def test_theta_zero_edges_do_not_depend_on_w0(rule):
 
 
 @pytest.mark.parametrize(
-    "rule, n_edges",
-    [(EdgeRule.undirected(1.0), 614), (directed_rule(1.0, 2.0, 1.0), 1228)],
-    ids=["undirected", "directed"],
+    "config, n_candidates, n_edges",
+    [
+        # w0 = 1e200 takes every weight product past the largest double
+        (_config(50, 1.0, pareto=ParetoParams(3, 1e200)), 1225, 614),
+        (_config(50, 1.0, rule=directed_rule(1.0, 2.0, 1.0), pareto=ParetoParams(3, 1e200)), 1225, 1228),
+        # the pruning bound (theta / h(1)) ** (1 / (alpha + beta)) = 1e300 ** 5e7: no weight reaches it
+        (_config(200, 1e300, rule=directed_rule(1e300, 1e-8, 1e-8)), 0, 0),
+    ],
+    ids=["undirected", "directed", "bound"],
 )
-def test_overflowing_weight_powers_decide_as_naive_without_warnings(rule, n_edges):
-    # w0 = 1e200 takes every weight product past the largest double
-    config = _config(50, 1.0, rule=rule, pareto=ParetoParams(3, 1e200))
+def test_overflowing_weight_powers_decide_as_naive_without_warnings(config, n_candidates, n_edges):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        edges = generate(config).edges
+        graph = generate(config)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(edges, generate_naive(config).edges)
-    assert len(edges) == n_edges
+        assert np.array_equal(graph.edges, generate_naive(config).edges)
+    assert (graph.n_candidates, graph.n_edges) == (n_candidates, n_edges)
+
+
+@pytest.mark.parametrize("max_edges", [10 ** 6, 100], ids=["returns", "guard-raises"])
+def test_generate_leaves_the_callers_numpy_error_state(max_edges):
+    # w0 = 1e200 overflows every weight product, which the decide loop ignores only inside itself
+    config = _config(50, 1.0, pareto=ParetoParams(3, 1e200))
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        try:
+            generate(config, max_edges)
+        except ResourceLimitError:
+            assert max_edges == 100
+        else:
+            assert max_edges == 10 ** 6
+        assert np.geterr() == caller
 
 
 _LINKS = st.one_of(
@@ -247,7 +266,8 @@ def test_weight_order_is_exact_and_no_slower_than_argsort_at_3e7():
 
 def _keys(config):
     weights, dirs = sample_node_table(config.n, config.seed, config.pareto, config.d)
-    return _edge_keys(weights, dirs, config.rule, 10 ** 9)[0]
+    order = _weight_order(weights)
+    return _decide(weights[order], dirs[order], config.rule, 10 ** 9, order)[2]
 
 
 @pytest.mark.parametrize(

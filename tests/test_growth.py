@@ -27,7 +27,7 @@ from threshnet import (
     sample_node_table,
     write_series_csv,
 )
-from threshnet.generator import _by_weight, _weight_order
+from threshnet.generator import _weight_order
 from threshnet.model import _BLOCK
 
 from oracles import linlog_leading_coefficient
@@ -336,10 +336,12 @@ def test_sweep_draws_the_weight_ordered_table(seed):
     pareto, n_max = ParetoParams(a=3.0, w0=1.0), 2 * _BLOCK + 1
     counted = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(threshnet.growth, "_edge_count", _spy(counted, "count", threshnet.growth._edge_count))
+        patch.setattr(threshnet.growth, "_decide", _spy(counted, "count", threshnet.growth._decide))
         run_growth_sweep(PowerLawSchedule(D=1.0), [n_max], pareto, [seed])
     (_, (ws, xs)), = counted
-    _, want_ws, want_xs = _by_weight(*sample_node_table(n_max, seed, pareto, 3))
+    weights, dirs = sample_node_table(n_max, seed, pareto, 3)
+    order = _weight_order(weights)
+    want_ws, want_xs = weights[order], dirs[order]
     assert np.array_equal(ws.view(np.int64), want_ws.view(np.int64))
     assert np.array_equal(xs.view(np.int64), want_xs.view(np.int64))
 
@@ -363,7 +365,7 @@ def test_sweep_guard_fires_at_the_first_size_past_it(monkeypatch, pareto3):
     guard = (ms[0] + ms[1]) // 2
     counted = []
     monkeypatch.setattr(threshnet.growth, "DEFAULT_MAX_EDGES", guard)  # read at each call
-    monkeypatch.setattr(threshnet.growth, "_edge_count", _spy(counted, "count", threshnet.growth._edge_count))
+    monkeypatch.setattr(threshnet.growth, "_decide", _spy(counted, "count", threshnet.growth._decide))
     with pytest.raises(ResourceLimitError, match=f"exceeds guard {guard};") as exc:
         run_growth_sweep(PowerLawSchedule(D=1.0), ns, pareto3, [5])
     assert [len(ws) for _, (ws, _) in counted] == ns[:2]

@@ -11,6 +11,7 @@ from threshnet import (
     EdgeRule,
     LinkFn,
     ModelConfig,
+    NumericError,
     ParetoParams,
     ResourceLimitError,
     Variant,
@@ -214,6 +215,14 @@ def test_top_draws_give_finite_weights_and_directions(monkeypatch, pareto3):
             weights, dirs = sample_node_table(4, 0, pareto3, d)
             assert np.all(weights == pareto3.w0 * (2.0 ** -53) ** (-1.0 / pareto3.a))
             assert np.all(np.isfinite(dirs)) and np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+
+
+def test_an_infinite_weight_is_refused():
+    # (1 - u)^(-1e8) passes the largest double for any draw u above about 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="passes the largest double"):
+            sample_weights(2, 0, ParetoParams(1e-8, 1e-300))
 
 
 def test_node_independent_of_population(pareto3):
