@@ -84,22 +84,22 @@ def ccdf(degrees) -> tuple[np.ndarray, np.ndarray]:
 _ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
            -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
            1.8152105401943546773e17, -7.1661652561756670113e18)  # (2j)! / B_2j, j = 1..12, as Cephes writes them
-# Lanes per block of `_hurwitz_zeta`, so that its arrays stay in cache: on a
-# bootstrap KS call of 100,000 lanes (2 vCPUs), blocks of 8192 took 20 ms
-# against 34 ms in one.
+# Lanes per block of `_hurwitz_zeta`, so that its arrays stay in cache: a
+# bootstrap KS call of 100,000 lanes (2 vCPUs) took 11-12 ms in blocks of 8192
+# and 13-14 ms in one; blocks of 16384 (10-11 ms) left R1's fit no faster.
 _ZETA_BLOCK = 1 << 13
 
 
 def _hurwitz_zeta(x, q) -> np.ndarray:
-    """Hurwitz zeta(x, q), the sum over k >= 0 of (k + q)^-x, over the broadcast of x and q.
+    """Hurwitz zeta(x, q), the sum over k >= 0 of (k + q)^-x, over the broadcast of x > 1 and q >= 1.
 
     A lockstep numpy port of Cephes' `zeta.c` (Stephen L. Moshier) as scipy 1.17
     runs it for `scipy.special.zeta(x, q)` (BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. and 2003- SciPy Developers): the same float steps and
-    branches, so the same bits wherever `np.power` rounds as libm's `pow`.  Each
-    lane leaves the direct sum, and then the Euler-Maclaurin terms, on its own
-    stopping test.  Silent, as scipy is: inf at x = 1 and at integer q <= 0, NaN
-    at x < 1 and at non-integer q < 0 with non-integer x.
+    Enthought, Inc. and 2003- SciPy Developers) for the x > 1 (or NaN) and q >= 1
+    that the fit passes: the same float steps, so the same bits wherever
+    `np.power` rounds as libm's `pow`.  There the direct sum takes at most 9
+    terms, so all lanes run them and then the Euler-Maclaurin terms in
+    lockstep, each keeping its sum from its own stopping test on.
     """
     x, q = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(q, dtype=np.float64))
     shape = x.shape
@@ -108,46 +108,32 @@ def _hurwitz_zeta(x, q) -> np.ndarray:
         blocks = range(0, len(x), _ZETA_BLOCK)
         return np.concatenate([_hurwitz_zeta(x[lo:lo + _ZETA_BLOCK], q[lo:lo + _ZETA_BLOCK]) for lo in blocks]).reshape(shape)
     out = np.empty(len(x))
-    with np.errstate(all="ignore"):
-        pole = (q <= 0.0) & (q == np.floor(q))
-        nan = (x < 1.0) | (q <= 0.0) & ~pole & (x != np.floor(x))
-        inf = ~nan & ((x == 1.0) | pole)
-        big = ~nan & ~inf & (q > 1e8)  # the asymptotic form, DLMF 25.11.43
-        out[nan], out[inf] = np.nan, np.inf
+    big = q > 1e8  # the asymptotic form, DLMF 25.11.43
+    if big.any():
         out[big] = (1.0 / (x[big] - 1.0) + 1.0 / (2.0 * q[big])) * q[big] ** (1.0 - x[big])
-        live = np.flatnonzero(~(nan | inf | big))
-        xs, a, i = x[live], q[live], 0
-        s = a ** -xs
-        ends = [(live[:0], xs[:0], a[:0], s[:0], s[:0])]  # (lanes, x, a, b, s) of sums that end unconverged
-        while live.size:
-            i += 1
-            a += 1.0
-            b = a ** -xs
-            s += b
-            done = np.abs(b / s) < 2.0 ** -53  # Cephes' MACHEP
-            more = ~done if i < 9 else ~done & (a <= 9.0)
-            if not more.all():
-                out[live[done]] = s[done]
-                ends.append(tuple(v[~done & ~more] for v in (live, xs, a, b, s)))
-                live, xs, a, s = (v[more] for v in (live, xs, a, s))
-        live, xs, w, b, s = (np.concatenate(v) for v in zip(*ends))
-        s += b * w / (xs - 1.0)
-        s -= 0.5 * b
-        # every lane takes the next term until all have stopped: cheaper than dropping lanes
-        fac, todo = np.ones(len(live)), np.ones(len(live), dtype=bool)
-        for j, coef in enumerate(_ZETA_A):
-            fac *= xs + 2.0 * j
-            b /= w
-            t = fac * b / coef
-            s += t
-            done = todo & (np.abs(t / s) < 2.0 ** -53)
-            out[live[done]] = s[done]
-            todo ^= done
-            if not todo.any():
-                break
-            fac *= xs + (2.0 * j + 1.0)
-            b /= w
-        out[live[todo]] = s[todo]
+    xs, a = x[~big], q[~big]
+    s = a ** -xs
+    sums, todo = np.empty(len(a)), np.ones(len(a), dtype=bool)  # each lane's sum as its stopping test left it
+    for _ in range(9):
+        a += 1.0
+        b = a ** -xs
+        s += b
+        np.copyto(sums, s, where=todo)
+        todo &= b / s >= 2.0 ** -53  # Cephes' MACHEP; b and s are positive, and a NaN lane stops at once
+    s = s + b * a / (xs - 1.0) - 0.5 * b
+    fac = np.ones(len(a))
+    for j, coef in enumerate(_ZETA_A):
+        if not todo.any():
+            break
+        fac *= xs + 2.0 * j
+        b /= a
+        t = fac * b / coef
+        s += t
+        np.copyto(sums, s, where=todo)
+        todo &= np.abs(t / s) >= 2.0 ** -53
+        fac *= xs + (2.0 * j + 1.0)
+        b /= a
+    out[~big] = sums
     return out.reshape(shape)
 
 
@@ -157,7 +143,8 @@ def _mle_alphas(n: np.ndarray, log_sums: np.ndarray, x_mins: np.ndarray) -> np.n
     def minus_loglik(alpha, i):
         return n[i] * np.log(_hurwitz_zeta(alpha, x_mins[i])) + alpha * log_sums[i]
 
-    return _fminbound(minus_loglik, np.full(len(n), 1.0 + 1e-7), np.full(len(n), _ALPHA_MAX), 1e-8)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a far-out tail underflows zeta(alpha, x_min) to 0
+        return _fminbound(minus_loglik, np.full(len(n), 1.0 + 1e-7), np.full(len(n), _ALPHA_MAX), 1e-8)
 
 
 def _fminbound(func, a: np.ndarray, b: np.ndarray, xatol: float) -> np.ndarray:
@@ -233,7 +220,8 @@ def _ks_stats(values: np.ndarray, counts: np.ndarray, starts: np.ndarray, alphas
     cum = np.cumsum(counts)
     cum -= np.repeat(cum[starts] - counts[starts], sizes)  # running count within each tail
     emp_cdf = cum / np.repeat(cum[starts + sizes - 1], sizes)
-    model_cdf = 1.0 - _hurwitz_zeta(np.repeat(alphas, sizes), values + 1) / np.repeat(_hurwitz_zeta(alphas, x_mins), sizes)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN distance where zeta(alpha, x_min) underflows to 0
+        model_cdf = 1.0 - _hurwitz_zeta(np.repeat(alphas, sizes), values + 1) / np.repeat(_hurwitz_zeta(alphas, x_mins), sizes)
     return np.maximum.reduceat(np.abs(emp_cdf - model_cdf), starts)
 
 
@@ -273,13 +261,12 @@ def fit_powerlaw_discrete(samples, x_min: int | None = None, min_tail: int = _MI
     log_sums = np.array([logx[x >= xm].sum() for xm in x_mins.tolist()])  # in sample order, as np.log(tail).sum()
     ks = np.empty(len(firsts))
     step = max(1, _SCAN_VALUES // len(values))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a far-out tail underflows zeta(alpha, x_min) to 0
-        alphas = _mle_alphas(at_or_above[firsts], log_sums, x_mins)
-        for lo in range(0, len(firsts), step):
-            block = slice(lo, lo + step)
-            sizes = len(values) - firsts[block]
-            suffixes = np.concatenate([np.arange(j, len(values)) for j in firsts[block].tolist()])
-            ks[block] = _ks_stats(values[suffixes], counts[suffixes], np.cumsum(sizes) - sizes, alphas[block], x_mins[block])
+    alphas = _mle_alphas(at_or_above[firsts], log_sums, x_mins)
+    for lo in range(0, len(firsts), step):
+        block = slice(lo, lo + step)
+        sizes = len(values) - firsts[block]
+        suffixes = np.concatenate([np.arange(j, len(values)) for j in firsts[block].tolist()])
+        ks[block] = _ks_stats(values[suffixes], counts[suffixes], np.cumsum(sizes) - sizes, alphas[block], x_mins[block])
     if np.isnan(ks).all():
         raise FitDegenerateError(f"no x_min at or above {x_mins[0]} gives a tail that float64 can fit")
     best = int(np.nanargmin(ks))  # the first of equal distances; a NaN lane is not a candidate
@@ -366,11 +353,13 @@ def gof_pvalue(
     Each replicate draws its RNG from (seed, replicate index), resamples the
     empirical body below x_min, draws the tail from the fitted law, refits
     the exponent at the same x_min, and records the KS statistic.  p is the
-    fraction of replicate statistics at or above the observed one.  The
-    inverse-CDF table of the fitted law and its bin guide are built once per
-    call and shared by every replicate, so the result is bit-exact in
-    (seed, samples, fit).  `fit` must be a fit of `samples`: its tail count
-    must equal the positive samples at or above its x_min.
+    fraction of replicate statistics at or above the observed one, where a
+    replicate counts as above if it cannot be fitted: if its tail holds one
+    value, or float64 underflows zeta(alpha, x_min) to 0.  The inverse-CDF
+    table of the fitted law and its bin guide are built once per call and
+    shared by every replicate, so the result is bit-exact in (seed, samples,
+    fit).  `fit` must be a fit of `samples`: its tail count must equal the
+    positive samples at or above its x_min.
 
     Body draws lie below x_min and so never enter the refit tail; they are
     not materialized.  Each replicate owns its RNG and the body draws come
@@ -407,7 +396,7 @@ def gof_pvalue(
             x_mins = np.full(len(tails), fit.x_min, dtype=np.int64)
             alphas = _mle_alphas(np.array(n_syn), np.array(log_sums), x_mins)
             ks = _ks_stats(np.concatenate(values), np.concatenate(counts), np.cumsum(sizes) - sizes, alphas, x_mins)
-            exceed += int(np.count_nonzero(ks >= fit.ks_stat))
+            exceed += int(np.count_nonzero(~(ks < fit.ks_stat)))  # nor can a NaN distance
     p = exceed / n_bootstrap
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))
     return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap)

@@ -700,8 +700,8 @@ def gof_pvalue(samples, fit: FitResult, n_bootstrap: int = 1000, seed: int = 0) 
             exceed += 1  # degenerate replicate cannot beat the observed fit
             continue
         alpha_syn = mle_alpha(tail_syn, fit.x_min)
-        if ks_stat(tail_syn, alpha_syn, fit.x_min) >= fit.ks_stat:
-            exceed += 1
+        if not ks_stat(tail_syn, alpha_syn, fit.x_min) < fit.ks_stat:
+            exceed += 1  # and so does a NaN distance, where zeta(alpha, x_min) underflows to 0
     p = exceed / n_bootstrap
     stderr = float(np.sqrt(p * (1.0 - p) / n_bootstrap))
     return GofResult(p_value=p, stderr=stderr, n_bootstrap=n_bootstrap)
