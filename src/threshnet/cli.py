@@ -387,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # allow `growth --schedule ...` as shorthand for `growth sweep --schedule ...`
-    if argv and argv[0] == "growth" and len(argv) > 1 and argv[1].startswith("--"):
+    # allow `growth --schedule ...` as shorthand for `growth sweep --schedule ...`; `growth --help` is the group's
+    if argv[:1] == ["growth"] and len(argv) > 1 and argv[1].startswith("--") and argv[1] != "--help":
         argv.insert(1, "sweep")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -27,16 +27,17 @@ The same word table gives D's digits, and a second one their trailing zeros.
 Every other float (zeros, subnormals, |x| < 1e-4 or >= 1e17, inf, nan) is
 formatted by Python's `'%.17g'`, in one `%` per column and chunk.
 
-An edge file in exactly the form `write_edges_tsv` emits is parsed in one
-pass; every other input is parsed line by line, which reports a malformed
-line as `path:line`.  Bytes that are not UTF-8 are reported as `path`.
+An edge file that holds exactly the bytes `write_edges_tsv` writes for the
+ids it holds is parsed in one pass; every other input is parsed line by
+line, which reports a malformed line as `path:line`.  Bytes that are not
+UTF-8 are reported as `path`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -60,13 +61,6 @@ _POW10 = np.array([float(10**q) for q in range(21)])
 _SPLIT = 134217729.0  # 2^27 + 1
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-# Lines as `write_edges_tsv` emits them for non-negative ids: no sign, no
-# leading zero, at most 18 digits (so inside int64), one tab, and "\n".
-_ID = "(?:0|[1-9][0-9]{0,17})"
-_CANONICAL_EDGES = re.compile(rf"(?:{_ID}\t{_ID}\n)+")
-# Characters per fullmatch call: the regex engine keeps a backtracking record
-# per repeated line, about 60 MB for one call over 216k lines.
-_MATCH_CHARS = 1 << 16
 
 
 @contextmanager
@@ -225,16 +219,20 @@ def _int_fields(values: np.ndarray) -> np.ndarray:
     return field
 
 
+def _lines(columns: list):
+    """Chunks of `_CHUNK_ROWS` lines of the columns' fields, tab-separated: '%d' for an integer column, '%.17g' for a float one."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [x[start : start + _CHUNK_ROWS] for x in columns]
+        fields = [(_int_fields if x.dtype.kind in "iu" else _float_fields)(x) for x in chunk]
+        tab = np.full((len(chunk[0]), 1), ord("\t"), np.uint8)
+        text = np.concatenate([part for f in fields for part in (f, tab)], axis=1)
+        text[:, -1] = ord("\n")  # the last tab
+        yield text.tobytes().translate(None, b"\0")
+
+
 def _write_rows(path, columns: list) -> None:
-    """Lines of the columns' fields, tab-separated: '%d' for an integer column, '%.17g' for a float one."""
     with open(path, "wb") as fh:
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = [x[start : start + _CHUNK_ROWS] for x in columns]
-            fields = [(_int_fields if x.dtype.kind in "iu" else _float_fields)(x) for x in chunk]
-            tab = np.full((len(chunk[0]), 1), ord("\t"), np.uint8)
-            text = np.concatenate([part for f in fields for part in (f, tab)], axis=1)
-            text[:, -1] = ord("\n")  # the last tab
-            fh.write(text.tobytes().translate(None, b"\0"))
+        fh.writelines(_lines(columns))
 
 
 def write_nodes_tsv(path, weights: np.ndarray, directions: np.ndarray) -> None:
@@ -245,24 +243,26 @@ def write_edges_tsv(path, edges: np.ndarray) -> None:
     _write_rows(path, [edges[:, 0], edges[:, 1]])
 
 
-def _is_canonical(text: str) -> bool:
-    """Whether `text` is one or more lines as `write_edges_tsv` emits them."""
-    lo = 0
-    while lo < len(text):
-        hi = text.find("\n", lo + _MATCH_CHARS) + 1 or len(text)
-        if not _CANONICAL_EDGES.fullmatch(text, lo, hi):
-            return False
-        lo = hi
-    return lo > 0
-
-
 def read_edges_tsv(path) -> np.ndarray:
-    with _read_text(path, newline="") as fh:
-        text = fh.read()
-    if _is_canonical(text):
-        # text mode splits at any whitespace and makes no copy of the text
-        return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
-    del text  # any other file is read again, one line at a time
+    """The (E, 2) int64 ids; in one pass if the file holds the bytes `write_edges_tsv` writes for the ids they hold."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # older numpy warns at a partial parse, newer raises
+            # text mode splits at any whitespace and makes no copy of the data
+            edges = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+    except (DeprecationWarning, ValueError):  # also an odd count of ids
+        edges = np.empty((0, 2), np.int64)
+    at = 0
+    for chunk in _lines([edges[:, 0], edges[:, 1]]):  # what the writer makes of these ids, chunk by chunk
+        if not data.startswith(chunk, at):
+            break
+        at += len(chunk)
+    else:
+        if len(edges) and at == len(data):
+            return edges
+    del data, edges  # any other file is read again, one line at a time
     rows = []
     with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):

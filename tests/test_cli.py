@@ -790,6 +790,15 @@ def test_growth_sweep_and_fit(tmp_path, capsys):
     assert "mean_m" in out
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_growth_help_lists_sweep_and_fit(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", flag])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: threshnet growth ") and "sweep" in out and "fit" in out and "--schedule" not in out
+
+
 def test_growth_sweep_linear_schedule_puts_em_at_coeff_n(tmp_path, capsys):
     code, _, _ = run(capsys, "growth", "sweep", "--schedule", "linear", "--coeff", "2", "--a", "3",
                      "--ns", "200,400,800", "--out-dir", str(tmp_path))

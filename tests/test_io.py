@@ -3,13 +3,14 @@
 The oracles are the row-by-row writers and the line-by-line edge parser the
 package had before its writers were chunked, its node writer built the
 '%.17g' digits in numpy, and its reader got an int64 range check and a
-one-pass parse of canonical files; the new code must give the same bytes,
+one-pass parse of the files the writer writes; the new code must give the same bytes,
 the same arrays and the same error messages, except that an id beyond int64
 is now a format error.
 """
 
 import math
 import re
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -254,18 +255,23 @@ def edge_texts(draw):
     return text
 
 
-def is_canonical(text):
-    """Whether `text` is what `write_edges_tsv` writes for ids of at most 18 digits."""
-    if not text.endswith("\n"):
+def is_written_id(field):
+    """Whether `field` is '%d' of an int64."""
+    try:
+        return str(int(field)) == field and INT64.min <= int(field) <= INT64.max
+    except ValueError:
         return False
-    for line in text[:-1].split("\n"):
-        ids = line.split("\t")
-        if len(ids) != 2 or not all(i.isascii() and i.isdigit() and len(i) <= 18 and str(int(i)) == i for i in ids):
-            return False
-    return True
 
 
-# Non-negative ids with 1 to 19 digits; 19 digits leave the canonical form.
+def is_canonical(text):
+    """Whether `text` is the '%d\t%d\n' lines of the int64 ids it holds."""
+    lines = text.split("\n")
+    return len(lines) > 1 and lines[-1] == "" and all(
+        len(ids) == 2 and all(map(is_written_id, ids)) for ids in (line.split("\t") for line in lines[:-1])
+    )
+
+
+# Non-negative ids with 1 to 19 digits.
 written_ids = st.one_of(st.integers(0, 10 ** 18 - 1), st.integers(10 ** 18, INT64.max), st.sampled_from([0, 10 ** 18]))
 # One-character changes of a written file, each leaving the canonical form.
 PERTURBATIONS = [None, "leading 0", "+", "non-ASCII digit", "space for tab", "\r\n", "no final newline", "blank line"]
@@ -303,7 +309,7 @@ _WRITTEN = "0\t1\n7\t123456789012345678\n"
 @given(text=st.one_of(edge_texts(), written_edge_texts()))
 @example(text=_WRITTEN)
 @example(text="0" + _WRITTEN)
-@example(text=_WRITTEN.replace("12", "112"))  # a 19-digit id inside int64
+@example(text=_WRITTEN.replace("12", "112"))  # a 19-digit id, in the written form
 @example(text=_WRITTEN.replace("\n", "\r\n", 1))
 @example(text=_WRITTEN[:-1])
 @example(text=_WRITTEN.replace("\t", " ", 1))
@@ -331,15 +337,10 @@ _WRITTEN = "0\t1\n7\t123456789012345678\n"
 def test_read_edges_matches_oracle(tmp_path, text):
     path = tmp_path / "edges.tsv"
     path.write_text(text, encoding="utf-8", newline="")
-    outcomes = []
-    for match_chars in (1, 7, tio._MATCH_CHARS):  # the form checked in many pieces, or in one
-        with mock.patch.object(tio, "_MATCH_CHARS", match_chars):
-            with mock.patch.object(np, "fromstring", wraps=np.fromstring) as one_pass:
-                outcomes.append(outcome(tio.read_edges_tsv, path))
-        assert one_pass.called == is_canonical(text)  # any other text takes the line parser
-    got, want = outcomes[-1], outcome(oracle_read_edges, path)
-    for other in outcomes[:-1]:
-        assert_same_outcome(other, got)
+    with mock.patch.object(tio, "_read_text", wraps=tio._read_text) as line_parser:
+        got = outcome(tio.read_edges_tsv, path)
+    assert line_parser.called != is_canonical(text)  # exactly the other texts take the line parser
+    want = outcome(oracle_read_edges, path)
     if isinstance(got, str) and got.endswith("outside the int64 range"):
         # The reader stops at the first line holding such an id; the old loop
         # reads on and overflows only when it builds the array, so it agrees
@@ -351,6 +352,39 @@ def test_read_edges_matches_oracle(tmp_path, text):
         assert outcome(oracle_read_edges, path) is OverflowError
     else:
         assert_same_outcome(got, want)
+
+
+# ids the one-pass form once left to the line parser: negative, 19 digits wide, and int64's ends
+far_ids = st.one_of(st.integers(INT64.min, -1), st.integers(10 ** 18, INT64.max), st.sampled_from([INT64.min, INT64.max]))
+
+
+@settings_tmp
+@given(
+    edges=st.integers(min_value=1, max_value=40).flatmap(
+        lambda m: arrays(np.int64, (m, 2), elements=st.one_of(far_ids, int64s))
+    ),
+    write_chunk=st.integers(min_value=1, max_value=7),
+    read_chunk=st.integers(min_value=1, max_value=7),
+)
+def test_written_edges_of_any_int64_ids_read_back_in_one_pass(tmp_path, edges, write_chunk, read_chunk):
+    path = tmp_path / "edges.tsv"
+    with mock.patch.object(tio, "_CHUNK_ROWS", write_chunk):
+        tio.write_edges_tsv(path, edges)
+    with mock.patch.object(tio, "_CHUNK_ROWS", read_chunk):
+        with mock.patch.object(tio, "_read_text", wraps=tio._read_text) as line_parser:
+            got = tio.read_edges_tsv(path)
+    assert not line_parser.called
+    assert got.dtype == np.int64 and np.array_equal(got, edges)
+
+
+@pytest.mark.parametrize("text, where", [("1\tx\n", 1), ("1\t2\n3\tx\n", 2), ("1\t2\nx", 2)])
+def test_read_edges_partial_parse_names_the_line_and_warns_nothing(tmp_path, text, where):
+    path = tmp_path / "edges.tsv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesFormatError, match=rf"edges\.tsv:{where}: "):
+            tio.read_edges_tsv(path)
 
 
 @pytest.mark.parametrize("line, node", [
